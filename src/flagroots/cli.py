@@ -33,7 +33,7 @@ from .equigeo import (
     is_equigeodesic_all_metrics,
     is_structural_family,
 )
-from .fixtures import FixtureError, load_fixture, parse_space, space_diagram
+from .fixtures import SPACE_IDS, FixtureError, load_fixture, space_diagram
 from .flag import G2Kind, bracket_inclusion_table
 from .rootsys import FlagrootsError, SCHEMA_VERSION
 
@@ -49,8 +49,15 @@ def _fmt_scalar(x) -> str:
     return str(x)
 
 
+def _encode_family(obj):
+    """json.dumps hook: families become dicts one at a time, while encoding."""
+    if isinstance(obj, StructuralFamily):
+        return obj.to_dict()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _json_dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_encode_family)
 
 
 def _latex_table(headers, rows) -> str:
@@ -71,11 +78,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _space_fixture(space: str):
-    """Fixture for canonical spaces, None for custom paintings."""
-    try:
-        return load_fixture(space)
-    except FixtureError:
-        return None
+    """Fixture for canonical spaces, None for custom paintings.
+
+    A canonical space whose fixture cannot be loaded is an error.
+    """
+    return load_fixture(space) if space in SPACE_IDS else None
 
 
 def _parse_member(pd, fixture, token: str):
@@ -91,11 +98,12 @@ def _parse_member(pd, fixture, token: str):
 
 
 def _parse_fraction(x) -> Fraction:
-    if isinstance(x, str):
+    if not isinstance(x, (str, int, Fraction)):
+        raise FlagrootsError(f"expected an exact rational, got {x!r}")
+    try:
         return Fraction(x)
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise FlagrootsError(f"expected an exact rational, got {x!r}")
+    except ZeroDivisionError as exc:
+        raise FlagrootsError(f"zero denominator in {x!r}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +249,11 @@ def cmd_check(args) -> int:
     fixture = _space_fixture(args.space)
     table = build_constants(pd.system)
     roots = [_parse_member(pd, fixture, tok) for tok in args.members]
+    seen: dict = {}
+    for tok, r in zip(args.members, roots):
+        if r in seen:
+            raise FlagrootsError(f"member {tok!r} repeats {seen[r]!r}: root {tuple(r)}")
+        seen[r] = tok
     family = StructuralFamily.from_roots(pd, roots)
     structural = is_structural_family(family)
     x = TangentVector.from_coefficients(
@@ -290,13 +303,14 @@ def cmd_enumerate(args) -> int:
         fixture = _space_fixture(args.space)
         if fixture is None:
             raise FixtureError("--verify-fixtures needs a canonical space with fixtures")
-        maximal = [f.root_set() for f in result.families]
+        # Label module j is computed module j (load_fixture checks the
+        # fibers), so each member is tested as its (module, root) pair.
         missed = []
         for fam in fixture.families:
             if fam.suspect:
                 continue
-            rs = frozenset(tuple(r) for r in fixture.family_roots(fam))
-            if not any(rs <= m for m in maximal):
+            pairs = frozenset(zip((m for m, _ in fam.members), fixture.family_roots(fam)))
+            if not any(pairs <= f.members for f in result.families):
                 missed.append(fam)
         fixture_ok = not missed and not result.truncated
         fixture_report = {
@@ -313,7 +327,7 @@ def cmd_enumerate(args) -> int:
         "cap": args.cap,
         "total": result.total,
         "truncated": result.truncated,
-        "families": [f.to_dict() for f in result.families],
+        "families": result.families,
     }
     if fixture_report is not None:
         doc["fixture_check"] = fixture_report
@@ -344,10 +358,15 @@ def cmd_enumerate(args) -> int:
 
 def _load_vector(pd, fixture, path: str) -> TangentVector:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise FlagrootsError(f"{path}: the top level must be an object with 'a'/'b' lists")
     a: dict = {}
     b: dict = {}
     for part, store in (("a", a), ("b", b)):
-        for item in doc.get(part, []):
+        items = doc.get(part, [])
+        if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+            raise FlagrootsError(f"{path}: '{part}' must be a list of objects")
+        for item in items:
             if "label" in item:
                 if fixture is None:
                     raise FixtureError("label entries need a canonical space")
@@ -367,7 +386,7 @@ def cmd_verify(args) -> int:
     fixture = _space_fixture(args.space)
     table = build_constants(pd.system)
     x = _load_vector(pd, fixture, args.vector)
-    lambdas = tuple(Fraction(tok) for tok in args.metric.split(","))
+    lambdas = tuple(_parse_fraction(tok) for tok in args.metric.split(","))
     metric = MetricVector(lambdas)
     residual = equigeodesic_residual(table, pd, x, metric)
     by_module: dict[str, dict[str, dict[str, str]]] = {}

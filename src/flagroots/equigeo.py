@@ -87,7 +87,7 @@ class StructuralFamily:
     def to_dict(self, structural: bool | None = None, maximal: bool | None = None) -> dict:
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "space": self.space.to_dict()["space"],
+            "space": self.space.name,
             "members": [
                 {"module": k, "root_coeffs": list(r)} for k, r in self.sorted_members()
             ],
@@ -254,25 +254,25 @@ def enumerate_maximal_families(
         raise FlagrootsError("min_modules must be at least 1")
     graph = compatibility_graph(pd)
     n = len(graph.vertices)
-    masks = _bron_kerbosch_pivot(graph.adjacency, n)
-    families = []
-    for mask in masks:
+    # Vertices are in sorted_members order, so ascending index tuples sort
+    # the families canonically.
+    cliques = []
+    for mask in _bron_kerbosch_pivot(graph.adjacency, n):
         idxs = []
         m = mask
         while m:
             idxs.append((m & -m).bit_length() - 1)
             m &= m - 1
-        mods = {graph.vertices[i][0] for i in idxs}
-        if len(mods) < min_modules:
-            continue
-        members = frozenset(graph.vertices[i] for i in idxs)
-        families.append(StructuralFamily(pd, members))
-    families.sort(key=lambda f: [(k, sum(r), tuple(r)) for k, r in f.sorted_members()])
-    total = len(families)
+        if len({graph.vertices[i][0] for i in idxs}) >= min_modules:
+            cliques.append(tuple(idxs))
+    cliques.sort()
+    total = len(cliques)
     truncated = cap is not None and total > cap
     if truncated:
-        families = families[:cap]
-    return EnumerationResult(tuple(families), truncated, total)
+        cliques = cliques[:cap]
+    families = tuple(StructuralFamily(pd, frozenset(graph.vertices[i] for i in idxs))
+                     for idxs in cliques)
+    return EnumerationResult(families, truncated, total)
 
 
 def scale_by_metric(x: TangentVector, metric: MetricVector) -> AlgebraElement:

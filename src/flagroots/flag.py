@@ -93,6 +93,8 @@ class PaintedDiagram:
             raise FlagrootsError(f"painted nodes out of range 1..{system.rank}")
         self.system = system
         self.painted = nodes
+        # Display name such as "E8(1,2)", shared by every serialised family.
+        self.name = f"{system.lie_type.family}({','.join(map(str, nodes))})"
         self._painted0 = tuple(i - 1 for i in nodes)
         r_k, r_m = [], []
         for r in system.positive_roots:
@@ -185,7 +187,7 @@ class PaintedDiagram:
         cls = self.classify_g2_type()
         return {
             "schema_version": SCHEMA_VERSION,
-            "space": f"{self.system.lie_type.family}({','.join(map(str, self.painted))})",
+            "space": self.name,
             "type": cls.kind.value,
             "modules": [
                 {

@@ -171,6 +171,34 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_zero_denominator_metric_exit_2(capsys, tmp_path):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"a": [{"root": [0, 1, 1, 0], "coeff": 1}]}))
+    code, _, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,2,3,4,5,1/0")
+    assert code == 2 and err.startswith("error:") and "1/0" in err
+
+
+def test_verify_non_object_vector_exit_2(capsys, tmp_path):
+    vec = tmp_path / "vec.json"
+    vec.write_text("[1]")
+    code, _, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1")
+    assert code == 2 and err.startswith("error:") and "object" in err
+
+
+def test_check_reports_fixture_error(capsys, tmp_path, monkeypatch):
+    import flagroots.fixtures as fxmod
+
+    monkeypatch.setenv(fxmod.ENV_FIXTURE_DIR, str(tmp_path / "nonexistent"))
+    code, _, err = run(capsys, "check", "F4_34", "b1^1")
+    assert code == 2 and "fixture file not found" in err
+    assert "canonical space" not in err
+
+
+def test_check_rejects_repeated_member(capsys):
+    code, out, err = run(capsys, "check", "F4_34", "b1^1", "b1^1")
+    assert code == 2 and out == "" and "'b1^1'" in err and "repeats" in err
+
+
 def test_custom_space(capsys):
     code, out, _ = run(capsys, "roots", "E6:1", "--format", "json")
     assert code == 0
