@@ -28,14 +28,15 @@ sign conventions never create or destroy a zero bracket.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Sequence
 
 from .rootsys import (
     Coeffs,
     FlagrootsError,
-    Root,
     RootSystem,
     SCHEMA_VERSION,
     _vec_add,
@@ -51,61 +52,74 @@ class MixedSystemError(FlagrootsError):
     """Operands belong to different root systems."""
 
 
-def _is_positive(v: Coeffs) -> bool:
-    return sum(v) > 0
-
-
 class StructureConstantTable:
     """All constants N(x,y), x, y, x+y roots, in the symmetric convention.
 
-    Immutable after construction; bracket evaluation is pure.
+    Immutable after construction; bracket evaluation is pure.  For the
+    bracket kernel, entry (i, j) of _pairs over positive-root ids is
+    (s, N(i,j), d, N(i,-j), -sign(i-j) N(i,-j)) with s the id of i+j and d
+    that of +-(i-j), or None when neither is a root; an absent one has
+    constant 0 and the spare id n.
     """
 
     def __init__(self, system: RootSystem):
         self.system = system
-        self._carter: dict[tuple[Coeffs, Coeffs], int] = {}
+        pos = self._roots = [tuple(r) for r in system.positive_roots]
+        n = self._n = len(pos)
+        # Root ids: positive root k is k, its negative k + n.
+        roots = pos + [_vec_neg(r) for r in pos]
+        ids = {r: k for k, r in enumerate(roots)}
+        self._norm = [system.cartan.normsq(r) for r in pos] * 2
+        # _add[x][y]: id of root x + root y, or -1 when that is not a root.
+        add = self._add = [[-1] * (2 * n) for _ in range(2 * n)]
+        for i, x in enumerate(pos):
+            for j, y in enumerate(pos):
+                s = add[i][j] = ids.get(_vec_add(x, y), -1)
+                add[i + n][j + n] = s + n if s >= 0 else -1
+                add[i][j + n] = add[j + n][i] = ids.get(_vec_sub(x, y), -1)
+        self._carter: dict[tuple[int, int], int] = {}
         self._build_positive_pairs()
-        self.n_map: dict[tuple[Coeffs, Coeffs], int] = self._expand_all_pairs()
-        self._coroot: dict[Coeffs, Coeffs] = {
-            tuple(r): self._coroot_coeffs(r) for r in system.positive_roots
-        }
+        self.n_map: dict[tuple[Coeffs, Coeffs], int] = {}
+        self._pairs: list[list[tuple[int, int, int, int, int] | None]] = []
+        self._expand_all_pairs(roots)
+        del self._add
+        self._coroots = [self._coroot_coeffs(k) for k in range(n)]
+        self._pairings = [system.cartan.coroot_pairing(r) for r in pos]
 
     # -- construction ------------------------------------------------
 
-    def _string_p(self, a: Coeffs, b: Coeffs) -> int:
-        members = self.system._members
-        p = 0
-        down = _vec_sub(b, a)
-        while down in members:
-            p += 1
-            down = _vec_sub(down, a)
+    def _neg(self, x: int) -> int:
+        return (x + self._n) % (2 * self._n)
+
+    def _string_p(self, a: int, b: int) -> int:
+        p, down = 0, self._add[b][self._neg(a)]
+        while down >= 0:
+            p, down = p + 1, self._add[down][self._neg(a)]
         return p
 
     def _build_positive_pairs(self) -> None:
         """Fix signs by extraspecial pairs, ascending canonical order."""
-        pos = [tuple(r) for r in self.system.positive_roots]
-        order = {r: k for k, r in enumerate(pos)}
-        members = self.system._members
-        for gamma in pos:
-            decomps = [
-                (a, _vec_sub(gamma, a))
-                for a in pos
-                if _vec_sub(gamma, a) in order and order[a] < order[_vec_sub(gamma, a)]
-            ]
-            if not decomps:
+        n, add = self._n, self._add
+        decomps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                if add[a][b] >= 0:
+                    decomps[add[a][b]].append((a, b))
+        for gamma in range(n):
+            if not decomps[gamma]:
                 continue
-            decomps.sort(key=lambda ab: order[ab[0]])
-            a1, b1 = decomps[0]
+            (a1, b1), *rest = decomps[gamma]
             self._carter[(a1, b1)] = self._string_p(a1, b1) + 1
-            for a, b in decomps[1:]:
+            m1 = self._neg(a1)
+            for a, b in rest:
                 # Jacobi on (e_{-a1}, e_a, e_b); every factor on the right
                 # has a lower-height sum, so it is already determined.
                 rhs = 0
-                if _vec_sub(b, a1) in members:
-                    rhs += self._n_carter(b, _vec_neg(a1)) * self._n_carter(a, _vec_sub(b, a1))
-                if _vec_sub(a, a1) in members:
-                    rhs += self._n_carter(_vec_neg(a1), a) * self._n_carter(b, _vec_sub(a, a1))
-                denom = self._n_carter(_vec_neg(a1), gamma)
+                if add[b][m1] >= 0:
+                    rhs += self._n_carter(b, m1) * self._n_carter(a, add[b][m1])
+                if add[a][m1] >= 0:
+                    rhs += self._n_carter(m1, a) * self._n_carter(b, add[a][m1])
+                denom = self._n_carter(m1, gamma)
                 num = -rhs
                 if denom == 0 or num % denom != 0:
                     raise FlagrootsError("inconsistent structure-constant recursion")
@@ -115,56 +129,52 @@ class StructureConstantTable:
                     raise FlagrootsError("structure-constant magnitude check failed")
                 self._carter[(a, b)] = val
 
-    def _n_carter(self, x: Coeffs, y: Coeffs) -> int:
+    def _n_carter(self, x: int, y: int) -> int:
         """N(x,y) in the raw Chevalley convention, any sign pattern."""
-        px, py = _is_positive(x), _is_positive(y)
-        if px and py:
+        n = self._n
+        if x < n and y < n:
             if (x, y) in self._carter:
                 return self._carter[(x, y)]
             return -self._carter[(y, x)]
-        if not px and not py:
-            return -self._n_carter(_vec_neg(x), _vec_neg(y))
-        if not px:
+        if x >= n and y >= n:
+            return -self._n_carter(x - n, y - n)
+        if x >= n:
             return -self._n_carter(y, x)
         # x > 0 > y; reduce to a positive pair via norm-weighted identities.
-        cartan = self.system.cartan
-        z = _vec_add(x, y)
-        if _is_positive(z):
-            num = self._n_carter(z, _vec_neg(y)) * cartan.normsq(z)
-            den = cartan.normsq(x)
+        z = self._add[x][y]
+        if z < n:
+            num, den = self._n_carter(z, y - n) * self._norm[z], self._norm[x]
         else:
-            num = self._n_carter(_vec_neg(z), x) * cartan.normsq(z)
-            den = cartan.normsq(y)
+            num, den = self._n_carter(z - n, x) * self._norm[z], self._norm[y]
         if num % den != 0:
             raise FlagrootsError("non-integral structure constant reduction")
         return num // den
 
-    def _expand_all_pairs(self) -> dict[tuple[Coeffs, Coeffs], int]:
-        """The stored table over all ordered root pairs, f-basis signs."""
-        members = self.system._members
-        all_roots = [tuple(r) for r in self.system.iter_all_roots()]
-        table: dict[tuple[Coeffs, Coeffs], int] = {}
-        for x in all_roots:
-            sx = 1 if _is_positive(x) else -1
-            for y in all_roots:
-                s = _vec_add(x, y)
-                if s not in members:
-                    continue
-                sy = 1 if _is_positive(y) else -1
-                ss = 1 if _is_positive(s) else -1
-                table[(x, y)] = sx * sy * ss * self._n_carter(x, y)
-        return table
+    def _expand_all_pairs(self, roots: list[Coeffs]) -> None:
+        """The stored table over all ordered root pairs, f-basis signs,
+        and each positive id's row of bracket entries."""
+        n, add = self._n, self._add
+        for x, rx in enumerate(roots):
+            vals = [0] * (2 * n)
+            for y, ry in enumerate(roots):
+                s = add[x][y]
+                if s >= 0:
+                    vals[y] = self.n_map[(rx, ry)] = (
+                        self._n_carter(x, y) * (-1) ** ((x >= n) + (y >= n) + (s >= n)))
+            if x < n:
+                self._pairs.append([
+                    None if s < 0 and d < 0 else
+                    (s if s >= 0 else n, ns, d % n if d >= 0 else n, nd, nd if d >= n else -nd)
+                    for s, d, ns, nd in zip(add[x][:n], add[x][n:], vals[:n], vals[n:])])
 
-    def _coroot_coeffs(self, root: Sequence[int]) -> Coeffs:
+    def _coroot_coeffs(self, k: int) -> Coeffs:
         """h_root in the basis of simple coroots; always integral."""
-        cartan = self.system.cartan
-        d_root = cartan.normsq(root) // 2
+        d_root = self._norm[k] // 2
         out = []
-        for i, m in enumerate(root):
-            num = m * cartan.symmetrizer[i]
-            if num % d_root != 0:
+        for m, d in zip(self._roots[k], self.system.cartan.symmetrizer):
+            if m * d % d_root != 0:
                 raise FlagrootsError("non-integral coroot coefficient")
-            out.append(num // d_root)
+            out.append(m * d // d_root)
         return tuple(out)
 
     # -- queries -----------------------------------------------------
@@ -174,16 +184,15 @@ class StructureConstantTable:
         return self.n_map.get((tuple(x), tuple(y)), 0)
 
     def coroot(self, root: Sequence[int]) -> Coeffs:
-        v = tuple(root)
-        if v in self._coroot:
-            return self._coroot[v]
+        v, index = tuple(root), self.system.index
+        if v in index:
+            return self._coroots[index[v]]
         neg = _vec_neg(v)
-        if neg in self._coroot:
-            return _vec_neg(self._coroot[neg])
+        if neg in index:
+            return _vec_neg(self._coroots[index[neg]])
         raise FlagrootsError(f"{v} is not a root")
 
     def to_dict(self) -> dict:
-        pos = self.system.positive_roots
         pairs = sorted(
             self.n_map.items(),
             key=lambda kv: (canonical_key(kv[0][0]), canonical_key(kv[0][1])),
@@ -225,14 +234,14 @@ class AlgebraElement:
     @classmethod
     def basis_a(cls, system: RootSystem, root: Sequence[int], coeff: Scalar = 1) -> "AlgebraElement":
         r = tuple(system.root(root))
-        if not _is_positive(r):
+        if sum(r) < 0:
             r = _vec_neg(r)
         return cls(system, (0,) * system.rank, a={r: coeff} if coeff else {})
 
     @classmethod
     def basis_b(cls, system: RootSystem, root: Sequence[int], coeff: Scalar = 1) -> "AlgebraElement":
         r = tuple(system.root(root))
-        if not _is_positive(r):
+        if sum(r) < 0:
             r, coeff = _vec_neg(r), -coeff
         return cls(system, (0,) * system.rank, b={r: coeff} if coeff else {})
 
@@ -246,22 +255,18 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        a = dict(self.a)
-        for k, v in other.a.items():
-            w = a.get(k, 0) + v
-            if w:
-                a[k] = w
-            else:
-                a.pop(k, None)
-        b = dict(self.b)
-        for k, v in other.b.items():
-            w = b.get(k, 0) + v
-            if w:
-                b[k] = w
-            else:
-                b.pop(k, None)
+        parts = []
+        for mine, theirs in ((self.a, other.a), (self.b, other.b)):
+            out = dict(mine)
+            for k, v in theirs.items():
+                w = out.get(k, 0) + v
+                if w:
+                    out[k] = w
+                else:
+                    out.pop(k, None)
+            parts.append(out)
         cartan = tuple(x + y for x, y in zip(self.cartan, other.cartan))
-        return AlgebraElement(self.system, cartan, a, b)
+        return AlgebraElement(self.system, cartan, *parts)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (other * -1)
@@ -296,94 +301,82 @@ class AlgebraElement:
         return set(self.a) | set(self.b)
 
 
-def _acc(store: dict[Coeffs, Scalar], key: Coeffs, value: Scalar) -> None:
-    if not value:
-        return
-    w = store.get(key, 0) + value
-    if w:
-        store[key] = w
-    else:
-        del store[key]
+def _numerators(index: dict[Coeffs, int], elem: AlgebraElement):
+    """(D, a, b, h): elem's coefficients over their common denominator D,
+    with a and b keyed by positive-root id and h None for a zero Cartan
+    part.  They are integer numerators (at D = 1 they already are)."""
+    h = elem.cartan if any(elem.cartan) else None
+    den = 1
+    for c in h or ():
+        if c.denominator != 1:
+            den = lcm(den, c.denominator)
+    parts = []
+    try:
+        for part in (elem.a, elem.b):
+            ids = {}
+            for r, c in part.items():
+                ids[index[r]] = c
+                if c.denominator != 1:
+                    den = lcm(den, c.denominator)
+            parts.append(ids)
+    except KeyError as exc:
+        raise FlagrootsError(f"{exc.args[0]} is not a positive root key") from exc
+    if den != 1:
+        parts = [{k: c.numerator * (den // c.denominator) for k, c in p.items()} for p in parts]
+        h = h and [c.numerator * (den // c.denominator) for c in h]
+    return den, *parts, h
 
 
 def bracket(table: StructureConstantTable, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Lie bracket of two real-form elements, exact coefficients."""
+    """Lie bracket of two real-form elements, exact coefficients.
+
+    Each operand becomes integer numerators over its own common
+    denominator, keyed by positive-root id; each pair of terms costs one
+    lookup in the table's pair entries, and only the result is made of
+    Fractions, over the product of the two denominators.
+    """
     if x.system is not table.system or y.system is not table.system:
         raise MixedSystemError("elements do not match the constant table")
-    system = table.system
-    members = system._members
-    n = table.n
-    out_a: dict[Coeffs, Scalar] = {}
-    out_b: dict[Coeffs, Scalar] = {}
+    system, rows = table.system, table._pairs
+    dx, xa, xb, xh = _numerators(system.index, x)
+    dy, ya, yb, yh = _numerators(system.index, y)
+    # Absent sums and differences add 0 at the spare id n.
+    out_a: defaultdict[int, int] = defaultdict(int)
+    out_b: defaultdict[int, int] = defaultdict(int)
     out_h = [0] * system.rank
-
-    def pairing(root: Coeffs) -> Coeffs:
-        return system.cartan.coroot_pairing(root)
-
-    # [A,A] and [B,B]: both land on A components.
-    for (al, ca) in x.a.items():
-        for (bt, cb) in y.a.items():
-            if al == bt:
-                continue
-            c = ca * cb
-            s = _vec_add(al, bt)
-            if s in members:
-                _acc(out_a, s, c * n(al, bt))
-            d = _vec_sub(al, bt)
-            if d in members:
-                key = d if _is_positive(d) else _vec_neg(d)
-                _acc(out_a, key, c * n(al, _vec_neg(bt)))
-    for (al, ca) in x.b.items():
-        for (bt, cb) in y.b.items():
-            if al == bt:
-                continue
-            c = ca * cb
-            s = _vec_add(al, bt)
-            if s in members:
-                _acc(out_a, s, -c * n(al, bt))
-            d = _vec_sub(al, bt)
-            if d in members:
-                key = d if _is_positive(d) else _vec_neg(d)
-                _acc(out_a, key, c * n(al, _vec_neg(bt)))
-
-    # [A,B] from both orderings; diagonal pairs feed the Cartan part.
-    def a_bracket_b(al: Coeffs, bt: Coeffs, c: Scalar, sign: int) -> None:
-        if al == bt:
-            for i, h in enumerate(table.coroot(al)):
-                out_h[i] += sign * 2 * c * h
-            return
-        s = _vec_add(al, bt)
-        if s in members:
-            _acc(out_b, s, sign * c * n(al, bt))
-        d = _vec_sub(bt, al)
-        if d in members:
-            if _is_positive(d):
-                _acc(out_b, d, sign * c * n(al, _vec_neg(bt)))
-            else:
-                _acc(out_b, _vec_neg(d), -sign * c * n(al, _vec_neg(bt)))
-
-    for (al, ca) in x.a.items():
-        for (bt, cb) in y.b.items():
-            a_bracket_b(al, bt, ca * cb, 1)
-    for (bt, cb) in x.b.items():
-        for (al, ca) in y.a.items():
-            a_bracket_b(al, bt, ca * cb, -1)
-
+    # [A,A], [B,B] land on A and [A,B], [B,A] on B; sign and sign_d scale the
+    # sum and difference terms, read from entry field 1 and field `slot`.
+    for xs, ys, out, sign, sign_d, slot in ((xa, ya, out_a, 1, 1, 3), (xb, yb, out_a, -1, 1, 3),
+                                            (xa, yb, out_b, 1, 1, 4), (xb, ya, out_b, 1, -1, 4)):
+        for i, ci in xs.items() if ys else ():
+            row = rows[i]
+            for j, cj in ys.items():
+                e = row[j]
+                if e is not None:
+                    c = ci * cj
+                    out[e[0]] += sign * c * e[1]
+                    out[e[2]] += sign_d * c * e[slot]
+    # [A_x, B_x] = 2 sqrt(-1) h_x, from both orderings.
+    for xs, ys, sign in ((xa, yb, 2), (ya, xb, -2)):
+        for i, ci in xs.items() if ys else ():
+            if i in ys:
+                c = sign * ci * ys[i]
+                for k, h in enumerate(table._coroots[i]):
+                    out_h[k] += c * h
     # Cartan action: [sqrt(-1)h, A_y] = y(h) B_y, [sqrt(-1)h, B_y] = -y(h) A_y.
-    def h_action(hcoeffs: Sequence[Scalar], elem: AlgebraElement, sign: int) -> None:
-        if not any(hcoeffs):
-            return
-        for (bt, cb) in elem.a.items():
-            val = sum(h * p for h, p in zip(hcoeffs, pairing(bt)))
-            _acc(out_b, bt, sign * cb * val)
-        for (bt, cb) in elem.b.items():
-            val = sum(h * p for h, p in zip(hcoeffs, pairing(bt)))
-            _acc(out_a, bt, -sign * cb * val)
+    for hs, a, b, sign in ((xh, ya, yb, 1), (yh, xa, xb, -1)):
+        if hs is None:
+            continue
+        for j, cj in a.items():
+            out_b[j] += sign * cj * sum(h * p for h, p in zip(hs, table._pairings[j]))
+        for j, cj in b.items():
+            out_a[j] -= sign * cj * sum(h * p for h, p in zip(hs, table._pairings[j]))
 
-    h_action(x.cartan, y, 1)
-    h_action(y.cartan, x, -1)
-
-    return AlgebraElement(system, tuple(out_h), out_a, out_b)
+    pos, den = table._roots, dx * dy
+    scalar = int if den == 1 else lambda v: Fraction(v, den)
+    return AlgebraElement(system, tuple(map(scalar, out_h)) if any(out_h) else (0,) * len(out_h),
+                          {pos[k]: scalar(v) for k, v in out_a.items() if v},
+                          {pos[k]: scalar(v) for k, v in out_b.items() if v})
 
 
 def project_m(pd, x: AlgebraElement) -> AlgebraElement:

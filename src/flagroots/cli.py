@@ -9,9 +9,9 @@
 Spaces are the canonical ids (G2_12, F4_34, E6_36, E7_56, E8_12) or
 FAMILY:n1,n2 for a custom painting.  Members are display labels such as
 b3^3 or raw coefficient vectors such as 0,1,1,0.  Output formats: text
-(default), json (versioned, byte-stable), latex.  Exit status: 0 on
-success, 1 when a --check/--verify-fixtures comparison fails, 2 on bad
-input.
+(default), json (versioned, byte-stable), latex (not for check and
+verify).  Exit status: 0 on success, 1 when a --check/--verify-fixtures
+comparison fails, 2 on bad input.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ N_SPOT_METRICS = 5
 
 def _fmt_root(coeffs) -> str:
     return "(" + ",".join(str(c) for c in coeffs) + ")"
-
-
-def _fmt_scalar(x) -> str:
-    return str(x)
 
 
 def _encode_family(obj):
@@ -357,7 +353,10 @@ def cmd_enumerate(args) -> int:
 
 
 def _load_vector(pd, fixture, path: str) -> TangentVector:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise FlagrootsError(f"{path}: cannot read the vector file: {exc.strerror}") from exc
     if not isinstance(doc, dict):
         raise FlagrootsError(f"{path}: the top level must be an object with 'a'/'b' lists")
     a: dict = {}
@@ -367,13 +366,18 @@ def _load_vector(pd, fixture, path: str) -> TangentVector:
         if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
             raise FlagrootsError(f"{path}: '{part}' must be a list of objects")
         for item in items:
-            if "label" in item:
+            if "coeff" not in item:
+                raise FlagrootsError(f"{path}: entry {item} in '{part}' has no 'coeff'")
+            if isinstance(item.get("label"), str):
                 if fixture is None:
                     raise FixtureError("label entries need a canonical space")
                 idx, _, mod = item["label"].lstrip("b").partition("^")
                 root = fixture.root_of_label(int(mod), int(idx))
-            else:
+            elif isinstance(item.get("root"), list) and all(isinstance(c, int) for c in item["root"]):
                 root = pd.system.root(tuple(item["root"]))
+            else:
+                raise FlagrootsError(
+                    f"{path}: entry {item} in '{part}' needs a 'label' string or a 'root' list of integers")
             if "module" in item and pd.module_index(root) != item["module"]:
                 raise FlagrootsError(
                     f"root {tuple(root)} is not in module {item['module']}")
@@ -429,8 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "structural equigeodesic subspaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    def common(p, formats=("text", "json", "latex")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized spot checks; recorded in outputs")
         p.add_argument("--out", metavar="PATH", default=None)
@@ -452,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("members", nargs="+",
                    help="labels like b3^3 or coefficient vectors like 0,1,1,0")
-    common(p)
+    common(p, formats=("text", "json"))
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("enumerate", help="all maximal structural families")
@@ -469,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("vector", help="JSON file with a/b coefficient entries")
     p.add_argument("--metric", required=True,
                    help="comma-separated positive rationals, one per module")
-    common(p)
+    common(p, formats=("text", "json"))
     p.set_defaults(func=cmd_verify)
     return parser
 

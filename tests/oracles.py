@@ -118,3 +118,65 @@ def residual_vanishes_identically(table, pd, x, points=7):
         if not equigeodesic_residual(table, pd, x, MetricVector(tuple(lam))).is_zero():
             return False
     return True
+
+
+def reference_bracket(table, x, y):
+    """[x, y] expanded term by term in the real basis {A_r, B_r, sqrt(-1) h_i},
+    straight from the compact-real-form formulas of the chevalley module
+    docstring.  Reads only table.n, table.coroot, the Cartan matrix entries
+    and root tuples; shares no code with chevalley.bracket."""
+    from flagroots import AlgebraElement
+
+    system = x.system
+    rank = system.rank
+    entries = system.cartan.entries
+
+    def pairing(root, i):  # <root, a_i^>
+        return sum(entries[i][j] * root[j] for j in range(rank))
+
+    def terms(elem):
+        out = [("H", i, c) for i, c in enumerate(elem.cartan) if c]
+        out += [("A", tuple(r), c) for r, c in elem.a.items()]
+        out += [("B", tuple(r), c) for r, c in elem.b.items()]
+        return out
+
+    def basis_bracket(k1, r1, k2, r2):
+        """[basis1, basis2] as (kind, key, coefficient) terms."""
+        if k1 == "H" and k2 == "H":
+            return []
+        if k2 == "H" or (k1 == "B" and k2 == "A"):
+            return [(k, r, -c) for k, r, c in basis_bracket(k2, r2, k1, r1)]
+        if k1 == "H":  # [sqrt(-1)h_i, A_y] = y(h_i) B_y, [sqrt(-1)h_i, B_y] = -y(h_i) A_y
+            return [("B", r2, pairing(r2, r1))] if k2 == "A" else [("A", r2, -pairing(r2, r1))]
+        if r1 == r2:  # [A_x, A_x] = [B_x, B_x] = 0, [A_x, B_x] = 2 sqrt(-1) h_x
+            if k1 != k2:
+                return [("H", i, 2 * h) for i, h in enumerate(table.coroot(r1))]
+            return []
+        plus = tuple(p + q for p, q in zip(r1, r2))
+        minus = tuple(p - q for p, q in zip(r1, r2))
+        n_plus, n_minus = table.n(r1, r2), table.n(r1, tuple(-q for q in r2))
+        if k1 == "A" and k2 == "A":
+            return [("A", plus, n_plus), ("A", minus, n_minus)]
+        if k1 == "B" and k2 == "B":
+            return [("A", plus, -n_plus), ("A", minus, n_minus)]
+        # [A_x, B_y] = N(x,y) B_{x+y} + N(x,-y) B_{y-x}
+        return [("B", plus, n_plus), ("B", tuple(-c for c in minus), n_minus)]
+
+    cartan = [0] * rank
+    a, b = {}, {}
+    for k1, r1, c1 in terms(x):
+        for k2, r2, c2 in terms(y):
+            for kind, key, n in basis_bracket(k1, r1, k2, r2):
+                c = c1 * c2 * n
+                if not c:
+                    continue
+                if kind == "H":
+                    cartan[key] += c
+                    continue
+                if sum(key) < 0:  # A_{-r} = A_r, B_{-r} = -B_r
+                    key = tuple(-v for v in key)
+                    c = c if kind == "A" else -c
+                store = a if kind == "A" else b
+                store[key] = store.get(key, 0) + c
+    return AlgebraElement(system, tuple(cartan),
+                          {r: c for r, c in a.items() if c}, {r: c for r, c in b.items() if c})

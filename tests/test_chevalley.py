@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from flagroots import (
     AlgebraElement,
+    FlagrootsError,
     LieType,
     MixedSystemError,
     bracket,
@@ -23,6 +25,37 @@ def real_basis(system):
     for i in range(system.rank):
         out.append(AlgebraElement.basis_h(system, i))
     return out
+
+
+def random_element(rng, system, density, with_cartan, fractions):
+    """Seeded element on a `density` share of the positive roots in each
+    part; coefficients are nonzero ints or p/q with co-prime q in 7, 11, 13."""
+    def coeff():
+        p = rng.choice((-1, 1)) * rng.randint(1, 12)
+        return Fraction(p, rng.choice((1, 7, 11, 13))) if fractions else p
+
+    roots = [tuple(r) for r in system.positive_roots]
+    a = {r: coeff() for r in roots if rng.random() < density}
+    b = {r: coeff() for r in roots if rng.random() < density}
+    cartan = tuple(coeff() if with_cartan else 0 for _ in range(system.rank))
+    return AlgebraElement(system, cartan, a, b)
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_bracket_matches_reference(systems, tables, lie_type):
+    s, t = systems[lie_type], tables[lie_type]
+    rng = random.Random(f"reference:{lie_type.name}")
+    # (density, Cartan part, Fraction coefficients) of each operand.
+    pairs = [((1.0, False, True), (1.0, True, False)),
+             ((1.0, True, True), (0.05, False, False)),
+             ((0.05, True, True), (0.05, False, True)),
+             ((0.3, True, False), (0.3, False, True)),
+             ((0.0, True, True), (0.3, True, True))]
+    for shape_x, shape_y in pairs:
+        x = random_element(rng, s, *shape_x)
+        y = random_element(rng, s, *shape_y)
+        for u, v in ((x, y), (y, x)):
+            assert bracket(t, u, v) == oracles.reference_bracket(t, u, v)
 
 
 def jacobi(table, x, y, z):
@@ -105,6 +138,14 @@ def test_bracket_bilinear(systems, tables):
         lhs = bracket(t, x + y * c, z)
         rhs = bracket(t, x, z) + bracket(t, y, z) * c
         assert lhs == rhs
+
+
+def test_bracket_rejects_non_positive_keys(systems, tables):
+    s, t = systems[LieType.G2], tables[LieType.G2]
+    y = AlgebraElement.basis_a(s, (0, 1))
+    for bad in ((-1, 0), (5, 5)):
+        with pytest.raises(FlagrootsError, match="not a positive root"):
+            bracket(t, AlgebraElement(s, (0, 0), {bad: 1}), y)
 
 
 def test_g2_simple_bracket_has_no_difference_term(systems, tables):

@@ -213,3 +213,31 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["space"] == "G2_12"
+
+
+@pytest.mark.parametrize("entry,words", [
+    ({"root": [0, 1, 1, 0]}, "no 'coeff'"),
+    ({"root": 5, "coeff": 1}, "'root' list of integers"),
+])
+def test_verify_malformed_entry_exit_2(capsys, tmp_path, entry, words):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"a": [entry]}))
+    code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert str(vec) in err and words in err
+
+
+def test_verify_directory_as_vector_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "F4_34", str(tmp_path), "--metric", "1,1,1,1,1,1")
+    assert code == 2 and out == "" and err.startswith("error:") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "F4_34", "b1^1"],
+    ["verify", "F4_34", "vec.json", "--metric", "1,1,1,1,1,1"],
+])
+def test_latex_rejected_on_check_and_verify(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "latex"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'latex'" in capsys.readouterr().err

@@ -1,12 +1,22 @@
-"""`enumerate` output: pinned bytes for every space, and one encode per family."""
+"""Pinned output bytes: `enumerate`, bracket tables, constant tables and a
+dense residual for every space; and one encode per family in `enumerate`.
+
+The bracket, constant-table and residual hashes were taken with the
+tuple-and-Fraction bracket, which the integer root-id kernel must match
+byte for byte.
+"""
 
 import hashlib
+import json
+import random
 from collections import Counter
 
 import pytest
 
+from flagroots import LieType, build_constants, root_system, space_diagram
 from flagroots.cli import main
 from flagroots.equigeo import StructuralFamily
+from flagroots.fixtures import SPACE_IDS
 from flagroots.flag import PaintedDiagram
 
 # sha256 of `enumerate <space> --verify-fixtures --format <fmt> --out FILE`.
@@ -45,3 +55,65 @@ def test_enumerate_encodes_each_family_once(tmp_path, monkeypatch):
     assert calls == Counter()
     assert main(["enumerate", "E7_56", "--format", "json", "--out", out]) == 0
     assert calls == Counter({"StructuralFamily": 1713})
+
+
+# sha256 of `table brackets <space> --check --format json --out FILE`.
+GOLDEN_BRACKETS = {
+    "G2_12": "2e685af9dbedc605d5620c490cf1130b3ba69a9673c5e80195a509f6f3acc414",
+    "F4_34": "d082b1194fc8680afae00c51f78f45452f6fd0131a2e08cfa3106bda435e6819",
+    "E6_36": "83395e9f3c81cfa1d5c3b60559e8f37760acd0b94d05ba0dcb2ed74dc4b9e515",
+    "E7_56": "2ba426fafa6e1c7dc224bfce72cf2d15ba2f1886ab73872c2448ba63cb3bba01",
+    "E8_12": "34b5cf7dd7b98c6d35f301ca799d9670764d962f6737d572be5d30e020125a8e",
+}
+
+# sha256 of StructureConstantTable.to_json().
+GOLDEN_CONSTANTS = {
+    "G2": "688b489f63b1e2b827cdac4156c2c1fe32f1fc38ff305be96f15eacf387ec044",
+    "F4": "cee3cb6cda6404296b5640c0513c987ebc9c68c54c4f6f7b288bcf5146324793",
+    "E6": "4f36782151f376e2ebbfb496cf08dc0837972ed8e841ce675218ed2ba9e70542",
+    "E7": "6af7061af9fc12f2773d6a21ca7a3cf74fe34cfcfa42f9495db73258ab688fce",
+    "E8": "0db714f18c7be0601518ca96e45f09840d7baf18007b3bc191893afbe4ecb2ff",
+}
+
+# sha256 of `verify E8_12 FILE --metric DENSE_METRIC --format json --out FILE`
+# on dense_vector_doc(DENSE_SEED).
+DENSE_SEED = 2024
+DENSE_METRIC = "3/2,5,7/3,11,13/4,2"
+GOLDEN_DENSE_VERIFY = "8623e378cd4a91e3ca1ac02ab48499e37555a6223969c73ac3b18d5872341fe8"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("space", SPACE_IDS)
+def test_bracket_table_golden_hash(space, tmp_path):
+    out = tmp_path / f"{space}.json"
+    assert main(["table", "brackets", space, "--check", "--format", "json", "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN_BRACKETS[space]
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_CONSTANTS))
+def test_constant_table_golden_hash(family):
+    text = build_constants(root_system(LieType[family])).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CONSTANTS[family]
+
+
+def dense_vector_doc(seed: int) -> dict:
+    """A vector file over every root of R_M+ of E8_12, A and B parts, with
+    seeded coefficients +-p/q (q up to 13, so denominators are mixed)."""
+    rng = random.Random(seed)
+    roots = space_diagram("E8_12").r_m_pos
+    return {part: [{"root": list(r),
+                    "coeff": f"{rng.choice((-1, 1)) * rng.randint(1, 9)}/{rng.randint(1, 13)}"}
+                   for r in roots]
+            for part in ("a", "b")}
+
+
+def test_dense_verify_golden_hash(tmp_path):
+    vec, out = tmp_path / "dense.json", tmp_path / "out.json"
+    vec.write_text(json.dumps(dense_vector_doc(DENSE_SEED)))
+    assert main(["verify", "E8_12", str(vec), "--metric", DENSE_METRIC,
+                 "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["zero"] is False
+    assert _sha256(out) == GOLDEN_DENSE_VERIFY
