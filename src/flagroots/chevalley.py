@@ -39,9 +39,7 @@ from .rootsys import (
     FlagrootsError,
     RootSystem,
     SCHEMA_VERSION,
-    _vec_add,
     _vec_neg,
-    _vec_sub,
     canonical_key,
 )
 
@@ -68,15 +66,14 @@ class StructureConstantTable:
         n = self._n = len(pos)
         # Root ids: positive root k is k, its negative k + n.
         roots = pos + [_vec_neg(r) for r in pos]
-        ids = {r: k for k, r in enumerate(roots)}
         self._norm = [system.cartan.normsq(r) for r in pos] * 2
+        # Linear codes sum c_k 2^(w k): code(x +- y) = code(x) +- code(y), and
+        # w leaves room for every coefficient of x +- y, so codes are unique.
+        w = (2 * max(map(max, pos))).bit_length() + 1
+        codes = [sum(c << (w * k) for k, c in enumerate(r)) for r in roots]
+        get = {c: k for k, c in enumerate(codes)}.get
         # _add[x][y]: id of root x + root y, or -1 when that is not a root.
-        add = self._add = [[-1] * (2 * n) for _ in range(2 * n)]
-        for i, x in enumerate(pos):
-            for j, y in enumerate(pos):
-                s = add[i][j] = ids.get(_vec_add(x, y), -1)
-                add[i + n][j + n] = s + n if s >= 0 else -1
-                add[i][j + n] = add[j + n][i] = ids.get(_vec_sub(x, y), -1)
+        self._add = [[get(cx + cy, -1) for cy in codes] for cx in codes]
         self._carter: dict[tuple[int, int], int] = {}
         self._build_positive_pairs()
         self.n_map: dict[tuple[Coeffs, Coeffs], int] = {}
@@ -178,6 +175,16 @@ class StructureConstantTable:
         return tuple(out)
 
     # -- queries -----------------------------------------------------
+
+    def bracket_support(self, x: int, y: int) -> tuple[int, ...]:
+        """Ids hit by the brackets of A_x, B_x with A_y, B_y, for positive-root
+        ids x and y: x+y and +-(x-y) where their constants are nonzero, and n
+        for the Cartan part when x = y.  The four brackets share this support,
+        as x+y and x-y never coincide."""
+        if x == y:
+            return (self._n,)
+        e = self._pairs[x][y]
+        return () if e is None else tuple(k for k, c in ((e[0], e[1]), (e[2], e[3])) if c)
 
     def n(self, x: Sequence[int], y: Sequence[int]) -> int:
         """N(x,y); zero when x+y is not a root."""

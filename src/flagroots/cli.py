@@ -34,7 +34,7 @@ from .equigeo import (
     is_structural_family,
 )
 from .fixtures import SPACE_IDS, FixtureError, load_fixture, space_diagram
-from .flag import G2Kind, bracket_inclusion_table
+from .flag import REFERENCE_BRACKETS, G2Kind, bracket_inclusion_table
 from .rootsys import FlagrootsError, SCHEMA_VERSION
 
 # Sampled-metric spot checks run alongside the identity checks in `check`.
@@ -82,7 +82,8 @@ def _space_fixture(space: str):
 
 
 def _parse_member(pd, fixture, token: str):
-    """A member is a label b<i>^<j> or a raw coefficient vector c1,..,cl."""
+    """A member is a label b<i>^<j> or a raw coefficient vector c1,..,cl
+    of a root in R_M+."""
     token = token.strip()
     if token.startswith("b") and "^" in token:
         if fixture is None:
@@ -90,6 +91,8 @@ def _parse_member(pd, fixture, token: str):
         idx, _, mod = token[1:].partition("^")
         return fixture.root_of_label(int(mod), int(idx))
     coeffs = tuple(int(x) for x in token.split(","))
+    if coeffs not in pd.system.index or coeffs in pd.k_positive_set:
+        raise FlagrootsError(f"member {token!r} is not a root of R_M+ in {pd.name}")
     return pd.system.root(coeffs)
 
 
@@ -139,35 +142,6 @@ def cmd_roots(args) -> int:
     return 0
 
 
-def _expected_brackets(kind: G2Kind) -> dict[tuple[int, int], set[str]]:
-    # Reference upper bounds for the 6x6 bracket table, diagonals k.
-    if kind is G2Kind.TYPE_I:
-        labels = ["m(1,0)", "m(0,1)", "m(1,1)", "m(2,1)", "m(3,1)", "m(3,2)"]
-        data = {
-            (1, 2): {3}, (1, 3): {2, 4}, (1, 4): {3, 5}, (1, 5): {4}, (1, 6): set(),
-            (2, 3): {1}, (2, 4): set(), (2, 5): {6}, (2, 6): {5},
-            (3, 4): {1, 6}, (3, 5): set(), (3, 6): {4},
-            (4, 5): {1}, (4, 6): {3}, (5, 6): {2},
-        }
-    else:
-        labels = ["n(1,0)", "n(0,1)", "n(1,1)", "n(1,2)", "n(1,3)", "n(2,3)"]
-        data = {
-            (1, 2): {3}, (1, 3): {2}, (1, 4): set(), (1, 5): {6}, (1, 6): {5},
-            (2, 3): {1, 4}, (2, 4): {3, 5}, (2, 5): {4}, (2, 6): set(),
-            (3, 4): {2, 6}, (3, 5): set(), (3, 6): {4},
-            (4, 5): {2}, (4, 6): {3}, (5, 6): {1},
-        }
-    out = {}
-    for i in range(1, 7):
-        for j in range(1, 7):
-            if i == j:
-                out[(i, j)] = {"k"}
-            else:
-                key = (min(i, j), max(i, j))
-                out[(i, j)] = {labels[k - 1] for k in data[key]} | ({"k"} if not data[key] else set())
-    return out
-
-
 def cmd_table(args) -> int:
     pd = space_diagram(args.space)
     cls = pd.classify_g2_type()
@@ -200,10 +174,13 @@ def cmd_table(args) -> int:
             f"[{modules[i].label}, {modules[j].label}] -> " + ("{" + ",".join(got[i][j]) + "}")
             for i in range(len(modules)) for j in range(i, len(modules)))
         if args.check:
-            expected = _expected_brackets(cls.kind)
+            # Modules a cross bracket may reach, or k when it reaches none.
+            ref = REFERENCE_BRACKETS[cls.kind]
             for i in range(6):
                 for j in range(6):
-                    if not set(got[i][j]) <= expected[(i + 1, j + 1)]:
+                    key = (min(i, j) + 1, max(i, j) + 1)
+                    allowed = {modules[k - 1].label for k in ref.get(key, ())}
+                    if not set(got[i][j]) <= (allowed or {"k"}):
                         mismatch = True
     else:
         raise FlagrootsError(f"unknown table {args.which!r}")

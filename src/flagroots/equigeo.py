@@ -27,7 +27,7 @@ from .chevalley import (
     project_m,
 )
 from .flag import G2Kind, NotG2TypeError, PaintedDiagram
-from .rootsys import Coeffs, FlagrootsError, Root, SCHEMA_VERSION, _vec_add, _vec_sub
+from .rootsys import Coeffs, FlagrootsError, Root, SCHEMA_VERSION, _vec_add, _vec_neg, _vec_sub
 
 
 class SupportError(FlagrootsError):
@@ -120,12 +120,22 @@ class TangentVector:
         a: dict[Sequence[int], Scalar] | None = None,
         b: dict[Sequence[int], Scalar] | None = None,
     ) -> "TangentVector":
-        elem = AlgebraElement.zero(pd.system)
-        for root, coeff in (a or {}).items():
-            elem = elem + AlgebraElement.basis_a(pd.system, root, coeff)
-        for root, coeff in (b or {}).items():
-            elem = elem + AlgebraElement.basis_b(pd.system, root, coeff)
-        return cls(pd, elem)
+        """Sum of coeff A_root over a and coeff B_root over b in one pass; a
+        negative root counts as its positive, B with the coefficient negated."""
+        system, parts = pd.system, []
+        for coeffs, flip in ((a, 1), (b, -1)):
+            out: dict[Coeffs, Scalar] = {}
+            for root, coeff in (coeffs or {}).items():
+                r = tuple(system.root(root))
+                if sum(r) < 0:
+                    r, coeff = _vec_neg(r), flip * coeff
+                w = out.get(r, 0) + coeff
+                if w:
+                    out[r] = w
+                else:
+                    out.pop(r, None)
+            parts.append(out)
+        return cls(pd, AlgebraElement(system, (0,) * system.rank, *parts))
 
     def module_components(self) -> dict[int, AlgebraElement]:
         """Split into per-module pieces X = sum X_i."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .chevalley import AlgebraElement, StructureConstantTable, bracket
+from .chevalley import StructureConstantTable
 from .rootsys import (
     Coeffs,
     FlagrootsError,
@@ -58,6 +58,24 @@ class G2Kind(Enum):
 
 TYPE_I_TROOTS = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
 TYPE_II_TROOTS = ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
+
+# Reference upper bounds for the 6x6 bracket tables: for modules i < j
+# (1-based, module order), the modules [m_i, m_j] may reach; an empty
+# entry means k only.  Diagonal brackets [m_i, m_i] lie in k.
+REFERENCE_BRACKETS: dict[G2Kind, dict[tuple[int, int], tuple[int, ...]]] = {
+    G2Kind.TYPE_I: {
+        (1, 2): (3,), (1, 3): (2, 4), (1, 4): (3, 5), (1, 5): (4,), (1, 6): (),
+        (2, 3): (1,), (2, 4): (), (2, 5): (6,), (2, 6): (5,),
+        (3, 4): (1, 6), (3, 5): (), (3, 6): (4,),
+        (4, 5): (1,), (4, 6): (3,), (5, 6): (2,),
+    },
+    G2Kind.TYPE_II: {
+        (1, 2): (3,), (1, 3): (2,), (1, 4): (), (1, 5): (6,), (1, 6): (5,),
+        (2, 3): (1, 4), (2, 4): (3, 5), (2, 5): (4,), (2, 6): (),
+        (3, 4): (2, 6), (3, 5): (), (3, 6): (4,),
+        (4, 5): (2,), (4, 6): (3,), (5, 6): (1,),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -217,7 +235,8 @@ def bracket_inclusion_table(
     Entry (i, j) lists the labels of modules receiving a nonzero
     component of some basis-pair bracket, with "k" when the isotropy
     subalgebra receives one.  Minimal by construction: a label appears
-    only if a bracket actually lands there.
+    only if a bracket actually lands there.  The hits are read from the
+    table's bracket supports; no bracket is evaluated.
     """
     cls = pd.classify_g2_type()
     if cls.kind is G2Kind.NOT_G2_TYPE:
@@ -225,34 +244,19 @@ def bracket_inclusion_table(
     if table.system is not pd.system:
         raise FlagrootsError("constant table does not match the painted diagram")
     modules = pd.isotropy_decomposition()
-    system = pd.system
-
-    def hit_labels(elem: AlgebraElement, hits: set[str]) -> None:
-        if elem.is_zero():
-            return
-        if any(elem.cartan):
-            hits.add("k")
-        for r in list(elem.a) + list(elem.b):
-            if r in pd.k_positive_set:
-                hits.add("k")
-            else:
-                hits.add(modules[pd.module_index(r) - 1].label)
-
+    index = pd.system.index
+    # Label per positive-root id, with "k" for K-roots and the Cartan id n.
+    label = ["k"] * (len(index) + 1)
+    ids = [[index[r] for r in mod.roots] for mod in modules]
+    for mod, mod_ids in zip(modules, ids):
+        for k in mod_ids:
+            label[k] = mod.label
     size = len(modules)
     out: list[list[list[str]]] = [[[] for _ in range(size)] for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            hits: set[str] = set()
-            for al in modules[i].roots:
-                xs = (AlgebraElement.basis_a(system, al), AlgebraElement.basis_b(system, al))
-                for bt in modules[j].roots:
-                    ys = (AlgebraElement.basis_a(system, bt), AlgebraElement.basis_b(system, bt))
-                    for x in xs:
-                        for y in ys:
-                            hit_labels(bracket(table, x, y), hits)
-            ordered = sorted(hits)
-            out[i][j] = ordered
-            out[j][i] = ordered
+            out[i][j] = out[j][i] = sorted({label[k] for x in ids[i] for y in ids[j]
+                                            for k in table.bracket_support(x, y)})
     return out
 
 

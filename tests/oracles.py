@@ -2,8 +2,9 @@
 
 Nothing here shares code paths with the package internals it verifies:
 root counts come from reflection closure, root strings from raw
-membership walks, cliques from either an exhaustive subset scan or an
-unpivoted expansion, and residual identities from polynomial sampling.
+membership walks, cliques from an exhaustive subset scan, an unpivoted
+expansion or networkx on a graph built from root arithmetic, and
+residual identities from polynomial sampling.
 """
 
 from fractions import Fraction
@@ -89,6 +90,32 @@ def maximal_cliques_unpivoted(adjacency):
 
     walk(0, (1 << n) - 1, 0)
     return out
+
+
+def maximal_cliques_networkx(roots, painted):
+    """Maximal structural families as frozensets of R_M+ root tuples, by
+    networkx.find_cliques on a compatibility graph built from root
+    arithmetic alone.
+
+    roots is the full root set (e.g. weyl_closure_roots) and painted the
+    1-based painted nodes.  Vertices are the positive roots with a nonzero
+    painted coefficient; two of them are adjacent when they restrict to
+    the same painted coordinates, or when neither their sum nor their
+    difference is a root.
+    """
+    import networkx as nx
+
+    roots = {tuple(r) for r in roots}
+    cols = [i - 1 for i in painted]
+    verts = [r for r in roots if sum(r) > 0 and any(r[i] for i in cols)]
+    graph = nx.Graph()
+    graph.add_nodes_from(verts)
+    for u, v in combinations(verts, 2):
+        same = all(u[i] == v[i] for i in cols)
+        if same or (tuple(p + q for p, q in zip(u, v)) not in roots
+                    and tuple(p - q for p, q in zip(u, v)) not in roots):
+            graph.add_edge(u, v)
+    return {frozenset(c) for c in nx.find_cliques(graph)}
 
 
 def residual_vanishes_identically(table, pd, x, points=7):

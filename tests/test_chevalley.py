@@ -267,3 +267,23 @@ def test_table_json_dump_stable(systems, tables):
 
     again = build_constants(systems[LieType.G2])
     assert again.to_json() == t.to_json()
+
+
+@pytest.mark.parametrize("lie_type", [LieType.G2, LieType.F4, LieType.E6])
+def test_bracket_support_matches_basis_brackets(systems, tables, lie_type):
+    # support of the four A/B basis-pair brackets, Cartan part as id n
+    system, table = systems[lie_type], tables[lie_type]
+    n = len(system.positive_roots)
+    basis = [(AlgebraElement.basis_a(system, r), AlgebraElement.basis_b(system, r))
+             for r in system.positive_roots]
+    for x in range(n):
+        for y in range(n):
+            hit = set()
+            for u in basis[x]:
+                for v in basis[y]:
+                    z = bracket(table, u, v)
+                    hit |= {system.index[r] for r in z.support()}
+                    if any(z.cartan):
+                        hit.add(n)
+            got = table.bracket_support(x, y)
+            assert sorted(got) == sorted(hit), (lie_type, x, y)

@@ -106,6 +106,15 @@ def test_enumerate_cap_with_verify_fails(capsys):
     assert code == 1
 
 
+def test_table_brackets_check_reads_reference(capsys, monkeypatch):
+    # [m_1, m_3] reaches m_2 and m_4 in F4_34; a reference without m_4 fails
+    from flagroots.flag import REFERENCE_BRACKETS, G2Kind
+
+    monkeypatch.setitem(REFERENCE_BRACKETS[G2Kind.TYPE_I], (1, 3), (2,))
+    code, out, _ = run(capsys, "table", "brackets", "F4_34", "--check")
+    assert code == 1 and out.endswith("check: MISMATCH\n")
+
+
 def test_verify_single_module_zero(capsys, tmp_path):
     vec = tmp_path / "vec.json"
     vec.write_text(json.dumps({
@@ -197,6 +206,19 @@ def test_check_reports_fixture_error(capsys, tmp_path, monkeypatch):
 def test_check_rejects_repeated_member(capsys):
     code, out, err = run(capsys, "check", "F4_34", "b1^1", "b1^1")
     assert code == 2 and out == "" and "'b1^1'" in err and "repeats" in err
+
+
+def test_check_rejects_negative_of_member(capsys):
+    code, out, err = run(capsys, "check", "F4_34", "0,1,1,0", "--", "0,-1,-1,0")
+    assert code == 2 and out == "" and "error: member '0,-1,-1,0'" in err
+
+
+def test_check_rejects_member_outside_r_m(capsys):
+    code, out, err = run(capsys, "check", "F4_34", "b1^1", "--", "0,-1,-1,-1")
+    assert code == 2 and out == "" and "error: member '0,-1,-1,-1'" in err
+    for token in ("1,0,0,0", "0,1,1", "1,0,0,1"):  # a K-root, a short vector, a non-root
+        code, out, err = run(capsys, "check", "F4_34", token)
+        assert code == 2 and out == "" and f"error: member '{token}'" in err
 
 
 def test_custom_space(capsys):

@@ -6,6 +6,8 @@ import pytest
 
 import oracles
 from flagroots import (
+    AlgebraElement,
+    FlagrootsError,
     LieType,
     MetricVector,
     StructuralFamily,
@@ -355,3 +357,50 @@ def test_structural_iff_equigeodesic_sampled_large(diagrams, tables):
                 assert all(verdicts), (sid, subset)
             else:
                 assert not all(verdicts), (sid, subset)
+
+
+@pytest.mark.parametrize("sid,count", [("E6_36", 147), ("E7_56", 1713), ("E8_12", 78357)])
+def test_enumeration_matches_networkx_oracle(diagrams, sid, count):
+    pd = diagrams[sid]
+    oracle = oracles.maximal_cliques_networkx(oracles.weyl_closure_roots(pd.system), pd.painted)
+    res = enumerate_maximal_families(pd, min_modules=1)
+    assert {f.root_set() for f in res.families} == oracle
+    assert sum(len(f.modules()) >= 2 for f in res.families) == count
+
+
+def _fold_from_coefficients(pd, a, b):
+    """TangentVector.from_coefficients as one-term basis elements added up."""
+    elem = AlgebraElement.zero(pd.system)
+    for root, coeff in a.items():
+        elem = elem + AlgebraElement.basis_a(pd.system, root, coeff)
+    for root, coeff in b.items():
+        elem = elem + AlgebraElement.basis_b(pd.system, root, coeff)
+    return elem
+
+
+def test_from_coefficients_matches_fold(diagrams):
+    rng = random.Random(71)
+    coeffs = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-7, 11), Fraction(5, 13)]
+    for sid in ("F4_34", "E6_36", "E8_12"):
+        pd = diagrams[sid]
+        roots = [tuple(r) for r in pd.r_m_pos]
+        for _ in range(60):
+            parts = []
+            for flip in (1, -1):
+                part = {}
+                for r in rng.sample(roots, rng.randint(0, min(12, len(roots)))):
+                    part[tuple(-c for c in r) if rng.random() < 0.4 else r] = rng.choice(coeffs)
+                # Then some of the same roots with the other sign, later in
+                # the dict: half of them cancel, the rest keep the first key.
+                for key, c in list(part.items()):
+                    if rng.random() < 0.4:
+                        cancel = -c if flip == 1 else c
+                        part[tuple(-v for v in key)] = cancel if rng.random() < 0.5 else rng.choice(coeffs)
+                parts.append(part)
+            got = TangentVector.from_coefficients(pd, a=parts[0], b=parts[1]).element
+            want = _fold_from_coefficients(pd, *parts)
+            assert list(got.a.items()) == list(want.a.items())
+            assert list(got.b.items()) == list(want.b.items())
+            assert got.cartan == want.cartan
+    with pytest.raises(FlagrootsError):
+        TangentVector.from_coefficients(diagrams["F4_34"], a={(1, 0, 0, 1): 1})

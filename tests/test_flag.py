@@ -167,7 +167,7 @@ def test_bracket_inclusion_examples(diagrams, tables):
 def test_bracket_inclusion_matches_root_arithmetic(diagrams, tables):
     # every structure constant on a root pair is nonzero, so the hit-set
     # equals the prediction from root sums/differences alone.
-    for sid in ("F4_34", "E8_12"):
+    for sid in ("G2_12", "F4_34", "E6_36", "E7_56", "E8_12"):
         pd = diagrams[sid]
         system = pd.system
         mods = pd.isotropy_decomposition()
