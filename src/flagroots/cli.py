@@ -11,16 +11,19 @@ FAMILY:n1,n2 for a custom painting.  Members are display labels such as
 b3^3 or raw coefficient vectors such as 0,1,1,0.  Output formats: text
 (default), json (versioned, byte-stable), latex (not for check and
 verify).  Exit status: 0 on success, 1 when a --check/--verify-fixtures
-comparison fails, 2 on bad input.
+comparison fails or stdout is closed, 2 on bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .chevalley import AlgebraElement, build_constants
@@ -45,32 +48,24 @@ def _fmt_root(coeffs) -> str:
     return "(" + ",".join(str(c) for c in coeffs) + ")"
 
 
-def _encode_family(obj):
-    """json.dumps hook: families become dicts one at a time, while encoding."""
-    if isinstance(obj, StructuralFamily):
-        return obj.to_dict()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _json_dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_encode_family)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _latex_table(headers, rows) -> str:
-    lines = ["\\begin{tabular}{" + "c" * len(headers) + "}", "\\hline"]
-    lines.append(" & ".join(headers) + " \\\\")
-    lines.append("\\hline")
+def _latex_table(headers, rows):
+    yield "\\begin{tabular}{" + "c" * len(headers) + "}\n\\hline\n"
+    yield " & ".join(headers) + " \\\\\n\\hline\n"
     for row in rows:
-        lines.append(" & ".join(str(c) for c in row) + " \\\\")
-    lines += ["\\hline", "\\end{tabular}"]
-    return "\n".join(lines)
+        yield " & ".join(str(c) for c in row) + " \\\\\n"
+    yield "\\hline\n\\end{tabular}"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text + ("" if text.endswith("\n") else "\n"))
-    else:
-        print(text)
+def _emit(text, out: str | None) -> None:
+    """Write text (or its pieces) and a newline; flush, so a closed stdout raises here."""
+    with open(out, "w") if out else nullcontext(sys.stdout) as fh:
+        fh.writelines((text,) if isinstance(text, str) else text)
+        fh.write("\n")
+        fh.flush()
 
 
 def _space_fixture(space: str):
@@ -85,12 +80,15 @@ def _parse_member(pd, fixture, token: str):
     """A member is a label b<i>^<j> or a raw coefficient vector c1,..,cl
     of a root in R_M+."""
     token = token.strip()
-    if token.startswith("b") and "^" in token:
-        if fixture is None:
-            raise FixtureError("label members need a canonical space with fixtures")
-        idx, _, mod = token[1:].partition("^")
-        return fixture.root_of_label(int(mod), int(idx))
-    coeffs = tuple(int(x) for x in token.split(","))
+    try:
+        if token.startswith("b") and "^" in token:
+            if fixture is None:
+                raise FixtureError("label members need a canonical space with fixtures")
+            idx, _, mod = token[1:].partition("^")
+            return fixture.root_of_label(int(mod), int(idx))
+        coeffs = tuple(int(x) for x in token.split(","))
+    except ValueError:
+        raise FlagrootsError(f"member {token!r} is not a label b<i>^<j> or a vector of integers") from None
     if coeffs not in pd.system.index or coeffs in pd.k_positive_set:
         raise FlagrootsError(f"member {token!r} is not a root of R_M+ in {pd.name}")
     return pd.system.root(coeffs)
@@ -270,6 +268,7 @@ def cmd_check(args) -> int:
 def cmd_enumerate(args) -> int:
     pd = space_diagram(args.space)
     result = enumerate_maximal_families(pd, min_modules=args.min_modules, cap=args.cap)
+    vertices = result.graph.vertices
     fixture_ok = True
     fixture_report = None
     if args.verify_fixtures:
@@ -277,20 +276,31 @@ def cmd_enumerate(args) -> int:
         if fixture is None:
             raise FixtureError("--verify-fixtures needs a canonical space with fixtures")
         # Label module j is computed module j (load_fixture checks the
-        # fibers), so each member is tested as its (module, root) pair.
+        # fibers), so each member is the vertex of its (module, root) pair;
+        # a member that is no vertex gets bit n, which no clique has.
+        bit = [1 << i for i in range(len(vertices))]
+        vertex_bit = dict(zip(vertices, bit))
+        masks = [sum(map(bit.__getitem__, c)) for c in result.cliques]
+        checked = [f for f in fixture.families if not f.suspect]
         missed = []
-        for fam in fixture.families:
-            if fam.suspect:
-                continue
-            pairs = frozenset(zip((m for m, _ in fam.members), fixture.family_roots(fam)))
-            if not any(pairs <= f.members for f in result.families):
+        for fam in checked:
+            want = 0
+            for v in zip((m for m, _ in fam.members), fixture.family_roots(fam)):
+                want |= vertex_bit.get(v, 1 << len(vertices))
+            if not any(mask & want == want for mask in masks):
                 missed.append(fam)
         fixture_ok = not missed and not result.truncated
         fixture_report = {
-            "checked": sum(1 for f in fixture.families if not f.suspect),
-            "skipped_suspect": sum(1 for f in fixture.families if f.suspect),
+            "checked": len(checked),
+            "skipped_suspect": len(fixture.families) - len(checked),
             "missed": [[list(m) for m in f.members] for f in missed],
         }
+    # One string per vertex (for json, a member of StructuralFamily.to_dict);
+    # each family is its members' strings joined.
+    form, sep = {"json": ('{{"module":{},"root_coeffs":[{}]}}', ","),
+                 "latex": ("b({};({}))", " "), "text": ("m{}:({})", " ")}[args.format]
+    member = [form.format(k, ",".join(map(str, r))) for k, r in vertices]
+    rows = (sep.join(map(member.__getitem__, c)) for c in result.cliques)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "enumerate",
@@ -300,32 +310,28 @@ def cmd_enumerate(args) -> int:
         "cap": args.cap,
         "total": result.total,
         "truncated": result.truncated,
-        "families": result.families,
+        "families": [],
     }
     if fixture_report is not None:
         doc["fixture_check"] = fixture_report
         doc["fixture_match"] = fixture_ok
     if args.format == "json":
-        _emit(_json_dump(doc), args.out)
+        # Only "cap" and "command" sort before "families".
+        head, key, tail = _json_dump(doc).partition('"families":[]')
+        family_tail = "]," + _json_dump({"schema_version": SCHEMA_VERSION, "space": pd.name})[1:]
+        families = ((',{"members":[' if n else '{"members":[') + row + family_tail
+                    for n, row in enumerate(rows))
+        _emit(chain((head, key[:-1]), families, ("]", tail)), args.out)
     elif args.format == "latex":
-        rows = [
-            [" ".join(f"b({k};{_fmt_root(r)})" for k, r in f.sorted_members())]
-            for f in result.families
-        ]
-        _emit(_latex_table(["maximal structural families"], rows), args.out)
+        _emit(_latex_table(["maximal structural families"], ([row] for row in rows)), args.out)
     else:
-        lines = [f"{result.total} maximal structural families "
-                 f"(min modules {args.min_modules})"
-                 + (" [truncated]" if result.truncated else "")]
-        for f in result.families:
-            lines.append("  " + " ".join(
-                f"m{k}:{_fmt_root(r)}" for k, r in f.sorted_members()))
-        if fixture_report is not None:
-            lines.append(
-                f"fixture check: {'ok' if fixture_ok else 'FAILED'} "
-                f"({fixture_report['checked']} checked, "
-                f"{fixture_report['skipped_suspect']} suspect skipped)")
-        _emit("\n".join(lines), args.out)
+        head = (f"{result.total} maximal structural families (min modules {args.min_modules})"
+                + (" [truncated]" if result.truncated else ""))
+        foot = [] if fixture_report is None else [
+            f"\nfixture check: {'ok' if fixture_ok else 'FAILED'} "
+            f"({fixture_report['checked']} checked, "
+            f"{fixture_report['skipped_suspect']} suspect skipped)"]
+        _emit(chain((head,), ("\n  " + row for row in rows), foot), args.out)
     return 0 if fixture_ok else 1
 
 
@@ -346,10 +352,7 @@ def _load_vector(pd, fixture, path: str) -> TangentVector:
             if "coeff" not in item:
                 raise FlagrootsError(f"{path}: entry {item} in '{part}' has no 'coeff'")
             if isinstance(item.get("label"), str):
-                if fixture is None:
-                    raise FixtureError("label entries need a canonical space")
-                idx, _, mod = item["label"].lstrip("b").partition("^")
-                root = fixture.root_of_label(int(mod), int(idx))
+                root = _parse_member(pd, fixture, item["label"])
             elif isinstance(item.get("root"), list) and all(isinstance(c, int) for c in item["root"]):
                 root = pd.system.root(tuple(item["root"]))
             else:
@@ -463,6 +466,10 @@ def main(argv=None) -> int:
     except (FlagrootsError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout closed: devnull takes the flush at exit (signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,10 +14,9 @@ coefficients, so a zero here is an identity, not a tolerance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .chevalley import (
     AlgebraElement,
@@ -51,6 +50,15 @@ class MetricVector:
         return self.lambdas[module_index - 1]
 
 
+def _check_members(space: PaintedDiagram, members: Iterable[tuple[int, Root]]) -> None:
+    """Each member is (k, r), r in R_M+ and in module k: no root occurs twice."""
+    for k, r in members:
+        if r not in space._m_set:
+            raise SupportError(f"root {tuple(r)} is not in R_M+ of {space.name}")
+        if space.module_index(r) != k:
+            raise FlagrootsError(f"root {tuple(r)} is not in module {k}")
+
+
 @dataclass(frozen=True)
 class StructuralFamily:
     """Candidate family: a set of (module index, root) members."""
@@ -61,13 +69,7 @@ class StructuralFamily:
     def __post_init__(self) -> None:
         if not self.members:
             raise FlagrootsError("a structural family must be nonempty")
-        roots = [r for _, r in self.members]
-        if len(set(roots)) != len(roots):
-            raise FlagrootsError("duplicate roots in family")
-        for k, r in self.members:
-            if self.space.module_index(r) != k:
-                raise FlagrootsError(
-                    f"root {tuple(r)} is not in module {k}")
+        _check_members(self.space, self.members)
 
     @classmethod
     def from_roots(cls, space: PaintedDiagram, roots: Iterable[Sequence[int]]) -> "StructuralFamily":
@@ -189,17 +191,12 @@ class CompatibilityGraph:
     vertices: tuple[tuple[int, Root], ...]
     adjacency: tuple[int, ...]
 
-    def neighbors(self, v: int) -> int:
-        return self.adjacency[v]
-
 
 def compatibility_graph(pd: PaintedDiagram) -> CompatibilityGraph:
     if pd.classify_g2_type().kind is G2Kind.NOT_G2_TYPE:
         raise NotG2TypeError("compatibility graphs need a G2-type painting")
-    vertices: list[tuple[int, Root]] = []
-    for k, mod in enumerate(pd.isotropy_decomposition(), start=1):
-        for r in mod.roots:
-            vertices.append((k, r))
+    vertices = [(k, r) for k, mod in enumerate(pd.isotropy_decomposition(), start=1)
+                for r in mod.roots]
     n = len(vertices)
     adj = [0] * n
     for i in range(n):
@@ -210,17 +207,16 @@ def compatibility_graph(pd: PaintedDiagram) -> CompatibilityGraph:
     return CompatibilityGraph(pd, tuple(vertices), tuple(adj))
 
 
-def _bron_kerbosch_pivot(adj: Sequence[int], n: int) -> list[int]:
-    """All maximal cliques as bitmasks, Tomita-style pivoting."""
-    cliques: list[int] = []
+def _bron_kerbosch_pivot(adj: Sequence[int], n: int) -> list[tuple[int, ...]]:
+    """All maximal cliques as ascending vertex-index tuples, Tomita-style pivoting."""
+    cliques: list[tuple[int, ...]] = []
 
-    def expand(r: int, p: int, x: int) -> None:
+    def expand(r: tuple[int, ...], p: int, x: int) -> None:
         if not p and not x:
-            cliques.append(r)
+            cliques.append(tuple(sorted(r)))
             return
-        pool = p | x
         pivot, best = -1, -1
-        m = pool
+        m = p | x
         while m:
             u = (m & -m).bit_length() - 1
             m &= m - 1
@@ -232,19 +228,45 @@ def _bron_kerbosch_pivot(adj: Sequence[int], n: int) -> list[int]:
             v = (cand & -cand).bit_length() - 1
             bit = 1 << v
             cand &= cand - 1
-            expand(r | bit, p & adj[v], x & adj[v])
+            expand(r + (v,), p & adj[v], x & adj[v])
             p &= ~bit
             x |= bit
 
-    expand(0, (1 << n) - 1, 0)
+    expand((), (1 << n) - 1, 0)
     return cliques
+
+
+class _Families(Sequence[StructuralFamily]):
+    """Families as index tuples into graph.vertices, each built only when read and
+    without __post_init__: enumeration checks the members once per vertex."""
+
+    def __init__(self, graph: CompatibilityGraph, cliques: Sequence[tuple[int, ...]]):
+        self._graph, self._cliques = graph, cliques
+
+    def __len__(self) -> int:
+        return len(self._cliques)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(_Families(self._graph, self._cliques[i]))
+        family = object.__new__(StructuralFamily)
+        object.__setattr__(family, "space", self._graph.space)
+        object.__setattr__(family, "members", frozenset(map(self._graph.vertices.__getitem__, self._cliques[i])))
+        return family
 
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    families: tuple[StructuralFamily, ...]
+    """Maximal families as ascending index tuples into graph.vertices."""
+
+    graph: CompatibilityGraph
+    cliques: tuple[tuple[int, ...], ...]
     truncated: bool
     total: int
+
+    @property
+    def families(self) -> Sequence[StructuralFamily]:
+        return _Families(self.graph, self.cliques)
 
 
 def enumerate_maximal_families(
@@ -263,26 +285,16 @@ def enumerate_maximal_families(
     if min_modules < 1:
         raise FlagrootsError("min_modules must be at least 1")
     graph = compatibility_graph(pd)
-    n = len(graph.vertices)
+    _check_members(pd, graph.vertices)
+    module = [k for k, _ in graph.vertices]
     # Vertices are in sorted_members order, so ascending index tuples sort
     # the families canonically.
-    cliques = []
-    for mask in _bron_kerbosch_pivot(graph.adjacency, n):
-        idxs = []
-        m = mask
-        while m:
-            idxs.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        if len({graph.vertices[i][0] for i in idxs}) >= min_modules:
-            cliques.append(tuple(idxs))
+    cliques = [c for c in _bron_kerbosch_pivot(graph.adjacency, len(module))
+               if len({module[i] for i in c}) >= min_modules]
     cliques.sort()
     total = len(cliques)
     truncated = cap is not None and total > cap
-    if truncated:
-        cliques = cliques[:cap]
-    families = tuple(StructuralFamily(pd, frozenset(graph.vertices[i] for i in idxs))
-                     for idxs in cliques)
-    return EnumerationResult(families, truncated, total)
+    return EnumerationResult(graph, tuple(cliques[:cap]), truncated, total)
 
 
 def scale_by_metric(x: TangentVector, metric: MetricVector) -> AlgebraElement:
@@ -328,11 +340,3 @@ def is_equigeodesic_all_metrics(
             if not bracket(table, parts[ki], parts[kj]).is_zero():
                 return False
     return True
-
-
-def family_json(family: StructuralFamily, structural: bool, maximal: bool) -> str:
-    return json.dumps(
-        family.to_dict(structural=structural, maximal=maximal),
-        sort_keys=True,
-        separators=(",", ":"),
-    )

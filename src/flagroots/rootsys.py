@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Coeffs = tuple[int, ...]
 
@@ -71,10 +71,6 @@ class Root(tuple):
     @property
     def height(self) -> int:
         return sum(self)
-
-    @property
-    def is_positive(self) -> bool:
-        return sum(self) > 0
 
     def __neg__(self) -> "Root":
         return Root(-c for c in self)
@@ -297,13 +293,6 @@ class RootSystem:
         out = list(coeffs)
         out[i] -= pairing[i]
         return tuple(out)
-
-    def iter_all_roots(self) -> Iterator[Root]:
-        """Positive roots in canonical order, then their negatives."""
-        for r in self.positive_roots:
-            yield r
-        for r in self.positive_roots:
-            yield -r
 
     def to_dict(self) -> dict:
         return {

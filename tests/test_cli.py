@@ -1,8 +1,15 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flagroots
 from flagroots.cli import main
+from flagroots.fixtures import FixtureSet
 
 
 def run(capsys, *argv):
@@ -104,6 +111,17 @@ def test_enumerate_cap_with_verify_fails(capsys):
     code, out, _ = run(capsys, "enumerate", "F4_34", "--cap", "1",
                        "--verify-fixtures", "--format", "json")
     assert code == 1
+
+
+def test_enumerate_verify_misses_a_member_that_is_no_vertex(capsys, monkeypatch):
+    # Each member's root taken from the next module: no (module, root) pair
+    # is a vertex of the compatibility graph, so every family is missed.
+    monkeypatch.setattr(FixtureSet, "family_roots", lambda self, fam: [
+        self.root_of_label(m % 6 + 1, 1) for m, _ in fam.members])
+    code, out, _ = run(capsys, "enumerate", "F4_34", "--verify-fixtures", "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["fixture_match"] is False
+    assert len(doc["fixture_check"]["missed"]) == doc["fixture_check"]["checked"] == 39
 
 
 def test_table_brackets_check_reads_reference(capsys, monkeypatch):
@@ -219,6 +237,57 @@ def test_check_rejects_member_outside_r_m(capsys):
     for token in ("1,0,0,0", "0,1,1", "1,0,0,1"):  # a K-root, a short vector, a non-root
         code, out, err = run(capsys, "check", "F4_34", token)
         assert code == 2 and out == "" and f"error: member '{token}'" in err
+
+
+@pytest.mark.parametrize("token", ["0,x,1,0", "b1^x", "bx^1", "0,,1,0"])
+def test_check_names_a_malformed_member(capsys, token):
+    code, out, err = run(capsys, "check", "F4_34", "b1^1", token)
+    assert code == 2 and out == ""
+    assert err == f"error: member '{token}' is not a label b<i>^<j> or a vector of integers\n"
+
+
+def test_verify_names_a_malformed_label(capsys, tmp_path):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"a": [{"label": "b1^x", "coeff": 1}]}))
+    code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1")
+    assert code == 2 and out == "" and err.startswith("error: member 'b1^x' is not a label")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_stdout_exits_1_quietly(tmp_path, monkeypatch):
+    err = io.StringIO()
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["enumerate", "F4_34", "--format", "latex"]) == 1
+    assert err.getvalue() == ""
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # `flagroots enumerate E7_56 --format latex | head -1`: 216 kB, more than
+    # a pipe holds, so the writer sees the closed pipe.
+    env = {**os.environ, "PYTHONPATH": str(Path(flagroots.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flagroots.cli", "enumerate", "E7_56", "--format", "latex"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"\\begin{tabular}{c}\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_custom_space(capsys):

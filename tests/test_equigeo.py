@@ -53,6 +53,17 @@ def test_family_validation(diagrams):
         StructuralFamily(pd, frozenset({(2, pd.system.root((0, 0, 1, 0)))}))
 
 
+def test_family_rejects_a_root_and_its_negative(diagrams):
+    # b1^1 and its negative once made a "two-member" structural family.
+    pd = diagrams["F4_34"]
+    with pytest.raises(SupportError, match=r"\(0, -1, -1, 0\) is not in R_M\+"):
+        StructuralFamily.from_roots(pd, [(0, 1, 1, 0), (0, -1, -1, 0)])
+    with pytest.raises(SupportError, match=r"\(0, -1, -1, 0\)"):
+        StructuralFamily(pd, frozenset({(1, pd.system.root((0, -1, -1, 0)))}))
+    with pytest.raises(SupportError, match=r"\(1, 0, 0, 0\)"):  # a K-root
+        StructuralFamily(pd, frozenset({(1, pd.system.root((1, 0, 0, 0)))}))
+
+
 def test_graph_shape(diagrams):
     g4 = compatibility_graph(diagrams["F4_34"])
     assert len(g4.vertices) == 21
@@ -116,13 +127,48 @@ def test_enumeration_min_modules_filter(diagrams):
         enumerate_maximal_families(diagrams["F4_34"], min_modules=0)
 
 
+def _eager_families(pd, min_modules=2, cap=None):
+    """Every maximal clique (unpivoted oracle) built and checked as a
+    StructuralFamily, filtered, sorted by members and capped."""
+    graph = compatibility_graph(pd)
+    families = []
+    for mask in oracles.maximal_cliques_unpivoted(list(graph.adjacency)):
+        members = frozenset(v for i, v in enumerate(graph.vertices) if mask >> i & 1)
+        family = StructuralFamily(pd, members)
+        if len(family.modules()) >= min_modules:
+            families.append(family)
+    families.sort(key=lambda f: [(k, sum(r), tuple(r)) for k, r in f.sorted_members()])
+    return tuple(families[:cap])
+
+
+@pytest.mark.parametrize("sid", ["G2_12", "F4_34", "E6_36", "E7_56"])
+@pytest.mark.parametrize("min_modules,cap", [(2, None), (2, 5), (3, None), (3, 2), (2, 0)])
+def test_lazy_families_equal_eager_construction(diagrams, sid, min_modules, cap):
+    pd = diagrams[sid]
+    eager = _eager_families(pd, min_modules, cap)
+    res = enumerate_maximal_families(pd, min_modules=min_modules, cap=cap)
+    fams = res.families
+    assert len(fams) == len(eager) and res.total >= len(eager)
+    assert res.truncated == (cap is not None and res.total > cap)
+    assert tuple(fams) == eager and list(iter(fams)) == list(eager)
+    for i in {0, 1, len(eager) // 2, len(eager) - 1} & set(range(len(eager))):
+        assert fams[i] == eager[i] and fams[-1 - i] == eager[-1 - i]
+    for sl in (slice(None), slice(1, 4), slice(-3, None), slice(None, None, -2), slice(5, 1)):
+        assert fams[sl] == eager[sl]
+    with pytest.raises(IndexError):
+        fams[len(eager)]
+    with pytest.raises(IndexError):
+        fams[-len(eager) - 1]
+    assert all(f.space is pd for f in fams)
+
+
 def test_family_json_schema(diagrams):
-    from flagroots.equigeo import family_json
     import json as _json
 
     pd = diagrams["F4_34"]
     fam = StructuralFamily.from_roots(pd, [(0, 0, 1, 1), (0, 1, 1, 0)])
-    doc = _json.loads(family_json(fam, structural=True, maximal=False))
+    doc = _json.loads(_json.dumps(fam.to_dict(structural=True, maximal=False),
+                                  sort_keys=True, separators=(",", ":")))
     assert doc["schema_version"] == 1
     assert doc["structural"] is True and doc["maximal"] is False
     assert doc["members"] == [
@@ -171,7 +217,9 @@ def test_bk_random_graphs_against_oracle():
                 if rng.random() < 0.45:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        assert sorted(_bron_kerbosch_pivot(adj, n)) == sorted(
+        cliques = _bron_kerbosch_pivot(adj, n)
+        assert all(list(c) == sorted(set(c)) for c in cliques)
+        assert sorted(sum(1 << i for i in c) for c in cliques) == sorted(
             oracles.maximal_cliques_unpivoted(adj))
 
 
