@@ -67,12 +67,8 @@ class StructureConstantTable:
         # Root ids: positive root k is k, its negative k + n.
         roots = pos + [_vec_neg(r) for r in pos]
         self._norm = [system.cartan.normsq(r) for r in pos] * 2
-        # Linear codes sum c_k 2^(w k): code(x +- y) = code(x) +- code(y), and
-        # w leaves room for every coefficient of x +- y, so codes are unique.
-        w = (2 * max(map(max, pos))).bit_length() + 1
-        codes = [sum(c << (w * k) for k, c in enumerate(r)) for r in roots]
-        get = {c: k for k, c in enumerate(codes)}.get
         # _add[x][y]: id of root x + root y, or -1 when that is not a root.
+        get, codes = system.code_ids.get, system.codes
         self._add = [[get(cx + cy, -1) for cy in codes] for cx in codes]
         self._carter: dict[tuple[int, int], int] = {}
         self._build_positive_pairs()

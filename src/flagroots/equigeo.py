@@ -7,6 +7,7 @@ equigeodesic system only constrains distinct modules.  A set of roots
 all of whose cross-module pairs are compatible spans a subspace
 consisting entirely of equigeodesic vectors, for every invariant
 metric; such sets are exactly the cliques of the compatibility graph.
+Compatibility is read on the root system's linear root codes.
 
 The residual [X, Lambda X]_m is evaluated with exact rational
 coefficients, so a zero here is an identity, not a tolerance.
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Iterable, Sequence
+from collections.abc import Container, Iterable, Sequence
+from itertools import combinations
 
 from .chevalley import (
     AlgebraElement,
@@ -26,7 +28,7 @@ from .chevalley import (
     project_m,
 )
 from .flag import G2Kind, NotG2TypeError, PaintedDiagram
-from .rootsys import Coeffs, FlagrootsError, Root, SCHEMA_VERSION, _vec_add, _vec_neg, _vec_sub
+from .rootsys import Coeffs, FlagrootsError, Root, SCHEMA_VERSION, _vec_neg
 
 
 class SupportError(FlagrootsError):
@@ -109,9 +111,9 @@ class TangentVector:
             raise SupportError("element does not match the painted diagram")
         if any(element.cartan):
             raise SupportError("tangent vectors have no Cartan component")
-        bad = [r for r in element.support() if r in pd.k_positive_set]
+        bad = [r for r in element.support() if r not in pd._m_set]
         if bad:
-            raise SupportError(f"support meets R_K: {sorted(bad)}")
+            raise SupportError(f"support leaves R_M+: {sorted(bad)}")
         self.space = pd
         self.element = element
 
@@ -139,16 +141,22 @@ class TangentVector:
             parts.append(out)
         return cls(pd, AlgebraElement(system, (0,) * system.rank, *parts))
 
-    def module_components(self) -> dict[int, AlgebraElement]:
-        """Split into per-module pieces X = sum X_i."""
-        parts: dict[int, AlgebraElement] = {}
-        for r, c in self.element.a.items():
-            k = self.space.module_index(r)
-            parts.setdefault(k, AlgebraElement.zero(self.space.system)).a[r] = c
-        for r, c in self.element.b.items():
-            k = self.space.module_index(r)
-            parts.setdefault(k, AlgebraElement.zero(self.space.system)).b[r] = c
-        return parts
+
+def _vertices(pd: PaintedDiagram, roots: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
+    """(module index, root code) of each R_M+ root."""
+    system = pd.system
+    return [(pd.module_index(r), system.codes[system.index[tuple(r)]]) for r in roots]
+
+
+def _compatible(code_ids: Container[int], u: tuple[int, int], v: tuple[int, int]) -> bool:
+    """The one compatibility test: vertices u, v share a module, or neither the
+    sum nor the difference of their roots is a root."""
+    return u[0] == v[0] or (u[1] + v[1] not in code_ids and u[1] - v[1] not in code_ids)
+
+
+def _all_compatible(pd: PaintedDiagram, roots: Iterable[Sequence[int]]) -> bool:
+    code_ids = pd.system.code_ids
+    return all(_compatible(code_ids, u, v) for u, v in combinations(_vertices(pd, roots), 2))
 
 
 def pair_compatible(pd: PaintedDiagram, alpha: Sequence[int], beta: Sequence[int]) -> bool:
@@ -164,22 +172,12 @@ def pair_compatible(pd: PaintedDiagram, alpha: Sequence[int], beta: Sequence[int
         raise SupportError("pair_compatible needs roots from R_M+")
     if a == b:
         raise FlagrootsError("pair_compatible needs two distinct roots")
-    if pd.module_index(a) == pd.module_index(b):
-        return True
-    system = pd.system
-    return not system.is_root(_vec_add(a, b)) and not system.is_root(_vec_sub(a, b))
+    return _all_compatible(pd, (a, b))
 
 
 def is_structural_family(family: StructuralFamily) -> bool:
     """Every cross-module pair of members must be compatible."""
-    members = family.sorted_members()
-    for i, (ki, ri) in enumerate(members):
-        for kj, rj in members[i + 1:]:
-            if ki == kj:
-                continue
-            if not pair_compatible(family.space, ri, rj):
-                return False
-    return True
+    return _all_compatible(family.space, (r for _, r in family.members))
 
 
 @dataclass(frozen=True)
@@ -197,13 +195,12 @@ def compatibility_graph(pd: PaintedDiagram) -> CompatibilityGraph:
         raise NotG2TypeError("compatibility graphs need a G2-type painting")
     vertices = [(k, r) for k, mod in enumerate(pd.isotropy_decomposition(), start=1)
                 for r in mod.roots]
-    n = len(vertices)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pair_compatible(pd, vertices[i][1], vertices[j][1]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    verts, code_ids = _vertices(pd, (r for _, r in vertices)), pd.system.code_ids
+    adj = [0] * len(verts)
+    for (i, u), (j, v) in combinations(enumerate(verts), 2):
+        if _compatible(code_ids, u, v):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return CompatibilityGraph(pd, tuple(vertices), tuple(adj))
 
 
@@ -297,12 +294,13 @@ def enumerate_maximal_families(
     return EnumerationResult(graph, tuple(cliques[:cap]), truncated, total)
 
 
-def scale_by_metric(x: TangentVector, metric: MetricVector) -> AlgebraElement:
-    """Lambda X: scale each module component by its metric parameter."""
-    out = AlgebraElement.zero(x.space.system)
-    for k, part in x.module_components().items():
-        out = out + part * metric[k]
-    return out
+def _scaled(x: TangentVector, lam: Sequence[Scalar]) -> AlgebraElement:
+    """Lambda X in one pass: each term of X times lam[k - 1], k its module;
+    a zero parameter drops the term."""
+    module = x.space.module_index
+    return AlgebraElement(x.space.system, x.element.cartan, *(
+        {r: c * w for r, c in part.items() if (w := lam[module(r) - 1])}
+        for part in (x.element.a, x.element.b)))
 
 
 def equigeodesic_residual(
@@ -318,25 +316,30 @@ def equigeodesic_residual(
     if len(metric.lambdas) != n_modules:
         raise FlagrootsError(
             f"metric has {len(metric.lambdas)} parameters, expected {n_modules}")
-    lam_x = scale_by_metric(x, metric)
-    return project_m(pd, bracket(table, x.element, lam_x))
+    return project_m(pd, bracket(table, x.element, _scaled(x, metric.lambdas)))
 
 
 def is_equigeodesic_all_metrics(
     table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector
 ) -> bool:
-    """True iff all cross-module component brackets vanish identically.
+    """True iff [X, Lambda X]_m = 0 for every invariant metric Lambda.
 
-    This is equivalent to the residual vanishing for every invariant
-    metric; cross-module brackets already lie in the tangent space, so
-    the full bracket is tested, not just its projection.
+    The residual is linear in the metric: [X, Lambda X]_m = sum_k l_k C_k
+    with C_k = [X, X_k]_m and X_k the module-k part of X.  So X qualifies
+    iff every C_k is zero, which is what is tested, stopping at the first
+    nonzero one.  Since sum_k C_k = [X, X]_m = 0, the last C_k vanishes
+    once the others do.  When every cross-module pair of X's support is
+    compatible, every cross basis-pair bracket vanishes, hence every C_k,
+    and no bracket is evaluated.
     """
     if x.space is not pd:
         raise SupportError("tangent vector belongs to a different painting")
-    parts = x.module_components()
-    keys = sorted(parts)
-    for i, ki in enumerate(keys):
-        for kj in keys[i + 1:]:
-            if not bracket(table, parts[ki], parts[kj]).is_zero():
-                return False
+    support = x.element.support()
+    if _all_compatible(pd, support):
+        return True
+    n_modules = len(pd.isotropy_decomposition())
+    for k in sorted({pd.module_index(r) for r in support})[:-1]:
+        unit = [int(j == k) for j in range(1, n_modules + 1)]
+        if not project_m(pd, bracket(table, x.element, _scaled(x, unit))).is_zero():
+            return False
     return True

@@ -26,7 +26,6 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
 
 from ..flag import PaintedDiagram, paint
 from ..rootsys import FlagrootsError, LieType, Root, root_system
@@ -110,14 +109,6 @@ class FixtureSet:
 
     def family_roots(self, family: FixtureFamily) -> list[Root]:
         return [self.root_of_label(m, i) for m, i in family.members]
-
-    def label_of_root(self, root: Sequence[int]) -> tuple[int, int]:
-        v = tuple(root)
-        for module, roots in self.label_map.items():
-            for i, r in enumerate(roots, start=1):
-                if tuple(r) == v:
-                    return module, i
-        raise FixtureError(f"{v} carries no label in {self.space_id}")
 
 
 def _fixture_dir() -> Path | None:

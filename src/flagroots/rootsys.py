@@ -68,10 +68,6 @@ class Root(tuple):
 
     __slots__ = ()
 
-    @property
-    def height(self) -> int:
-        return sum(self)
-
     def __neg__(self) -> "Root":
         return Root(-c for c in self)
 
@@ -222,8 +218,13 @@ def generate_positive_roots(cartan: CartanMatrix) -> list[Root]:
 
 
 class RootSystem:
-    """An indexed root system: positive roots, membership, marks.
+    """An indexed root system: positive roots, membership, marks, codes.
 
+    Root ids number the positive roots in canonical order, 0..n-1, and
+    their negatives n..2n-1.  codes[i] is the linear code sum c_k 2^(w k)
+    of root id i, and code_ids maps a code back to its id:
+    code(x +- y) = code(x) +- code(y), and w leaves room for every
+    coefficient of x +- y, so x +- y is a root iff its code is in code_ids.
     Immutable after construction and safe to share across threads.
     """
 
@@ -241,6 +242,11 @@ class RootSystem:
         )
         self.highest_root: Root = self.positive_roots[-1]
         self.marks: Coeffs = tuple(self.highest_root)
+        w = (2 * max(map(max, self.positive_roots))).bit_length() + 1
+        self.codes: tuple[int, ...] = tuple(
+            sign * sum(c << (w * k) for k, c in enumerate(r))
+            for sign in (1, -1) for r in self.positive_roots)
+        self.code_ids: dict[int, int] = {c: i for i, c in enumerate(self.codes)}
 
     @property
     def rank(self) -> int:

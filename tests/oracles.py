@@ -3,8 +3,9 @@
 Nothing here shares code paths with the package internals it verifies:
 root counts come from reflection closure, root strings from raw
 membership walks, cliques from an exhaustive subset scan, an unpivoted
-expansion or networkx on a graph built from root arithmetic, and
-residual identities from polynomial sampling.
+expansion or networkx on a graph built from root arithmetic, residual
+identities from polynomial sampling, and brackets from the real-form
+formulas term by term.
 """
 
 from fractions import Fraction
@@ -145,6 +146,24 @@ def residual_vanishes_identically(table, pd, x, points=7):
         if not equigeodesic_residual(table, pd, x, MetricVector(tuple(lam))).is_zero():
             return False
     return True
+
+
+def pair_brackets_vanish(table, pd, x):
+    """Whether every cross-module pair bracket [X_i, X_j], i < j, of the
+    module parts X_i of X vanishes, each evaluated by reference_bracket.
+
+    This is sufficient for X to be equigeodesic for every metric, since
+    C_k = [X, X_k]_m = sum over i != k of [X_i, X_k]_m.  It is not known to
+    be necessary: two pairs can reach the same root and might cancel.
+    """
+    from flagroots import AlgebraElement
+
+    parts = {}
+    for kind, store in enumerate((x.element.a, x.element.b)):
+        for r, c in store.items():
+            parts.setdefault(pd.module_index(r), ({}, {}))[kind][r] = c
+    elems = [AlgebraElement(pd.system, (0,) * pd.system.rank, *parts[k]) for k in sorted(parts)]
+    return all(reference_bracket(table, u, v).is_zero() for u, v in combinations(elems, 2))
 
 
 def reference_bracket(table, x, y):

@@ -290,6 +290,12 @@ def test_closed_pipe_exits_1_without_traceback():
     proc.stderr.close()
 
 
+def test_out_directory_exits_2_naming_it(capsys, tmp_path):
+    code, out, err = run(capsys, "roots", "G2_12", "--out", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error:") and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
 def test_custom_space(capsys):
     code, out, _ = run(capsys, "roots", "E6:1", "--format", "json")
     assert code == 0

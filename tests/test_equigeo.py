@@ -308,12 +308,14 @@ def test_tangent_vector_support_validation(diagrams):
 
     with pytest.raises(SupportError):
         TangentVector(pd, AlgebraElement.basis_h(pd.system, 0))
+    with pytest.raises(SupportError, match="leaves R_M"):  # keys must be positive roots
+        TangentVector(pd, AlgebraElement(pd.system, (0,) * 4, {(0, -1, -1, 0): 1}))
 
 
 def test_criteria_equivalence_random_vectors(diagrams, tables):
-    # all-metrics bracket test == sampled-metric residual test ==
-    # polynomial identity, on mixed random supports
-    for sid in ("F4_34", "E8_12"):
+    # all-metrics test (every C_k = 0) == sampled-metric residual test ==
+    # polynomial identity == pair-vanishing oracle, on mixed random supports
+    for sid in ("G2_12", "F4_34", "E6_36", "E7_56", "E8_12"):
         pd = diagrams[sid]
         table = tables[pd.system.lie_type]
         roots = [tuple(r) for r in pd.r_m_pos]
@@ -335,9 +337,56 @@ def test_criteria_equivalence_random_vectors(diagrams, tables):
                 for _ in range(25)
             )
             ident = oracles.residual_vanishes_identically(table, pd, x)
-            assert flag == sampled == ident
+            pairs = oracles.pair_brackets_vanish(table, pd, x)
+            assert flag == sampled == ident == pairs, (sid, a, b)
             agree += 1
         assert agree == 60
+
+
+# Cross-module pairs of R_M+ per space: 15, 165, 327, 813 and 2,433.
+CROSS_PAIRS = {"G2_12": 15, "F4_34": 165, "E6_36": 327, "E7_56": 813, "E8_12": 2433}
+
+
+@pytest.mark.parametrize("sid", sorted(CROSS_PAIRS))
+def test_pair_compatible_certificate(diagrams, tables, sid):
+    """pair_compatible(a, b) iff the basis brackets of a and b all vanish,
+    for every cross-module pair of R_M+.
+
+    With the identity [X, Lambda X]_m = sum_k l_k C_k, C_k = [X, X_k]_m,
+    this certifies "structural => equigeodesic subspace" for every subset S
+    of every space.  Let V = span{A_r, B_r : r in S}.  Every X in V is
+    equigeodesic for every metric iff each quadratic map X -> C_k vanishes on
+    V.  Polarizing, that holds iff [e, P_k f]_m + [f, P_k e]_m = 0 for all
+    basis vectors e, f of V, P_k the projection onto m_k.  For e in m_i and
+    f in m_j, i != j, take k = j: P_j e = 0, so [e, f]_m = 0; and [e, f] has
+    t-root +-xi_i +- xi_j != 0, so it lies in m and [e, f] = 0.  Conversely
+    C_k(X) is a sum of such cross brackets, as [X_k, X_k] = 0.  So V consists
+    of equigeodesic vectors iff bracket_support(a, b) is empty for each cross
+    pair of S, and by this test iff S is structural.  The all-metrics test's
+    early return, which skips every bracket on a structural support, rests
+    on it.
+    """
+    pd, table = diagrams[sid], tables[diagrams[sid].system.lie_type]
+    index = pd.system.index
+    pairs = [(a, b) for a, b in combinations(pd.r_m_pos, 2)
+             if pd.module_index(a) != pd.module_index(b)]
+    assert len(pairs) == CROSS_PAIRS[sid]
+    mismatched = [(a, b) for a, b in pairs if pair_compatible(pd, a, b)
+                  != (table.bracket_support(index[a], index[b]) == ())]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("sid", sorted(CROSS_PAIRS))
+def test_normal_metric_residual_vanishes(diagrams, tables, sid):
+    # sum_k C_k = [X, X]_m = 0: every vector is geodesic for the normal metric.
+    pd, table = diagrams[sid], tables[diagrams[sid].system.lie_type]
+    rng = random.Random(61)
+    normal = MetricVector((1,) * len(pd.isotropy_decomposition()))
+    for _ in range(3):
+        dense = {r: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for r in pd.r_m_pos}
+        x = TangentVector.from_coefficients(pd, a=dense, b={r: rng.randint(1, 5) for r in pd.r_m_pos})
+        assert len(x.element.b) == len(pd.r_m_pos)
+        assert equigeodesic_residual(table, pd, x, normal).is_zero()
 
 
 # Cancellation vectors: non-structural subsets where the all-ones

@@ -121,9 +121,11 @@ def test_families_verify(sid):
 
 def test_label_lookup_round_trip():
     fx = load_fixture("E6_36")
-    for module, roots in fx.label_map.items():
-        for i, r in enumerate(roots, 1):
-            assert fx.label_of_root(r) == (module, i)
+    labels = {tuple(r): (module, i) for module, roots in fx.label_map.items()
+              for i, r in enumerate(roots, 1)}
+    assert len(labels) == sum(map(len, fx.label_map.values()))  # one label per root
+    for r, (module, i) in labels.items():
+        assert tuple(fx.root_of_label(module, i)) == r
     with pytest.raises(FixtureError):
         fx.root_of_label(2, 5)
 

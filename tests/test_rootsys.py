@@ -178,3 +178,19 @@ def test_serialization_is_byte_stable(systems):
     doc = json.loads(s.to_json())
     assert doc["schema_version"] == 1
     assert doc["family"] == "F4"
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_root_codes_decide_sums_and_differences(systems, lie_type):
+    # Root id i is positive root i, id n + i its negative; a code sum or
+    # difference names a root exactly when the coefficient vector does.
+    s = systems[lie_type]
+    roots = [tuple(r) for r in s.positive_roots]
+    roots += [tuple(-c for c in r) for r in roots]
+    assert len(s.codes) == len(set(s.codes)) == len(s.code_ids) == len(roots)
+    assert all(s.code_ids[c] == i for i, c in enumerate(s.codes))
+    for x, cx in zip(roots, s.codes):
+        for y, cy in zip(roots, s.codes):
+            for v, c in ((tuple(p + q for p, q in zip(x, y)), cx + cy),
+                         (tuple(p - q for p, q in zip(x, y)), cx - cy)):
+                assert (roots[s.code_ids[c]] == v) if s.is_root(v) else c not in s.code_ids
