@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -50,127 +51,113 @@ class MixedSystemError(FlagrootsError):
     """Operands belong to different root systems."""
 
 
+def _string_p(system: RootSystem, a: int, b: int) -> int:
+    """p = max k with b - k a a root, for root ids a and b."""
+    step, ids = system.codes[a], system.code_ids
+    code, p = system.codes[b] - step, 0
+    while code in ids:
+        code, p = code - step, p + 1
+    return p
+
+
 class StructureConstantTable:
     """All constants N(x,y), x, y, x+y roots, in the symmetric convention.
+
+    Every nonzero constant belongs to a positive triple a + b = g, and the
+    table is filled one triple at a time, g ascending, in the raw Chevalley
+    convention.  The first pair (a1, b1) of g, a1 < b1 in the canonical
+    order, is extraspecial with N(a1,b1) = p+1; each other pair (a, b) of g
+    follows from the Jacobi identity on (e_{-a1}, e_a, e_b), whose factors
+    all belong to triples of lower height.  Once N(a,b) is fixed, the three-root
+    identity N(x,y)/|z|^2 = N(y,z)/|x|^2 = N(z,x)/|y|^2 for x+y+z = 0, with
+    N(y,x) = -N(x,y) and N(-x,-y) = -N(x,y), gives the triple's other
+    eleven ordered pairs.
 
     Immutable after construction; bracket evaluation is pure.  For the
     bracket kernel, entry (i, j) of _pairs over positive-root ids is
     (s, N(i,j), d, N(i,-j), -sign(i-j) N(i,-j)) with s the id of i+j and d
     that of +-(i-j), or None when neither is a root; an absent one has
-    constant 0 and the spare id n.
+    constant 0 and the spare id n.  n_map, keyed by root tuples, is built
+    from _pairs only when it is read.
     """
 
     def __init__(self, system: RootSystem):
         self.system = system
         pos = self._roots = [tuple(r) for r in system.positive_roots]
         n = self._n = len(pos)
-        # Root ids: positive root k is k, its negative k + n.
-        roots = pos + [_vec_neg(r) for r in pos]
-        self._norm = [system.cartan.normsq(r) for r in pos] * 2
-        # _add[x][y]: id of root x + root y, or -1 when that is not a root.
-        get, codes = system.code_ids.get, system.codes
-        self._add = [[get(cx + cy, -1) for cy in codes] for cx in codes]
-        self._carter: dict[tuple[int, int], int] = {}
-        self._build_positive_pairs()
-        self.n_map: dict[tuple[Coeffs, Coeffs], int] = {}
-        self._pairs: list[list[tuple[int, int, int, int, int] | None]] = []
-        self._expand_all_pairs(roots)
-        del self._add
-        self._coroots = [self._coroot_coeffs(k) for k in range(n)]
-        self._pairings = [system.cartan.coroot_pairing(r) for r in pos]
-
-    # -- construction ------------------------------------------------
-
-    def _neg(self, x: int) -> int:
-        return (x + self._n) % (2 * self._n)
-
-    def _string_p(self, a: int, b: int) -> int:
-        p, down = 0, self._add[b][self._neg(a)]
-        while down >= 0:
-            p, down = p + 1, self._add[down][self._neg(a)]
-        return p
-
-    def _build_positive_pairs(self) -> None:
-        """Fix signs by extraspecial pairs, ascending canonical order."""
-        n, add = self._n, self._add
-        decomps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        sym = system.cartan.symmetrizer
+        pairings = self._pairings = [system.cartan.coroot_pairing(r) for r in pos]
+        # |x|^2 = sum_i d_i x_i <x, a_i^>, d the symmetrizer.
+        norm = [sum(d * m * q for d, m, q in zip(sym, r, pr)) for r, pr in zip(pos, pairings)]
+        codes, get = system.codes, system.code_ids.get
+        # triples[g]: the pairs a < b of positive ids with a + b = g.
+        triples: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for a in range(n):
+            ca = codes[a]
             for b in range(a + 1, n):
-                if add[a][b] >= 0:
-                    decomps[add[a][b]].append((a, b))
-        for gamma in range(n):
-            if not decomps[gamma]:
-                continue
-            (a1, b1), *rest = decomps[gamma]
-            self._carter[(a1, b1)] = self._string_p(a1, b1) + 1
-            m1 = self._neg(a1)
-            for a, b in rest:
-                # Jacobi on (e_{-a1}, e_a, e_b); every factor on the right
-                # has a lower-height sum, so it is already determined.
-                rhs = 0
-                if add[b][m1] >= 0:
-                    rhs += self._n_carter(b, m1) * self._n_carter(a, add[b][m1])
-                if add[a][m1] >= 0:
-                    rhs += self._n_carter(m1, a) * self._n_carter(b, add[a][m1])
-                denom = self._n_carter(m1, gamma)
-                num = -rhs
-                if denom == 0 or num % denom != 0:
-                    raise FlagrootsError("inconsistent structure-constant recursion")
-                val = num // denom
-                expected = self._string_p(a, b) + 1
-                if abs(val) != expected:
-                    raise FlagrootsError("structure-constant magnitude check failed")
-                self._carter[(a, b)] = val
+                g = get(ca + codes[b])
+                if g is not None:
+                    triples[g].append((a, b))
+        # raw[x][y]: N(x,y) in the raw Chevalley convention, x > 0, y any id.
+        raw = [[0] * (2 * n) for _ in range(n)]
+        for g, pairs in enumerate(triples):
+            for k, (a, b) in enumerate(pairs):
+                c = _string_p(system, a, b) + 1
+                if k:
+                    # Jacobi on (e_{-a1}, e_a, e_b), with (a1, b1) = pairs[0]
+                    # extraspecial; every factor belongs to a triple of lower
+                    # height, so it is already fixed.  When b - a1 (a - a1) is
+                    # not a root, raw[b][m1] (raw[a][m1]) is 0 and the spare
+                    # index 0 stands in for the missing id.
+                    m1 = pairs[0][0] + n
+                    rhs = (raw[b][m1] * raw[a][get(codes[b] + codes[m1], 0)]
+                           - raw[a][m1] * raw[b][get(codes[a] + codes[m1], 0)])
+                    denom = -raw[g][m1]
+                    if denom == 0 or rhs % denom != 0:
+                        raise FlagrootsError("inconsistent structure-constant recursion")
+                    if abs(rhs // denom) != c:
+                        raise FlagrootsError("structure-constant magnitude check failed")
+                    c = -rhs // denom
+                # The three-root identity gives the triple's other pairs.
+                u, v = c * norm[a], c * norm[b]
+                if u % norm[g] or v % norm[g]:
+                    raise FlagrootsError("non-integral structure constant reduction")
+                raw[a][b], raw[b][a] = c, -c
+                raw[b][g + n] = raw[g][b + n] = u // norm[g]
+                raw[a][g + n] = raw[g][a + n] = -v // norm[g]
 
-    def _n_carter(self, x: int, y: int) -> int:
-        """N(x,y) in the raw Chevalley convention, any sign pattern."""
-        n = self._n
-        if x < n and y < n:
-            if (x, y) in self._carter:
-                return self._carter[(x, y)]
-            return -self._carter[(y, x)]
-        if x >= n and y >= n:
-            return -self._n_carter(x - n, y - n)
-        if x >= n:
-            return -self._n_carter(y, x)
-        # x > 0 > y; reduce to a positive pair via norm-weighted identities.
-        z = self._add[x][y]
-        if z < n:
-            num, den = self._n_carter(z, y - n) * self._norm[z], self._norm[x]
-        else:
-            num, den = self._n_carter(z - n, x) * self._norm[z], self._norm[y]
-        if num % den != 0:
-            raise FlagrootsError("non-integral structure constant reduction")
-        return num // den
-
-    def _expand_all_pairs(self, roots: list[Coeffs]) -> None:
-        """The stored table over all ordered root pairs, f-basis signs,
-        and each positive id's row of bracket entries."""
-        n, add = self._n, self._add
-        for x, rx in enumerate(roots):
-            vals = [0] * (2 * n)
-            for y, ry in enumerate(roots):
-                s = add[x][y]
-                if s >= 0:
-                    vals[y] = self.n_map[(rx, ry)] = (
-                        self._n_carter(x, y) * (-1) ** ((x >= n) + (y >= n) + (s >= n)))
-            if x < n:
-                self._pairs.append([
-                    None if s < 0 and d < 0 else
-                    (s if s >= 0 else n, ns, d % n if d >= 0 else n, nd, nd if d >= n else -nd)
-                    for s, d, ns, nd in zip(add[x][:n], add[x][n:], vals[:n], vals[n:])])
-
-    def _coroot_coeffs(self, k: int) -> Coeffs:
-        """h_root in the basis of simple coroots; always integral."""
-        d_root = self._norm[k] // 2
-        out = []
-        for m, d in zip(self._roots[k], self.system.cartan.symmetrizer):
-            if m * d % d_root != 0:
-                raise FlagrootsError("non-integral coroot coefficient")
-            out.append(m * d // d_root)
-        return tuple(out)
+        # f_{-x} = -e_x flips N(i,-j) when i - j > 0; the raw N(i,-j) is
+        # -sign(i-j) times the stored one.
+        rows = self._pairs = [[None] * n for _ in range(n)]
+        for g, pairs in enumerate(triples):
+            for a, b in pairs:
+                for i, j in ((a, b), (b, a), (g, a), (a, g), (g, b), (b, g)):
+                    r, d = raw[i], get(codes[i] - codes[j], -1)
+                    x = r[j + n]
+                    rows[i][j] = (get(codes[i] + codes[j], n), r[j], d % n if d >= 0 else n,
+                                  x if d >= n else -x, x)
+        # h_x = sum_i x_i d_i / (|x|^2/2) h_i over the simple coroots.
+        if any(m * d % (k // 2) for r, k in zip(pos, norm) for m, d in zip(r, sym)):
+            raise FlagrootsError("non-integral coroot coefficient")
+        self._coroots = [tuple(m * d // (k // 2) for m, d in zip(r, sym)) for r, k in zip(pos, norm)]
 
     # -- queries -----------------------------------------------------
+
+    @cached_property
+    def n_map(self) -> dict[tuple[Coeffs, Coeffs], int]:
+        """N(x,y) keyed by root tuples over every pair with a root sum, from
+        N(-x,-y) = N(x,y) and N(-x,y) = N(x,-y)."""
+        pos = self._roots
+        neg = [_vec_neg(r) for r in pos]
+        out = {}
+        for i, row in enumerate(self._pairs):
+            for j, e in enumerate(row):
+                if e is not None:
+                    if e[1]:
+                        out[(pos[i], pos[j])] = out[(neg[i], neg[j])] = e[1]
+                    if e[3]:
+                        out[(pos[i], neg[j])] = out[(neg[i], pos[j])] = e[3]
+        return out
 
     def bracket_support(self, x: int, y: int) -> tuple[int, ...]:
         """Ids hit by the brackets of A_x, B_x with A_y, B_y, for positive-root

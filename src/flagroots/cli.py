@@ -95,12 +95,16 @@ def _parse_member(pd, fixture, token: str):
 
 
 def _parse_fraction(x) -> Fraction:
-    if not isinstance(x, (str, int, Fraction)):
-        raise FlagrootsError(f"expected an exact rational, got {x!r}")
+    """An int, or a string such as 3, -2/5 or 1.5.  Exponent notation is
+    refused: 1e10000000 would build a ten-million-digit integer."""
+    if not (type(x) is int or isinstance(x, str) and "e" not in x.lower()):
+        raise FlagrootsError(f"expected an integer or a rational string without exponent, got {x!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError as exc:
         raise FlagrootsError(f"zero denominator in {x!r}") from exc
+    except ValueError as exc:
+        raise FlagrootsError(f"{x!r} is not an exact rational: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +344,8 @@ def _load_vector(pd, fixture, path: str) -> TangentVector:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise FlagrootsError(f"{path}: cannot read the vector file: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise FlagrootsError(f"{path}: not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise FlagrootsError(f"{path}: the top level must be an object with 'a'/'b' lists")
     a: dict = {}
@@ -353,15 +359,20 @@ def _load_vector(pd, fixture, path: str) -> TangentVector:
                 raise FlagrootsError(f"{path}: entry {item} in '{part}' has no 'coeff'")
             if isinstance(item.get("label"), str):
                 root = _parse_member(pd, fixture, item["label"])
-            elif isinstance(item.get("root"), list) and all(isinstance(c, int) for c in item["root"]):
+            elif isinstance(item.get("root"), list) and all(type(c) is int for c in item["root"]):
                 root = pd.system.root(tuple(item["root"]))
             else:
                 raise FlagrootsError(
                     f"{path}: entry {item} in '{part}' needs a 'label' string or a 'root' list of integers")
-            if "module" in item and pd.module_index(root) != item["module"]:
+            module = item.get("module")
+            if "module" in item and (type(module) is not int or module != pd.module_index(root)):
                 raise FlagrootsError(
-                    f"root {tuple(root)} is not in module {item['module']}")
-            store[tuple(root)] = store.get(tuple(root), 0) + _parse_fraction(item["coeff"])
+                    f"{path}: entry {item} in '{part}': root {tuple(root)} is not in module {module!r}")
+            try:
+                coeff = _parse_fraction(item["coeff"])
+            except FlagrootsError as exc:
+                raise FlagrootsError(f"{path}: entry {item} in '{part}': {exc}") from None
+            store[tuple(root)] = store.get(tuple(root), 0) + coeff
     return TangentVector.from_coefficients(pd, a=a, b=b)
 
 

@@ -12,6 +12,9 @@ from flagroots import (
     LieType,
     MixedSystemError,
     bracket,
+    bracket_inclusion_table,
+    build_constants,
+    chevalley,
     paint,
     project_m,
 )
@@ -287,3 +290,96 @@ def test_bracket_support_matches_basis_brackets(systems, tables, lie_type):
                         hit.add(n)
             got = table.bracket_support(x, y)
             assert sorted(got) == sorted(hit), (lie_type, x, y)
+
+
+# Pairs with a root sum, and quadruples a+b+c+d = 0 with a+b a root and no
+# opposite pair, per type.
+ROOT_SUM_PAIRS = {LieType.G2: 60, LieType.F4: 816, LieType.E6: 1440, LieType.E7: 4032,
+                  LieType.E8: 13440}
+FOUR_ROOT_INSTANCES = {LieType.G2: 192, LieType.F4: 12672, LieType.E6: 25920,
+                       LieType.E7: 120960, LieType.E8: 725760}
+
+
+def _neg(v):
+    return tuple(-c for c in v)
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_magnitude_and_three_root_identity_exhaustive(systems, tables, lie_type):
+    # |N(x,y)| = p+1, and N(x,y)/|z|^2 = N(y,z)/|x|^2 = N(z,x)/|y|^2 for
+    # x+y+z = 0, over every pair with a root sum.
+    s, t = systems[lie_type], tables[lie_type]
+    roots = oracles.weyl_closure_roots(s)
+    norm = {r: s.cartan.normsq(r) for r in roots}
+    pairs = [(x, y) for x in roots for y in roots if tuple(a + b for a, b in zip(x, y)) in roots]
+    assert len(pairs) == len(t.n_map) == ROOT_SUM_PAIRS[lie_type]
+    for x, y in pairs:
+        z = _neg(tuple(a + b for a, b in zip(x, y)))
+        p, _ = oracles.string_by_scan(s, x, y)
+        assert abs(t.n(x, y)) == p + 1, (x, y)
+        assert t.n(x, y) * norm[x] == t.n(y, z) * norm[z], (x, y)
+        assert t.n(y, z) * norm[y] == t.n(z, x) * norm[x], (x, y)
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_four_root_identity_exhaustive(systems, tables, lie_type):
+    # N(a,b)N(c,d)/|a+b|^2 + N(b,c)N(a,d)/|b+c|^2 + N(c,a)N(b,d)/|c+a|^2 = 0
+    # for a+b+c+d = 0 with no opposite pair, over every such quadruple with
+    # a+b a root; a term whose sum is not a root is 0.  Checked on integers:
+    # each term's numerator times the other two terms' norms.
+    s, t = systems[lie_type], tables[lie_type]
+    roots = sorted(oracles.weyl_closure_roots(s))
+    at = {r: i for i, r in enumerate(roots)}
+    neg = [at[_neg(r)] for r in roots]
+    norm = [s.cartan.normsq(r) for r in roots]
+    # add[i][j]: index of roots[i] + roots[j], or -1; nn[i][j]: N and its norm.
+    add = [[at.get(tuple(a + b for a, b in zip(x, y)), -1) for y in roots] for x in roots]
+    nn = [[(t.n(x, y), norm[k]) if k >= 0 else (0, 1) for y, k in zip(roots, row)]
+          for x, row in zip(roots, add)]
+    by_sum = [[] for _ in roots]
+    for i, row in enumerate(add):
+        for j, k in enumerate(row):
+            if k >= 0:
+                by_sum[k].append((i, j))
+    count = 0
+    for k, pairs in enumerate(by_sum):
+        for a, b in pairs:
+            opposite = (neg[a], neg[b])
+            nab, mab = nn[a][b]
+            for c, d in by_sum[neg[k]]:
+                if c in opposite or d in opposite:
+                    continue
+                count += 1
+                (nbc, mbc), (nca, mca) = nn[b][c], nn[c][a]
+                assert (nab * nn[c][d][0] * mbc * mca + nbc * nn[a][d][0] * mab * mca
+                        + nca * nn[b][d][0] * mab * mbc) == 0, (a, b, c, d)
+    assert count == FOUR_ROOT_INSTANCES[lie_type]
+
+
+def test_n_map_built_only_when_read(diagrams):
+    pd = diagrams["F4_34"]
+    table = build_constants(pd.system)
+    bracket_inclusion_table(pd, table)
+    x = AlgebraElement.basis_a(pd.system, (0, 1, 1, 0))
+    bracket(table, x, AlgebraElement.basis_b(pd.system, (0, 0, 1, 1)))
+    assert "n_map" not in table.__dict__
+    assert len(table.n_map) == ROOT_SUM_PAIRS[LieType.F4]
+    assert "n_map" in table.__dict__
+
+
+@pytest.mark.parametrize("x,y,message", [
+    # extraspecial for (3,2): N = 1 becomes 2, and the Jacobi step for
+    # (1,1) + (2,1) divides 3 by it
+    ((0, 1), (3, 1), "inconsistent structure-constant recursion"),
+    # (1,1) + (2,1) is solved by Jacobi, so p+2 is not its magnitude
+    ((1, 1), (2, 1), "magnitude check failed"),
+    # extraspecial short + short = long (3,1): N = 4 makes N|a|^2/|g|^2 = 8/6
+    ((1, 0), (2, 1), "non-integral structure constant reduction"),
+])
+def test_consistency_checks_catch_a_wrong_string_length(systems, monkeypatch, x, y, message):
+    s = systems[LieType.G2]
+    target, string_p = (s.index[x], s.index[y]), chevalley._string_p
+    monkeypatch.setattr(chevalley, "_string_p",
+                        lambda system, a, b: string_p(system, a, b) + ((a, b) == target))
+    with pytest.raises(FlagrootsError, match=message):
+        build_constants(s)

@@ -338,3 +338,31 @@ def test_latex_rejected_on_check_and_verify(capsys, argv):
         main(argv + ["--format", "latex"])
     assert exc.value.code == 2
     assert "invalid choice: 'latex'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["1e100000", "1E5", "1e10000000", "2.5e-3", "1" * 5000],
+                         ids=["exponent", "upper-exponent", "huge-exponent", "decimal-exponent",
+                              "5000-digits"])
+def test_verify_metric_rejected_by_token(capsys, tmp_path, token):
+    # exponent notation never reaches Fraction, and an integer string past
+    # Python's digit limit is reported by its token
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"a": [{"root": [0, 1, 1, 0], "coeff": 1}]}))
+    code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", f"1,1,1,1,1,{token}")
+    assert code == 2 and out == "" and err.startswith("error:") and token[:40] in err
+
+
+@pytest.mark.parametrize("entry,words", [
+    ({"root": [0, 1, 1, 0], "coeff": "1e100000"}, "exponent"),
+    ({"root": [0, 1, 1, 0], "coeff": "7" * 5000}, "not an exact rational"),
+    ({"root": [False, True, True, True], "coeff": 1}, "'root' list of integers"),
+    ({"root": [0, 1, 1, 1], "coeff": True}, "got True"),
+    ({"root": [0, 1, 1, 1], "coeff": 1, "module": True}, "is not in module True"),
+])
+def test_verify_vector_entry_rejected_by_entry(capsys, tmp_path, entry, words):
+    # JSON booleans are not integers, and coefficients follow the metric's rules
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"a": [entry]}))
+    code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert str(vec) in err and "entry" in err and words in err
