@@ -389,7 +389,12 @@ def cmd_verify(args) -> int:
     for kind, store in (("A", residual.a), ("B", residual.b)):
         for r, c in sorted(store.items()):
             label = modules[pd.module_index(r) - 1].label
-            by_module.setdefault(label, {}).setdefault(kind, {})[_fmt_root(r)] = str(c)
+            try:
+                by_module.setdefault(label, {}).setdefault(kind, {})[_fmt_root(r)] = str(c)
+            except ValueError:  # str() refuses integers over sys.get_int_max_str_digits() digits
+                limit = sys.get_int_max_str_digits()
+                raise FlagrootsError(f"{args.vector}: the residual coefficient of {kind}{_fmt_root(r)} "
+                                     f"is too long to write (over {limit} digits)") from None
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",

@@ -10,23 +10,21 @@ metric; such sets are exactly the cliques of the compatibility graph.
 Compatibility is read on the root system's linear root codes.
 
 The residual [X, Lambda X]_m is evaluated with exact rational
-coefficients, so a zero here is an identity, not a tolerance.
+coefficients, so a zero here is an identity, not a tolerance.  Over the
+module parts X_k of X it is the sum over i < j of (l_j - l_i) [X_i, X_j],
+as [X_i, X_i] = 0 and the pairs (i, j), (j, i) combine by antisymmetry;
+each such bracket lies in m, as xi_i +- xi_j != 0 for distinct t-roots.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Container, Iterable, Sequence
 from itertools import combinations
 
-from .chevalley import (
-    AlgebraElement,
-    Scalar,
-    StructureConstantTable,
-    bracket,
-    project_m,
-)
+from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _bracket_sum
 from .flag import G2Kind, NotG2TypeError, PaintedDiagram
 from .rootsys import Coeffs, FlagrootsError, Root, SCHEMA_VERSION, _vec_neg
 
@@ -294,52 +292,57 @@ def enumerate_maximal_families(
     return EnumerationResult(graph, tuple(cliques[:cap]), truncated, total)
 
 
-def _scaled(x: TangentVector, lam: Sequence[Scalar]) -> AlgebraElement:
-    """Lambda X in one pass: each term of X times lam[k - 1], k its module;
-    a zero parameter drops the term."""
-    module = x.space.module_index
-    return AlgebraElement(x.space.system, x.element.cartan, *(
-        {r: c * w for r, c in part.items() if (w := lam[module(r) - 1])}
-        for part in (x.element.a, x.element.b)))
+def _module_parts(pd: PaintedDiagram, x: TangentVector) -> list[tuple[int, AlgebraElement]]:
+    """(k, X_k) for each nonzero module part X_k of X, k ascending, in one pass."""
+    parts: defaultdict[int, tuple[dict, dict]] = defaultdict(lambda: ({}, {}))
+    for kind, store in enumerate((x.element.a, x.element.b)):
+        for r, c in store.items():
+            parts[pd.module_index(r)][kind][r] = c
+    return [(k, AlgebraElement(pd.system, x.element.cartan, *parts[k])) for k in sorted(parts)]
 
 
-def equigeodesic_residual(
-    table: StructureConstantTable,
-    pd: PaintedDiagram,
-    x: TangentVector,
-    metric: MetricVector,
-) -> AlgebraElement:
-    """[X, Lambda X]_m with exact rational coefficients."""
+def equigeodesic_residual(table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector,
+                          metric: MetricVector) -> AlgebraElement:
+    """[X, Lambda X]_m with exact rational coefficients.
+
+    With X = sum_k X_k over the module parts, [X, Lambda X] is the sum over
+    i < j of (l_j - l_i) [X_i, X_j]: each [X_i, X_i] is 0, and the pairs
+    (i, j) and (j, i) combine by antisymmetry.  A cross-module bracket lies
+    wholly in m, as its t-roots +-xi_i +- xi_j are nonzero for distinct
+    G2-type t-roots, so only those pairs are evaluated and none is projected.
+    """
     if x.space is not pd:
         raise SupportError("tangent vector belongs to a different painting")
-    n_modules = len(pd.isotropy_decomposition())
-    if len(metric.lambdas) != n_modules:
-        raise FlagrootsError(
-            f"metric has {len(metric.lambdas)} parameters, expected {n_modules}")
-    return project_m(pd, bracket(table, x.element, _scaled(x, metric.lambdas)))
+    if table.system is not pd.system:
+        raise MixedSystemError("elements do not match the constant table")
+    lam, n_modules = metric.lambdas, len(pd.isotropy_decomposition())
+    if len(lam) != n_modules:
+        raise FlagrootsError(f"metric has {len(lam)} parameters, expected {n_modules}")
+    return _bracket_sum(table, [(lam[j - 1] - lam[i - 1], xi, xj) for (i, xi), (j, xj)
+                                in combinations(_module_parts(pd, x), 2) if lam[i - 1] != lam[j - 1]])
 
 
-def is_equigeodesic_all_metrics(
-    table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector
-) -> bool:
+def is_equigeodesic_all_metrics(table: StructureConstantTable, pd: PaintedDiagram,
+                                x: TangentVector) -> bool:
     """True iff [X, Lambda X]_m = 0 for every invariant metric Lambda.
 
     The residual is linear in the metric: [X, Lambda X]_m = sum_k l_k C_k
     with C_k = [X, X_k]_m and X_k the module-k part of X.  So X qualifies
     iff every C_k is zero, which is what is tested, stopping at the first
-    nonzero one.  Since sum_k C_k = [X, X]_m = 0, the last C_k vanishes
-    once the others do.  When every cross-module pair of X's support is
-    compatible, every cross basis-pair bracket vanishes, hence every C_k,
-    and no bracket is evaluated.
+    nonzero one.  C_k, the residual at the unit metric e_k, is the
+    cross-pair sum [X - X_k, X_k], from one split of X into module parts.
+    Since sum_k C_k = [X, X]_m = 0, the last C_k vanishes once the others
+    do.  If all cross-module pairs of the support are compatible, every
+    cross basis-pair bracket and so every C_k vanishes: no bracket is run.
     """
     if x.space is not pd:
         raise SupportError("tangent vector belongs to a different painting")
-    support = x.element.support()
-    if _all_compatible(pd, support):
+    if _all_compatible(pd, x.element.support()):
         return True
-    n_modules = len(pd.isotropy_decomposition())
-    for k in sorted({pd.module_index(r) for r in support})[:-1]:
-        unit = [int(j == k) for j in range(1, n_modules + 1)]
-        if not project_m(pd, bracket(table, x.element, _scaled(x, unit))).is_zero():
+    elem = x.element
+    for _, xk in _module_parts(pd, x)[:-1]:
+        rest = AlgebraElement(pd.system, elem.cartan, *({r: c for r, c in p.items() if r not in q}
+                                                        for p, q in ((elem.a, xk.a), (elem.b, xk.b))))
+        if not _bracket_sum(table, [(1, rest, xk)]).is_zero():
             return False
     return True

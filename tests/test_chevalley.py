@@ -61,6 +61,56 @@ def test_bracket_matches_reference(systems, tables, lie_type):
             assert bracket(t, u, v) == oracles.reference_bracket(t, u, v)
 
 
+@pytest.mark.parametrize("lie_type", [LieType.G2, LieType.F4, LieType.E8])
+def test_bracket_sum_matches_term_by_term(systems, tables, lie_type):
+    # Shared operands, weights over different denominators, int and
+    # integral-Fraction weights, and operands with Cartan parts.
+    s, t = systems[lie_type], tables[lie_type]
+    rng = random.Random(f"bracket-sum:{lie_type.name}")
+    density = 1.0 if lie_type is LieType.G2 else 0.2
+    x = random_element(rng, s, density, True, True)
+    y = random_element(rng, s, density, False, True)
+    z = random_element(rng, s, density, True, False)
+    terms = [(Fraction(3, 7), x, y), (-2, y, z), (Fraction(5, 11), z, x),
+             (Fraction(4), x, z), (Fraction(-1, 13), y, y), (1, x, y)]
+    got = chevalley._bracket_sum(t, terms)
+    want = AlgebraElement.zero(s)
+    for w, u, v in terms:
+        term = bracket(t, u, v)
+        assert term == oracles.reference_bracket(t, u, v)
+        want = want + term * w
+    assert got == want
+    assert chevalley._bracket_sum(t, []).is_zero()
+
+
+def _with_coefficients(elem, kind):
+    """elem with each coefficient c as int(c), Fraction(int(c)) or int(c)/7."""
+    conv = {"int": int, "Fraction": Fraction, "p/q": lambda c: Fraction(int(c), 7)}[kind]
+    return AlgebraElement(elem.system, tuple(map(conv, elem.cartan)),
+                          {r: conv(c) for r, c in elem.a.items()},
+                          {r: conv(c) for r, c in elem.b.items()})
+
+
+@pytest.mark.parametrize("lie_type", [LieType.F4, LieType.E8])
+def test_bracket_agrees_across_coefficient_types(systems, tables, lie_type):
+    # Integral Fractions run the same integer arithmetic as ints: the
+    # numerators are ints, and the results are equal and integral.
+    s, t = systems[lie_type], tables[lie_type]
+    rng = random.Random(f"coefficient-types:{lie_type.name}")
+    x = random_element(rng, s, 0.5, True, False)
+    y = random_element(rng, s, 0.5, True, False)
+    for kind in ("int", "Fraction", "p/q"):
+        u, v = _with_coefficients(x, kind), _with_coefficients(y, kind)
+        den, a, b, h = chevalley._numerators(s.index, u)
+        assert den == (7 if kind == "p/q" else 1)
+        assert all(type(c) is int for part in (a, b, h) for c in part.values())
+        assert len(a) == len(u.a) and len(b) == len(u.b) and len(h) == sum(1 for c in u.cartan if c)
+        got = bracket(t, u, v)
+        assert got == bracket(t, x, y) * (Fraction(1, 49) if kind == "p/q" else 1)
+        if kind != "p/q":
+            assert all(type(c) is int for c in (*got.a.values(), *got.b.values(), *got.cartan))
+
+
 def jacobi(table, x, y, z):
     return (
         bracket(table, x, bracket(table, y, z))

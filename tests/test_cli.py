@@ -366,3 +366,16 @@ def test_verify_vector_entry_rejected_by_entry(capsys, tmp_path, entry, words):
     code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1")
     assert code == 2 and out == "" and err.startswith("error:")
     assert str(vec) in err and "entry" in err and words in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_names_a_residual_coefficient_too_long_to_write(capsys, tmp_path, fmt):
+    # Each 3,000-digit coefficient is accepted, but their products have
+    # 6,000 digits, past Python's limit for writing an integer.
+    vec = tmp_path / "big.json"
+    vec.write_text(json.dumps({"a": [{"root": [0, 1, 1, 0], "coeff": "1" + "0" * 2999},
+                                     {"root": [0, 1, 1, 1], "coeff": "3" + "0" * 2999}]}))
+    code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,2,1,1,1",
+                         "--format", fmt)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert str(vec) in err and "A(0,0,0,1)" in err and "too long to write" in err

@@ -20,7 +20,9 @@ from flagroots import (
     is_structural_family,
     load_fixture,
     pair_compatible,
+    project_m,
 )
+from flagroots import equigeo
 
 # F4 display labels used below (frozen from the fixture label map):
 # b1^1=(0,1,1,0)  b6^1=(1,1,1,0)  b3^3=(0,0,1,1)  b1^3=(0,1,1,1)
@@ -387,6 +389,112 @@ def test_normal_metric_residual_vanishes(diagrams, tables, sid):
         x = TangentVector.from_coefficients(pd, a=dense, b={r: rng.randint(1, 5) for r in pd.r_m_pos})
         assert len(x.element.b) == len(pd.r_m_pos)
         assert equigeodesic_residual(table, pd, x, normal).is_zero()
+
+
+def _p_over_q(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+
+def _dense_vector(pd, rng):
+    return TangentVector.from_coefficients(pd, a={r: _p_over_q(rng) for r in pd.r_m_pos},
+                                           b={r: _p_over_q(rng) for r in pd.r_m_pos})
+
+
+def _metric(rng, n):
+    return tuple(Fraction(rng.randint(1, 60), rng.randint(1, 7)) for _ in range(n))
+
+
+def _oracle_residual(table, pd, x, lam):
+    """project_m([X, Lambda X]), Lambda X built term by term and the bracket
+    taken by the reference oracle."""
+    scaled = [{r: c * lam[pd.module_index(r) - 1] for r, c in part.items()}
+              for part in (x.element.a, x.element.b)]
+    lx = AlgebraElement(pd.system, (0,) * pd.system.rank, *scaled)
+    return project_m(pd, oracles.reference_bracket(table, x.element, lx))
+
+
+@pytest.mark.parametrize("sid", sorted(CROSS_PAIRS))
+def test_residual_matches_reference_bracket(diagrams, tables, sid):
+    # Dense vectors, metrics with distinct and with repeated entries, and
+    # supports inside one module, against the reference bracket of X and
+    # Lambda X with the projection onto m.
+    pd, table = diagrams[sid], tables[diagrams[sid].system.lie_type]
+    n = len(pd.isotropy_decomposition())
+    rng = random.Random(f"residual-oracle:{sid}")
+    x = _dense_vector(pd, rng)
+    lam = _metric(rng, n)
+    repeated = (lam[0], lam[0], lam[1], lam[1], lam[0], lam[2])
+    for metric in (lam, repeated, (1,) * n):
+        got = equigeodesic_residual(table, pd, x, MetricVector(metric))
+        assert got == _oracle_residual(table, pd, x, metric), metric
+    assert not equigeodesic_residual(table, pd, x, MetricVector(lam)).is_zero()
+    for mod in pd.isotropy_decomposition():
+        xk = TangentVector.from_coefficients(pd, a={r: _p_over_q(rng) for r in mod.roots},
+                                             b={r: _p_over_q(rng) for r in mod.roots})
+        assert equigeodesic_residual(table, pd, xk, MetricVector(lam)).is_zero()
+        assert _oracle_residual(table, pd, xk, lam).is_zero()
+
+
+@pytest.mark.parametrize("sid", sorted(CROSS_PAIRS))
+def test_residual_linear_and_shift_invariant(diagrams, tables, sid):
+    # R(l + m) = R(l) + R(m) and R(l + c 1) = R(l) on a dense vector.
+    pd, table = diagrams[sid], tables[diagrams[sid].system.lie_type]
+    n = len(pd.isotropy_decomposition())
+    rng = random.Random(f"residual-linear:{sid}")
+    x = _dense_vector(pd, rng)
+    lam, mu, c = _metric(rng, n), _metric(rng, n), Fraction(rng.randint(1, 30), rng.randint(1, 7))
+
+    def res(metric):
+        return equigeodesic_residual(table, pd, x, MetricVector(metric))
+
+    assert res([p + q for p, q in zip(lam, mu)]) == res(lam) + res(mu)
+    assert res([p + c for p in lam]) == res(lam)
+
+
+def test_residual_brackets_only_cross_module_pairs(diagrams, tables, monkeypatch):
+    # The kernel sees each pair of distinct module parts once, i < j, with
+    # weight l_j - l_i, and no pair whose parameters are equal; the
+    # all-metrics test brackets X - X_k with X_k for each k but the last.
+    pd, table = diagrams["E8_12"], tables[LieType.E8]
+    rng = random.Random(83)
+    x = _dense_vector(pd, rng)
+    lam = (Fraction(3), Fraction(1, 2), Fraction(3), Fraction(7, 3), Fraction(1, 2), Fraction(5))
+    seen = []
+
+    def record(table, terms):
+        seen.extend(terms)
+        return AlgebraElement.zero(pd.system)
+
+    monkeypatch.setattr(equigeo, "_bracket_sum", record)
+    equigeodesic_residual(table, pd, x, MetricVector(lam))
+    pairs = []
+    for w, u, v in seen:
+        (i,), (j,) = ({pd.module_index(r) for r in e.support()} for e in (u, v))
+        assert i < j and w == lam[j - 1] - lam[i - 1] != 0
+        pairs.append((i, j))
+    assert sorted(pairs) == [(i, j) for i in range(1, 7) for j in range(i + 1, 7)
+                             if lam[i - 1] != lam[j - 1]]
+    seen.clear()
+    assert is_equigeodesic_all_metrics(table, pd, x)  # every recorded C_k is zero
+    modules = [[{pd.module_index(r) for r in e.support()} for e in (u, v)] for _, u, v in seen]
+    assert [w for w, _, _ in seen] == [1] * 5
+    assert modules == [[set(range(1, 7)) - {k}, {k}] for k in range(1, 6)]
+
+
+def test_residual_agrees_across_coefficient_types(diagrams, tables):
+    # int, integral Fraction and p/q coefficients give the same residual,
+    # scaled by the square of the common factor.
+    pd, table = diagrams["E8_12"], tables[LieType.E8]
+    rng = random.Random(89)
+    a = {r: rng.choice((-1, 1)) * rng.randint(1, 9) for r in pd.r_m_pos}
+    b = {r: rng.choice((-1, 1)) * rng.randint(1, 9) for r in pd.r_m_pos}
+    lam = MetricVector(_metric(rng, 6))
+    want = equigeodesic_residual(table, pd, TangentVector.from_coefficients(pd, a=a, b=b), lam)
+    assert not want.is_zero()
+    for conv, scale in ((Fraction, 1), (lambda c: Fraction(c, 7), Fraction(1, 49))):
+        x = TangentVector.from_coefficients(pd, a={r: conv(c) for r, c in a.items()},
+                                            b={r: conv(c) for r, c in b.items()})
+        assert equigeodesic_residual(table, pd, x, lam) == want * scale
 
 
 # Cancellation vectors: non-structural subsets where the all-ones
