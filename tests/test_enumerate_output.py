@@ -1,5 +1,6 @@
-"""Pinned output bytes: `enumerate`, bracket tables, constant tables and a
-dense residual for every space; and no family object built in `enumerate`.
+"""Pinned output bytes: `enumerate`, bracket tables, constant tables, a
+dense residual and the painting outputs for every space; and no family
+object built in `enumerate`.
 
 The bracket, constant-table and residual hashes were taken with the
 tuple-and-Fraction bracket, which the integer root-id kernel must match
@@ -124,3 +125,99 @@ def test_dense_verify_golden_hash(tmp_path):
                  "--format", "json", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["zero"] is False
     assert _sha256(out) == GOLDEN_DENSE_VERIFY
+
+
+# The painting outputs the root-id layer must leave byte for byte: `roots`
+# in every format and the t-root and dimension tables, for the five spaces
+# and three paintings that are not G2-type (one node, and two nodes whose
+# t-roots are not the G2 pattern).
+PAINTINGS = ("G2_12", "F4_34", "E6_36", "E7_56", "E8_12", "E6:1", "F4:1,2", "E8:3,5")
+
+# sha256 of `roots <space> --format <fmt> --out FILE`.
+GOLDEN_ROOTS = {
+    ("G2_12", "json"): "2ad8b46ee67beeb3382e405f0f15780e99642efe7c96c015539b233c7bc7e0ba",
+    ("G2_12", "latex"): "f739c4a73375fd636d74d83d7a4597c6ee08c61ed4a9fe1852ca69210b753e2f",
+    ("G2_12", "text"): "1f9cc36cee63435bd53f1bc5df5501c6017654de71a440f00b0bd4d6018defe3",
+    ("F4_34", "json"): "dd44435dfe272bce4ebaf9345aae14f5fa21ec04753d73427741cad412426bdb",
+    ("F4_34", "latex"): "07d2a4fb8a5cade38b23630c95ec84b8ee5e7997548caae4f7903fd94542e2f6",
+    ("F4_34", "text"): "f58e4f8b84cd1f617b1fafa11263d41a88078b5e20bcdd407cc101780de51b63",
+    ("E6_36", "json"): "1c6759c1d6c52c45741b09993a86cde65d94547a2990f39414b9cf32dc53de25",
+    ("E6_36", "latex"): "efa0f3d8b751dc293bafaea598bc1f7172753be699358c04bbe27aaeedaa3bd3",
+    ("E6_36", "text"): "53b92d30bf8b0c6fbc4bf890b70bc8117c733d48d0d1c3e28f89afe7bdfc1509",
+    ("E7_56", "json"): "ee4846b1f6fcfd6a7ea3183943bd474f35feeabf71e1fd20b94eaaa0f20fc255",
+    ("E7_56", "latex"): "756de40d8e4ef024f26e8f255f61a6fa77afa302f26e39af61327b22fe1ab3d0",
+    ("E7_56", "text"): "8473392860d947d3b847dd77ec05d30ba98ae190f41bd2cb28c28cee2f0fb5c1",
+    ("E8_12", "json"): "bd4f6804fe313793ad7a758be56f1daa05de4e80211d63f5ed6d0d04373645bb",
+    ("E8_12", "latex"): "5300883c60fa9af66d14b30d20fc4a2b94db733ae728132474edcb5200ddd156",
+    ("E8_12", "text"): "56a7187a61b99c3b0c14c3eedb198df8f952b3c564149ee8c389f423fdb41ebe",
+    ("E6:1", "json"): "a1d3fdc60ce36eac6d7d88379602b5c915d3951f0ec86c1488d5fdb0a4bf1e34",
+    ("E6:1", "latex"): "69173895447fa80133f05cf058c1fd6b52a71c01de931f3a98165a81cb6c40a0",
+    ("E6:1", "text"): "730e655d3c2f186f084ca3bce14b51841bfb4a1cfb9704c3b37a00c870d52d8a",
+    ("F4:1,2", "json"): "924e76ee44900b12db4f176bb499a8d37f3dd86888e15788921a94e4ec153f88",
+    ("F4:1,2", "latex"): "45f80b1536336acf8ca724fc559de48e0f256a566c566f92887dbe5b161847ec",
+    ("F4:1,2", "text"): "44880925552a3cf8993678f0c0825513c4c23c993b4aece50dc491e11f083674",
+    ("E8:3,5", "json"): "9744cc6b12c71c678a2ffbb056f1f4d33a083fd03eca5f76a6809f5bd72e0210",
+    ("E8:3,5", "latex"): "e48ab95de47968808f5b2f936ff682128466aae63a623cb3f4e87c5c62b30f78",
+    ("E8:3,5", "text"): "969d56be39c2e314353cbe868f9c5a4991b3d26312f7727d261cab386b66a38c",
+}
+
+# sha256 of `table <dims|troots> <space> --format json --out FILE`.
+GOLDEN_TABLES = {
+    ("G2_12", "dims"): "2cbac2740e53f4b0404269f6aca43303405c1effef254d7af32850adeeb9aeeb",
+    ("G2_12", "troots"): "b314ca0c25fe69225334aa97f605c7614064307258828f594e43919c426e0397",
+    ("F4_34", "dims"): "02b984a82dc0b221b62beed7db31021546e5b20a68ccc03b62f02709d4c8b84d",
+    ("F4_34", "troots"): "97a9e3ce1b75469c2369ad8239a1cac33501ad05bc57b0c1ede01271da2c0244",
+    ("E6_36", "dims"): "36707309fbd1e4cf6148508af4a07c7368e2774128b582d6629ac48858f481a8",
+    ("E6_36", "troots"): "87bfed928dcacdf8a5e3fd696c41790e51eff7d4a112a5c86ced97081abc91f3",
+    ("E7_56", "dims"): "66ca53437b64f07ca667d3a67ff97aed299bdb8fcade8f08cdb376de13d0773b",
+    ("E7_56", "troots"): "64e053a176f1e331ee6713db185052824f67f2d04afd3fec703b537a29ed5f15",
+    ("E8_12", "dims"): "f010c7343a3e8a88699cf6b192ead341ab05008bca52f2e76da1010b7a93f53a",
+    ("E8_12", "troots"): "b40a6b7b5234222287cbb18eea98d6c253b2c0f31cb6fd4d11b6f44d86242f19",
+}
+
+# sha256 of RootSystem.to_json().
+GOLDEN_SYSTEMS = {
+    "G2": "e25ca2b39b0b1bdab47dc10008b1ea9be650d8ec7ce44c21927e3b332ad4c659",
+    "F4": "f4d8b1080aeb9a87bd2052bdd5b5a0d4487ac51430f60c0d7024bab6b80b6175",
+    "E6": "510093f97a0fa45f03c942fdf42f7b59712118f14f23f6ada6d17b62ae034c4d",
+    "E7": "8867e2c354c609c0088f2666084cbb2db5fefe7e3210c2836c194d4271b6e44f",
+    "E8": "a3b1fa0ac668234058c917e5889ed492a3ca81f09a6b0ad916ab9efee3d518eb",
+}
+
+# sha256 of PaintedDiagram.to_json().
+GOLDEN_PAINTINGS = {
+    "G2_12": "97fd4a0068be26fceb0fa6634a55e9af105287163834de6445d7cdfd4c9c5c86",
+    "F4_34": "177f95975eb33542f69d0765df4cf3552bf8eddebbbe9c3a4e0e20861cc98c9b",
+    "E6_36": "53fa7c8036c48fff584c88334251b12ede7ad8cd161aeb2554b6b72746ad43b0",
+    "E7_56": "c23e88259a28dbb65d3aeb4d38864e43f97c267b0742f4fda34abad3f0332752",
+    "E8_12": "0f80482c4ce50f251a0754a47f3a12d4e34bbb975cc5999fb01fa566ee7c608e",
+    "E6:1": "f57cc7402e2118708a514f711e0e6d736c27e6dff9f620c011239d3a6019f4ed",
+    "F4:1,2": "21f67cd077ecd0d951c3fc586486909993d0c0492c31bdabcb0ab49dc030427f",
+    "E8:3,5": "7526ecbe37d01170b7357539f68e6b65435736ab0dc4043d04b092d5e55c77e0",
+}
+
+
+@pytest.mark.parametrize("space,fmt", sorted(GOLDEN_ROOTS))
+def test_roots_golden_hash(space, fmt, tmp_path):
+    out = tmp_path / "roots"
+    assert main(["roots", space, "--format", fmt, "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN_ROOTS[space, fmt]
+
+
+@pytest.mark.parametrize("space,which", sorted(GOLDEN_TABLES))
+def test_troot_and_dim_table_golden_hash(space, which, tmp_path):
+    out = tmp_path / "table.json"
+    assert main(["table", which, space, "--format", "json", "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN_TABLES[space, which]
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_SYSTEMS))
+def test_root_system_golden_hash(family):
+    text = root_system(LieType[family]).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SYSTEMS[family]
+
+
+@pytest.mark.parametrize("space", PAINTINGS)
+def test_painted_diagram_golden_hash(space):
+    text = space_diagram(space).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_PAINTINGS[space]
