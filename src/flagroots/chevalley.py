@@ -41,7 +41,7 @@ from .rootsys import (
     FlagrootsError,
     RootSystem,
     SCHEMA_VERSION,
-    _vec_neg,
+    _string_p,
     canonical_key,
 )
 
@@ -50,15 +50,6 @@ Scalar = int | Fraction
 
 class MixedSystemError(FlagrootsError):
     """Operands belong to different root systems."""
-
-
-def _string_p(system: RootSystem, a: int, b: int) -> int:
-    """p = max k with b - k a a root, for root ids a and b."""
-    step, ids = system.codes[a], system.code_ids
-    code, p = system.codes[b] - step, 0
-    while code in ids:
-        code, p = code - step, p + 1
-    return p
 
 
 class StructureConstantTable:
@@ -78,7 +69,7 @@ class StructureConstantTable:
     bracket kernel, entry (i, j) of _pairs over positive-root ids is
     (s, N(i,j), d, N(i,-j), -sign(i-j) N(i,-j)) with s the id of i+j and d
     that of +-(i-j), or None when neither is a root; an absent one has
-    constant 0 and the spare id n.  n_map, keyed by root tuples, is built
+    constant 0 and the spare id n.  n_map, keyed by root pairs, is built
     from _pairs only when it is read.
     """
 
@@ -148,16 +139,15 @@ class StructureConstantTable:
     def n_map(self) -> dict[tuple[Coeffs, Coeffs], int]:
         """N(x,y) keyed by root tuples over every pair with a root sum, from
         N(-x,-y) = N(x,y) and N(-x,y) = N(x,-y)."""
-        pos = self._roots
-        neg = [_vec_neg(r) for r in pos]
+        roots, n = self.system.roots, self._n
         out = {}
         for i, row in enumerate(self._pairs):
             for j, e in enumerate(row):
                 if e is not None:
                     if e[1]:
-                        out[(pos[i], pos[j])] = out[(neg[i], neg[j])] = e[1]
+                        out[(roots[i], roots[j])] = out[(roots[i + n], roots[j + n])] = e[1]
                     if e[3]:
-                        out[(pos[i], neg[j])] = out[(neg[i], pos[j])] = e[3]
+                        out[(roots[i], roots[j + n])] = out[(roots[i + n], roots[j])] = e[3]
         return out
 
     def bracket_support(self, x: int, y: int) -> tuple[int, ...]:
@@ -175,13 +165,8 @@ class StructureConstantTable:
         return self.n_map.get((tuple(x), tuple(y)), 0)
 
     def coroot(self, root: Sequence[int]) -> Coeffs:
-        v, index = tuple(root), self.system.index
-        if v in index:
-            return self._coroots[index[v]]
-        neg = _vec_neg(v)
-        if neg in index:
-            return _vec_neg(self._coroots[index[neg]])
-        raise FlagrootsError(f"{v} is not a root")
+        k, sign = self.system.fold(root)
+        return tuple(sign * c for c in self._coroots[k])
 
     def to_dict(self) -> dict:
         pairs = sorted(
@@ -224,17 +209,14 @@ class AlgebraElement:
 
     @classmethod
     def basis_a(cls, system: RootSystem, root: Sequence[int], coeff: Scalar = 1) -> "AlgebraElement":
-        r = tuple(system.root(root))
-        if sum(r) < 0:
-            r = _vec_neg(r)
+        r = tuple(system.positive_roots[system.fold(root)[0]])
         return cls(system, (0,) * system.rank, a={r: coeff} if coeff else {})
 
     @classmethod
     def basis_b(cls, system: RootSystem, root: Sequence[int], coeff: Scalar = 1) -> "AlgebraElement":
-        r = tuple(system.root(root))
-        if sum(r) < 0:
-            r, coeff = _vec_neg(r), -coeff
-        return cls(system, (0,) * system.rank, b={r: coeff} if coeff else {})
+        k, sign = system.fold(root)
+        r = tuple(system.positive_roots[k])
+        return cls(system, (0,) * system.rank, b={r: sign * coeff} if coeff else {})
 
     @classmethod
     def basis_h(cls, system: RootSystem, i: int, coeff: Scalar = 1) -> "AlgebraElement":
@@ -296,16 +278,17 @@ def _numerators(index: dict[Coeffs, int], elem: AlgebraElement):
     """(D, a, b, h): elem's nonzero coefficients as int numerators over their
     common denominator D, a and b keyed by positive-root id and h by Cartan
     index.  Integral Fractions become ints too: no Fraction arithmetic."""
+    n = len(index) // 2  # ids n..2n-1 are the negative roots
+    for r in chain(elem.a, elem.b):
+        if index.get(r, n) >= n:
+            raise FlagrootsError(f"{r} is not a positive root key")
     den = 1
     for c in chain(elem.cartan, elem.a.values(), elem.b.values()):
         if type(c) is not int and c.denominator != 1:
             den = lcm(den, c.denominator)
     num = lambda c: c * den if type(c) is int else c.numerator * (den // c.denominator)  # noqa: E731
-    try:
-        a = {index[r]: num(c) for r, c in elem.a.items()}
-        b = {index[r]: num(c) for r, c in elem.b.items()}
-    except KeyError as exc:
-        raise FlagrootsError(f"{exc.args[0]} is not a positive root key") from exc
+    a = {index[r]: num(c) for r, c in elem.a.items()}
+    b = {index[r]: num(c) for r, c in elem.b.items()}
     return den, a, b, {k: num(c) for k, c in enumerate(elem.cartan) if c} if any(elem.cartan) else {}
 
 
@@ -374,13 +357,12 @@ def bracket(table: StructureConstantTable, x: AlgebraElement, y: AlgebraElement)
 
 
 def project_m(pd, x: AlgebraElement) -> AlgebraElement:
-    """Projection onto the tangent part: drop Cartan and K-root components."""
+    """Projection onto the tangent part: keep the components on R_M+ only."""
     if x.system is not pd.system:
         raise MixedSystemError("element does not match the painted diagram")
-    k_roots = pd.k_positive_set
     return AlgebraElement(
         x.system,
         (0,) * x.system.rank,
-        {r: c for r, c in x.a.items() if r not in k_roots},
-        {r: c for r, c in x.b.items() if r not in k_roots},
+        {r: c for r, c in x.a.items() if pd._m_id(r) is not None},
+        {r: c for r, c in x.b.items() if pd._m_id(r) is not None},
     )

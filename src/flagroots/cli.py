@@ -89,9 +89,10 @@ def _parse_member(pd, fixture, token: str):
         coeffs = tuple(int(x) for x in token.split(","))
     except ValueError:
         raise FlagrootsError(f"member {token!r} is not a label b<i>^<j> or a vector of integers") from None
-    if coeffs not in pd.system.index or coeffs in pd.k_positive_set:
+    i = pd._m_id(coeffs)
+    if i is None:
         raise FlagrootsError(f"member {token!r} is not a root of R_M+ in {pd.name}")
-    return pd.system.root(coeffs)
+    return pd.system.roots[i]
 
 
 def _parse_fraction(x) -> Fraction:
@@ -113,7 +114,7 @@ def _parse_fraction(x) -> Fraction:
 
 def cmd_roots(args) -> int:
     pd = space_diagram(args.space)
-    modules = pd.isotropy_decomposition()
+    modules = pd.to_dict()["modules"]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "roots",
@@ -122,24 +123,20 @@ def cmd_roots(args) -> int:
         "type": pd.classify_g2_type().kind.value,
         "r_k_pos": [list(r) for r in pd.r_k_pos],
         "r_m_pos": [list(r) for r in pd.r_m_pos],
-        "modules": [
-            {"label": m.label, "troot": list(m.troot), "dim": m.dim_real,
-             "roots": [list(r) for r in m.roots]}
-            for m in modules
-        ],
+        "modules": modules,
     }
     if args.format == "json":
         _emit(_json_dump(doc), args.out)
     elif args.format == "latex":
-        rows = [(m.label, _fmt_root(m.troot), m.dim_real,
-                 " ".join(_fmt_root(r) for r in m.roots)) for m in modules]
+        rows = [(m["label"], _fmt_root(m["troot"]), m["dim"],
+                 " ".join(_fmt_root(r) for r in m["roots"])) for m in modules]
         _emit(_latex_table(["module", "t-root", "dim", "roots"], rows), args.out)
     else:
         lines = [f"space {args.space}  type {doc['type']}",
                  f"R_K+ ({len(pd.r_k_pos)}): " + " ".join(_fmt_root(r) for r in pd.r_k_pos)]
         for m in modules:
-            lines.append(f"{m.label}  t-root {_fmt_root(m.troot)}  dim {m.dim_real}")
-            lines.append("  " + " ".join(_fmt_root(r) for r in m.roots))
+            lines.append(f"{m['label']}  t-root {_fmt_root(m['troot'])}  dim {m['dim']}")
+            lines.append("  " + " ".join(_fmt_root(r) for r in m["roots"]))
         _emit("\n".join(lines), args.out)
     return 0
 

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _bracket_sum
 from .flag import G2Kind, NotG2TypeError, PaintedDiagram
-from .rootsys import Coeffs, FlagrootsError, Root, SCHEMA_VERSION, _vec_neg
+from .rootsys import Coeffs, FlagrootsError, Root, SCHEMA_VERSION
 
 
 class SupportError(FlagrootsError):
@@ -53,9 +53,10 @@ class MetricVector:
 def _check_members(space: PaintedDiagram, members: Iterable[tuple[int, Root]]) -> None:
     """Each member is (k, r), r in R_M+ and in module k: no root occurs twice."""
     for k, r in members:
-        if r not in space._m_set:
+        i = space._m_id(r)
+        if i is None:
             raise SupportError(f"root {tuple(r)} is not in R_M+ of {space.name}")
-        if space.module_index(r) != k:
+        if space.module_of[i] != k:
             raise FlagrootsError(f"root {tuple(r)} is not in module {k}")
 
 
@@ -109,7 +110,7 @@ class TangentVector:
             raise SupportError("element does not match the painted diagram")
         if any(element.cartan):
             raise SupportError("tangent vectors have no Cartan component")
-        bad = [r for r in element.support() if r not in pd._m_set]
+        bad = [r for r in element.support() if pd._m_id(r) is None]
         if bad:
             raise SupportError(f"support leaves R_M+: {sorted(bad)}")
         self.space = pd
@@ -128,10 +129,9 @@ class TangentVector:
         for coeffs, flip in ((a, 1), (b, -1)):
             out: dict[Coeffs, Scalar] = {}
             for root, coeff in (coeffs or {}).items():
-                r = tuple(system.root(root))
-                if sum(r) < 0:
-                    r, coeff = _vec_neg(r), flip * coeff
-                w = out.get(r, 0) + coeff
+                k, sign = system.fold(root)
+                r = tuple(system.positive_roots[k])
+                w = out.get(r, 0) + (coeff if sign > 0 else flip * coeff)
                 if w:
                     out[r] = w
                 else:
@@ -142,8 +142,8 @@ class TangentVector:
 
 def _vertices(pd: PaintedDiagram, roots: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
     """(module index, root code) of each R_M+ root."""
-    system = pd.system
-    return [(pd.module_index(r), system.codes[system.index[tuple(r)]]) for r in roots]
+    index, codes, module_of = pd.system.index, pd.system.codes, pd.module_of
+    return [(module_of[i], codes[i]) for i in map(index.__getitem__, roots)]
 
 
 def _compatible(code_ids: Container[int], u: tuple[int, int], v: tuple[int, int]) -> bool:
@@ -166,7 +166,7 @@ def pair_compatible(pd: PaintedDiagram, alpha: Sequence[int], beta: Sequence[int
     """
     a = tuple(alpha)
     b = tuple(beta)
-    if a not in pd._m_set or b not in pd._m_set:
+    if pd._m_id(a) is None or pd._m_id(b) is None:
         raise SupportError("pair_compatible needs roots from R_M+")
     if a == b:
         raise FlagrootsError("pair_compatible needs two distinct roots")
@@ -295,9 +295,10 @@ def enumerate_maximal_families(
 def _module_parts(pd: PaintedDiagram, x: TangentVector) -> list[tuple[int, AlgebraElement]]:
     """(k, X_k) for each nonzero module part X_k of X, k ascending, in one pass."""
     parts: defaultdict[int, tuple[dict, dict]] = defaultdict(lambda: ({}, {}))
+    module_of, index = pd.module_of, pd.system.index
     for kind, store in enumerate((x.element.a, x.element.b)):
         for r, c in store.items():
-            parts[pd.module_index(r)][kind][r] = c
+            parts[module_of[index[r]]][kind][r] = c
     return [(k, AlgebraElement(pd.system, x.element.cartan, *parts[k])) for k in sorted(parts)]
 
 

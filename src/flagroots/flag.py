@@ -100,6 +100,9 @@ class IsotropyModule:
 class PaintedDiagram:
     """A root system with a nonempty painted node set (1-based indices).
 
+    Construction computes the t-roots, the classification and the modules
+    in one pass.  module_of[i] is the 1-based module index of root id i
+    (both signs share it, as a module holds the pair +-r), and 0 for R_K.
     Immutable after construction.
     """
 
@@ -114,19 +117,33 @@ class PaintedDiagram:
         # Display name such as "E8(1,2)", shared by every serialised family.
         self.name = f"{system.lie_type.family}({','.join(map(str, nodes))})"
         self._painted0 = tuple(i - 1 for i in nodes)
-        r_k, r_m = [], []
-        for r in system.positive_roots:
-            if any(r[i] for i in self._painted0):
-                r_m.append(r)
-            else:
-                r_k.append(r)
-        self.r_k_pos: tuple[Root, ...] = tuple(r_k)
-        self.r_m_pos: tuple[Root, ...] = tuple(r_m)
-        self.k_positive_set: frozenset[Coeffs] = frozenset(tuple(r) for r in r_k)
-        self._m_set: frozenset[Coeffs] = frozenset(tuple(r) for r in r_m)
-        self._classification: G2TypeClassification | None = None
-        self._modules: tuple[IsotropyModule, ...] | None = None
-        self._module_of: dict[Coeffs, int] | None = None
+        # Positive root ids by t-root, in canonical order; R_K under t = 0.
+        fibers: dict[Coeffs, list[int]] = {}
+        for i, r in enumerate(system.positive_roots):
+            fibers.setdefault(tuple(r[j] for j in self._painted0), []).append(i)
+        r_k = fibers.pop((0,) * len(nodes), [])
+        # G2-type paintings use the fixed six-label order, anything else the
+        # canonical t-root order.
+        kind, order = G2Kind.NOT_G2_TYPE, sorted(fibers, key=canonical_key)
+        if len(nodes) == 2:
+            for g2, pattern in ((G2Kind.TYPE_I, TYPE_I_TROOTS), (G2Kind.TYPE_II, TYPE_II_TROOTS)):
+                if set(fibers) == set(pattern):
+                    kind, order = g2, pattern
+        self._classification = G2TypeClassification(
+            kind, () if kind is G2Kind.NOT_G2_TYPE else tuple(map(TRoot, order)))
+        prefix = "n" if kind is G2Kind.TYPE_II else "m"
+        pos, n = system.positive_roots, len(system.positive_roots)
+        module_of = [0] * (2 * n)
+        modules = []
+        for k, t in enumerate(order, start=1):
+            for i in fibers[t]:
+                module_of[i] = module_of[i + n] = k
+            label = f"{prefix}({','.join(map(str, t))})"
+            modules.append(IsotropyModule(TRoot(t), tuple(pos[i] for i in fibers[t]), label))
+        self._modules: tuple[IsotropyModule, ...] = tuple(modules)
+        self.module_of: tuple[int, ...] = tuple(module_of)
+        self.r_k_pos: tuple[Root, ...] = tuple(pos[i] for i in r_k)
+        self.r_m_pos: tuple[Root, ...] = tuple(r for r, k in zip(pos, module_of) if k)
 
     def __repr__(self) -> str:
         nodes = ",".join(str(i) for i in self.painted)
@@ -135,30 +152,16 @@ class PaintedDiagram:
     def t_root(self, root: Sequence[int]) -> TRoot:
         """Restrict a complementary root to the painted coordinates.
 
-        Rejects K-roots instead of returning zero: a zero answer here is
+        Rejects K-roots, whose t-root is zero: a zero answer here is
         always a caller bug.
         """
-        v = tuple(self.system.root(root))
-        if v in self.k_positive_set or tuple(-c for c in v) in self.k_positive_set:
-            raise NotComplementaryRootError(f"{v} lies in R_K; its t-root is zero")
-        return TRoot(v[i] for i in self._painted0)
+        t = TRoot(self.system.root(root)[i] for i in self._painted0)
+        if not any(t):
+            raise NotComplementaryRootError(f"{tuple(root)} lies in R_K; its t-root is zero")
+        return t
 
     def classify_g2_type(self) -> G2TypeClassification:
-        if self._classification is None:
-            self._classification = self._classify()
         return self._classification
-
-    def _classify(self) -> G2TypeClassification:
-        if len(self.painted) != 2:
-            return G2TypeClassification(G2Kind.NOT_G2_TYPE, ())
-        troots = {tuple(self.t_root(r)) for r in self.r_m_pos}
-        if troots == set(TYPE_I_TROOTS):
-            return G2TypeClassification(
-                G2Kind.TYPE_I, tuple(TRoot(t) for t in TYPE_I_TROOTS))
-        if troots == set(TYPE_II_TROOTS):
-            return G2TypeClassification(
-                G2Kind.TYPE_II, tuple(TRoot(t) for t in TYPE_II_TROOTS))
-        return G2TypeClassification(G2Kind.NOT_G2_TYPE, ())
 
     def isotropy_decomposition(self) -> tuple[IsotropyModule, ...]:
         """Fibers of the t-root map over R_M+, in module order.
@@ -166,40 +169,21 @@ class PaintedDiagram:
         G2-type paintings use the fixed six-label order; anything else
         falls back to the canonical t-root order.
         """
-        if self._modules is not None:
-            return self._modules
-        fibers: dict[tuple[int, ...], list[Root]] = {}
-        for r in self.r_m_pos:
-            fibers.setdefault(tuple(self.t_root(r)), []).append(r)
-        cls = self.classify_g2_type()
-        if cls.kind is G2Kind.NOT_G2_TYPE:
-            ordered = sorted(fibers, key=canonical_key)
-            prefix = "m"
-        else:
-            ordered = [tuple(t) for t in cls.module_order]
-            prefix = "m" if cls.kind is G2Kind.TYPE_I else "n"
-        modules = []
-        for t in ordered:
-            roots = tuple(sorted(fibers[t], key=canonical_key))
-            label = f"{prefix}({','.join(str(c) for c in t)})"
-            modules.append(IsotropyModule(TRoot(t), roots, label))
-        self._modules = tuple(modules)
         return self._modules
 
     def module_index(self, root: Sequence[int]) -> int:
         """1-based module index of a complementary root (sign ignored)."""
-        if self._module_of is None:
-            lookup = {}
-            for k, mod in enumerate(self.isotropy_decomposition(), start=1):
-                for r in mod.roots:
-                    lookup[tuple(r)] = k
-            self._module_of = lookup
-        v = tuple(root)
-        if v not in self._module_of:
-            v = tuple(-c for c in v)
-        if v not in self._module_of:
+        i = self.system.index.get(tuple(root))
+        if i is None or not self.module_of[i]:
             raise NotComplementaryRootError(f"{tuple(root)} is not in R_M")
-        return self._module_of[v]
+        return self.module_of[i]
+
+    def _m_id(self, root: Sequence[int]) -> int | None:
+        """Root id of a root of R_M+; None for any other vector."""
+        i = self.system.index.get(tuple(root))
+        if i is not None and i < len(self.system.positive_roots) and self.module_of[i]:
+            return i
+        return None
 
     def to_dict(self) -> dict:
         cls = self.classify_g2_type()
@@ -243,14 +227,11 @@ def bracket_inclusion_table(
         raise NotG2TypeError("bracket inclusion tables need a G2-type painting")
     if table.system is not pd.system:
         raise FlagrootsError("constant table does not match the painted diagram")
-    modules = pd.isotropy_decomposition()
-    index = pd.system.index
+    modules, index = pd.isotropy_decomposition(), pd.system.index
     # Label per positive-root id, with "k" for K-roots and the Cartan id n.
-    label = ["k"] * (len(index) + 1)
+    labels = ["k"] + [mod.label for mod in modules]
+    label = [labels[k] for k in pd.module_of[:len(pd.system.positive_roots)]] + ["k"]
     ids = [[index[r] for r in mod.roots] for mod in modules]
-    for mod, mod_ids in zip(modules, ids):
-        for k in mod_ids:
-            label[k] = mod.label
     size = len(modules)
     out: list[list[list[str]]] = [[[] for _ in range(size)] for _ in range(size)]
     for i in range(size):

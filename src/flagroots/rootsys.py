@@ -61,9 +61,8 @@ class LieType(Enum):
 class Root(tuple):
     """A root as an integer coefficient vector over the simple roots.
 
-    Instances compare and hash like plain tuples.  Checked construction
-    goes through :meth:`RootSystem.root`; raw arithmetic on coefficient
-    vectors uses plain tuples and wraps verified results.
+    Instances compare and hash like plain tuples.  Each RootSystem stores
+    one instance per root, and :meth:`RootSystem.root` looks it up.
     """
 
     __slots__ = ()
@@ -73,16 +72,6 @@ class Root(tuple):
 
     def __repr__(self) -> str:
         return f"Root({tuple(self)})"
-
-
-def _vec_add(x: Sequence[int], y: Sequence[int]) -> Coeffs:
-    return tuple(a + b for a, b in zip(x, y))
-
-def _vec_sub(x: Sequence[int], y: Sequence[int]) -> Coeffs:
-    return tuple(a - b for a, b in zip(x, y))
-
-def _vec_neg(x: Sequence[int]) -> Coeffs:
-    return tuple(-a for a in x)
 
 
 @dataclass(frozen=True)
@@ -199,13 +188,12 @@ def generate_positive_roots(cartan: CartanMatrix) -> list[Root]:
         for beta in level:
             pairing = cartan.coroot_pairing(beta)
             for i in range(rank):
+                head, m, tail = beta[:i], beta[i], beta[i + 1:]
                 p = 0
-                down = _vec_sub(beta, simple[i])
-                while down in found:
+                while head + (m - p - 1,) + tail in found:
                     p += 1
-                    down = _vec_sub(down, simple[i])
                 if p - pairing[i] >= 1:
-                    up = _vec_add(beta, simple[i])
+                    up = head + (m + 1,) + tail
                     if up not in found:
                         found.add(up)
                         nxt.append(up)
@@ -217,81 +205,85 @@ def generate_positive_roots(cartan: CartanMatrix) -> list[Root]:
     return [Root(c) for c in sorted(found, key=canonical_key)]
 
 
+def _string_p(system: "RootSystem", a: int, b: int) -> int:
+    """p = max k with b - k a a root, for root ids a and b."""
+    step, ids = system.codes[a], system.code_ids
+    code, p = system.codes[b] - step, 0
+    while code in ids:
+        code, p = code - step, p + 1
+    return p
+
+
 class RootSystem:
-    """An indexed root system: positive roots, membership, marks, codes.
+    """An indexed root system: roots by id, marks, codes.
 
     Root ids number the positive roots in canonical order, 0..n-1, and
-    their negatives n..2n-1.  codes[i] is the linear code sum c_k 2^(w k)
-    of root id i, and code_ids maps a code back to its id:
-    code(x +- y) = code(x) +- code(y), and w leaves room for every
-    coefficient of x +- y, so x +- y is a root iff its code is in code_ids.
-    Immutable after construction and safe to share across threads.
+    their negatives n..2n-1: roots[i] is the root of id i, the negative of
+    id i is id (i + n) % 2n, and index maps every root of either sign to
+    its id.  Lookups go through ids; root() and id() are the checked ones.
+    codes[i] is the linear code sum c_k 2^(w k) of root id i, and code_ids
+    maps a code back to its id: code(x +- y) = code(x) +- code(y), and w
+    leaves room for every coefficient of x +- y, so x +- y is a root iff its
+    code is in code_ids.  Immutable after construction and safe to share
+    across threads.
     """
 
     def __init__(self, lie_type: LieType, cartan: CartanMatrix | None = None):
         self.lie_type = lie_type
+        self.rank: int = lie_type.rank
         self.cartan = cartan if cartan is not None else cartan_matrix(lie_type)
-        if self.cartan.rank != lie_type.rank:
+        if self.cartan.rank != self.rank:
             raise InvalidCartanError("matrix rank does not match Lie type")
         self.positive_roots: tuple[Root, ...] = tuple(generate_positive_roots(self.cartan))
-        self.index: dict[Coeffs, int] = {
-            tuple(r): k for k, r in enumerate(self.positive_roots)
-        }
-        self._members: frozenset[Coeffs] = frozenset(self.index) | frozenset(
-            _vec_neg(r) for r in self.positive_roots
-        )
+        self.roots: tuple[Root, ...] = self.positive_roots + tuple(-r for r in self.positive_roots)
+        self.index: dict[Coeffs, int] = {r: i for i, r in enumerate(self.roots)}
         self.highest_root: Root = self.positive_roots[-1]
         self.marks: Coeffs = tuple(self.highest_root)
         w = (2 * max(map(max, self.positive_roots))).bit_length() + 1
-        self.codes: tuple[int, ...] = tuple(
-            sign * sum(c << (w * k) for k, c in enumerate(r))
-            for sign in (1, -1) for r in self.positive_roots)
+        self.codes: tuple[int, ...] = tuple(sum(c << (w * k) for k, c in enumerate(r))
+                                            for r in self.roots)
         self.code_ids: dict[int, int] = {c: i for i, c in enumerate(self.codes)}
-
-    @property
-    def rank(self) -> int:
-        return self.lie_type.rank
 
     def __repr__(self) -> str:
         return f"RootSystem({self.lie_type.name}, {len(self.positive_roots)} positive roots)"
 
-    def root(self, coeffs: Sequence[int]) -> Root:
-        """Checked constructor: the vector must pass the membership index."""
+    def id(self, coeffs: Sequence[int]) -> int:
+        """Checked lookup: the id of a root of either sign."""
         v = tuple(coeffs)
-        if len(v) != self.rank:
-            raise DimensionMismatchError(
-                f"expected length {self.rank}, got {len(v)}")
-        if v not in self._members:
+        i = self.index.get(v)
+        if i is None:
+            if len(v) != self.rank:
+                raise DimensionMismatchError(f"expected length {self.rank}, got {len(v)}")
             raise FlagrootsError(f"{v} is not a root of {self.lie_type.name}")
-        return Root(v)
+        return i
+
+    def root(self, coeffs: Sequence[int]) -> Root:
+        """Checked lookup: the stored root with these coefficients."""
+        return self.roots[self.id(coeffs)]
+
+    def fold(self, coeffs: Sequence[int]) -> tuple[int, int]:
+        """(k, s) with the root equal to s times positive root k, s = +-1;
+        checked like root()."""
+        i, n = self.id(coeffs), len(self.positive_roots)
+        return (i, 1) if i < n else (i - n, -1)
 
     def is_root(self, coeffs: Sequence[int]) -> bool:
-        """True iff the vector or its negative is a positive root."""
+        """True iff the vector is a root of either sign."""
         v = tuple(coeffs)
+        if v in self.index:
+            return True
         if len(v) != self.rank:
-            raise DimensionMismatchError(
-                f"expected length {self.rank}, got {len(v)}")
-        return v in self._members
+            raise DimensionMismatchError(f"expected length {self.rank}, got {len(v)}")
+        return False
 
     def root_string(self, alpha: Sequence[int], beta: Sequence[int]) -> tuple[int, int]:
         """(p, q) with p = max k: b - k a in R and q = max k: b + k a in R."""
-        a = tuple(alpha)
-        b = tuple(beta)
-        if not (self.is_root(a) and self.is_root(b)):
+        if not (self.is_root(alpha) and self.is_root(beta)):
             raise FlagrootsError("root_string arguments must be roots")
-        if b == a or b == _vec_neg(a):
+        a, b, n = self.index[tuple(alpha)], self.index[tuple(beta)], len(self.positive_roots)
+        if a % n == b % n:
             raise UndefinedStringError("string through b undefined for b = +-a")
-        p = 0
-        down = _vec_sub(b, a)
-        while down in self._members:
-            p += 1
-            down = _vec_sub(down, a)
-        q = 0
-        up = _vec_add(b, a)
-        while up in self._members:
-            q += 1
-            up = _vec_add(up, a)
-        return (p, q)
+        return _string_p(self, a, b), _string_p(self, (a + n) % (2 * n), b)
 
     def reflect(self, i: int, coeffs: Sequence[int]) -> Coeffs:
         """Simple reflection s_i applied to a coefficient vector (0-based i)."""

@@ -1,8 +1,10 @@
 import json
+from itertools import combinations
 
 import pytest
 
 from flagroots import (
+    FlagrootsError,
     G2Kind,
     LieType,
     NotComplementaryRootError,
@@ -186,7 +188,7 @@ def test_bracket_inclusion_matches_root_arithmetic(diagrams, tables):
                             if not system.is_root(v):
                                 continue
                             va = v if sum(v) > 0 else tuple(-c for c in v)
-                            if va in pd.k_positive_set:
+                            if va in pd.r_k_pos:
                                 predict.add("k")
                             else:
                                 predict.add(mods[pd.module_index(va) - 1].label)
@@ -204,3 +206,49 @@ def test_decomposition_json(diagrams):
     assert doc["schema_version"] == 1
     assert doc["type"] == "I"
     assert [m["dim"] for m in doc["modules"]] == [12, 2, 12, 12, 2, 2]
+
+
+# The module order of the two G2 patterns, written out from the paper.
+TYPE_I_ORDER = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
+TYPE_II_ORDER = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)]
+SMALL_PAINTINGS = [(t, nodes) for t in LieType for k in (1, 2)
+                   for nodes in combinations(range(1, t.rank + 1), k)]
+
+
+def test_small_painting_count():
+    assert len(SMALL_PAINTINGS) == 98
+
+
+@pytest.mark.parametrize("lie_type,nodes", SMALL_PAINTINGS,
+                         ids=[f"{t.name}:{','.join(map(str, n))}" for t, n in SMALL_PAINTINGS])
+def test_module_index_is_the_troot_position(systems, lie_type, nodes):
+    # The expected module of r is worked out from r's coefficients alone:
+    # its t-root's position in the G2 pattern, or in canonical t-root order.
+    s = systems[lie_type]
+    pd = paint(s, nodes)
+    troot = {r: tuple(r[i - 1] for i in nodes) for r in s.positive_roots}
+    troots = {t for t in troot.values() if any(t)}
+    order = sorted(troots, key=lambda t: (sum(t), t))
+    for pattern in (TYPE_I_ORDER, TYPE_II_ORDER):
+        if len(nodes) == 2 and set(pattern) == troots:
+            order = pattern
+    assert [tuple(m.troot) for m in pd.isotropy_decomposition()] == order
+    for r, t in troot.items():
+        signed = (r, tuple(-c for c in r))
+        if any(t):
+            k = order.index(t) + 1
+            assert [pd.module_index(v) for v in signed] == [k, k]
+            assert [pd.module_of[s.index[v]] for v in signed] == [k, k]
+            assert [tuple(pd.t_root(v)) for v in signed] == [t, tuple(-c for c in t)]
+        else:
+            for v in signed:
+                assert pd.module_of[s.index[v]] == 0
+                with pytest.raises(NotComplementaryRootError):
+                    pd.module_index(v)
+                with pytest.raises(NotComplementaryRootError):
+                    pd.t_root(v)
+    for not_a_root in ((0,) * s.rank, tuple(2 * c for c in s.highest_root)):
+        with pytest.raises(NotComplementaryRootError):
+            pd.module_index(not_a_root)
+        with pytest.raises(FlagrootsError):
+            pd.t_root(not_a_root)

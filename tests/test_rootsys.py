@@ -7,6 +7,7 @@ import oracles
 from flagroots import (
     CartanMatrix,
     DimensionMismatchError,
+    FlagrootsError,
     InvalidCartanError,
     LieType,
     RootSystem,
@@ -57,7 +58,7 @@ def test_weyl_closure_oracle(systems, lie_type):
     s = systems[lie_type]
     closure = oracles.weyl_closure_roots(s)
     assert len(closure) == 2 * EXPECTED_COUNTS[lie_type]
-    assert closure == s._members
+    assert closure == set(s.index)
 
 
 @pytest.mark.parametrize("lie_type", list(LieType))
@@ -194,3 +195,46 @@ def test_root_codes_decide_sums_and_differences(systems, lie_type):
             for v, c in ((tuple(p + q for p, q in zip(x, y)), cx + cy),
                          (tuple(p - q for p, q in zip(x, y)), cx - cy)):
                 assert (roots[s.code_ids[c]] == v) if s.is_root(v) else c not in s.code_ids
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_root_ids_cover_both_signs(systems, lie_type):
+    # Id i < n is positive root i, id (i + n) % 2n its negative, and index,
+    # id() and root() agree on every root of either sign.
+    s = systems[lie_type]
+    n = len(s.positive_roots)
+    assert s.roots[:n] == s.positive_roots
+    assert len(s.roots) == len(s.index) == 2 * n
+    for i, r in enumerate(s.roots):
+        assert s.index[r] == s.id(list(r)) == i
+        assert s.root(list(r)) is r
+        assert s.roots[(i + n) % (2 * n)] == tuple(-c for c in r)
+        assert (sum(r) > 0) == (i < n)
+        assert s.fold(r) == (i % n, 1 if i < n else -1)
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_root_strings_of_either_sign_match_scan_oracle(systems, lie_type):
+    s = systems[lie_type]
+    rng = random.Random(f"signed-strings:{lie_type.name}")
+    for _ in range(300):
+        a, b = rng.sample(s.roots, 2)
+        if a != tuple(-c for c in b):
+            assert s.root_string(a, b) == oracles.string_by_scan(s, a, b)
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_root_lookups_check_the_length(systems, lie_type):
+    s = systems[lie_type]
+    top = s.highest_root
+    for bad in ((1,) * (s.rank + 1), tuple(top)[:-1], ()):
+        for call in (s.root, s.id, s.is_root,
+                     lambda v: s.root_string(top, v), lambda v: s.root_string(v, top)):
+            with pytest.raises(DimensionMismatchError):
+                call(bad)
+    for not_a_root in ((0,) * s.rank, tuple(2 * c for c in top)):
+        assert not s.is_root(not_a_root)
+        for call in (s.root, s.id):
+            with pytest.raises(FlagrootsError, match="is not a root") as err:
+                call(not_a_root)
+            assert not isinstance(err.value, DimensionMismatchError)
