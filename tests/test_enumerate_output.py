@@ -48,6 +48,28 @@ def test_enumerate_golden_hash(space, fmt, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[space, fmt]
 
 
+# (exit code, sha256) of `enumerate <space> --verify-fixtures --format json
+# <option> --out FILE` where the fixture check lists missed families: the
+# reference families found by lookup, and those left to the scan, are pinned.
+GOLDEN_FIXTURE_CHECK = {
+    ("G2_12", "--min-modules=3"): (0, "3597f595566bdcecfe041052b51e9067ee9103aa4a78cdc99d672d90cc5cad9c"),
+    ("F4_34", "--min-modules=3"): (1, "bfe3f5f03c9aea8ba0d4176d67ef39d46346cf2997a2eed4116dcea92c985555"),
+    ("E6_36", "--min-modules=3"): (1, "3ed469070935023978650ee4a5a386fac3e9e6afea353832e855957a1d965f06"),
+    ("E7_56", "--min-modules=3"): (1, "467bce8d253393e8435c595c1af3ff9c7f08c185c22b22982e9ead5a103ffa89"),
+    ("E8_12", "--min-modules=3"): (1, "d75e7ed4a4c978d2b083639908e89f02b4825d81de80d20a999040f7cbe7d1a7"),
+    ("F4_34", "--cap=1"): (1, "81132ed511ae53e16f3219fea9a955bdb236c3e017a0013ab4d0641923b4c7d2"),
+    ("F4_34", "--min-modules=6"): (1, "b500fcfe31ac477bb4d1316cbe2df6e620b2bfd177f74cf9b28a022dea78b87d"),
+}
+
+
+@pytest.mark.parametrize("space,option", sorted(GOLDEN_FIXTURE_CHECK))
+def test_enumerate_fixture_check_golden_hash(space, option, tmp_path):
+    out = tmp_path / "out.json"
+    code = main(["enumerate", space, "--verify-fixtures", "--format", "json",
+                 option, "--out", str(out)])
+    assert (code, _sha256(out)) == GOLDEN_FIXTURE_CHECK[space, option]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
 def test_enumerate_builds_no_family(fmt, tmp_path, monkeypatch):
     # Output is joined from per-vertex strings: no family object, no dict.
