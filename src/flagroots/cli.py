@@ -21,6 +21,7 @@ import json
 import os
 import random
 import sys
+from bisect import bisect_left
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
@@ -278,16 +279,28 @@ def cmd_enumerate(args) -> int:
             raise FixtureError("--verify-fixtures needs a canonical space with fixtures")
         # Label module j is computed module j (load_fixture checks the
         # fibers), so each member is the vertex of its (module, root) pair;
-        # a member that is no vertex gets bit n, which no clique has.
-        bit = [1 << i for i in range(len(vertices))]
-        vertex_bit = dict(zip(vertices, bit))
-        masks = [sum(map(bit.__getitem__, c)) for c in result.cliques]
+        # a member that is no vertex gets bit n, which no clique has.  A
+        # family extended greedily to a maximal clique is looked up among
+        # the cliques; only a family that lookup misses is scanned for.
+        adj, cliques, n = result.graph.adjacency, result.cliques, len(vertices)
+        vertex_bit = {v: 1 << i for i, v in enumerate(vertices)}
+        masks = None
         checked = [f for f in fixture.families if not f.suspect]
         missed = []
         for fam in checked:
             want = 0
             for v in zip((m for m, _ in fam.members), fixture.family_roots(fam)):
-                want |= vertex_bit.get(v, 1 << len(vertices))
+                want |= vertex_bit.get(v, 1 << n)
+            clique = want
+            for i, a in enumerate(adj):
+                if a & clique == clique:
+                    clique |= 1 << i
+            key = tuple(i for i in range(n) if clique >> i & 1)
+            k = bisect_left(cliques, key)
+            if not clique >> n and cliques[k:k + 1] == (key,):
+                continue
+            if masks is None:
+                masks = [sum(1 << i for i in c) for c in cliques]
             if not any(mask & want == want for mask in masks):
                 missed.append(fam)
         fixture_ok = not missed and not result.truncated

@@ -202,32 +202,54 @@ def compatibility_graph(pd: PaintedDiagram) -> CompatibilityGraph:
     return CompatibilityGraph(pd, tuple(vertices), tuple(adj))
 
 
-def _bron_kerbosch_pivot(adj: Sequence[int], n: int) -> list[tuple[int, ...]]:
-    """All maximal cliques as ascending vertex-index tuples, Tomita-style pivoting."""
-    cliques: list[tuple[int, ...]] = []
+def _maximal_cliques(adj: Sequence[int], module: Sequence[int], min_modules: int) -> list[tuple[int, ...]]:
+    """Maximal cliques spanning >= min_modules modules, as ascending vertex-index
+    tuples: Tomita-style pivoting that knows each module is a clique.
 
-    def expand(r: tuple[int, ...], p: int, x: int) -> None:
-        if not p and not x:
-            cliques.append(tuple(sorted(r)))
+    R is the clique so far, mods the bitmask of its modules, P the candidates
+    and X the excluded vertices.  A branch ends once a vertex of X is adjacent
+    to all of P.  When P lies in one module, R + P is the branch's one maximal
+    clique.  Cliques over too few modules are dropped where they are found.
+    """
+    cliques: list[tuple[int, ...]] = []
+    same = [sum(1 << u for u, k in enumerate(module) if k == kv) for kv in module]
+
+    def expand(r: tuple[int, ...], mods: int, p: int, x: int) -> None:
+        v = (p & -p).bit_length() - 1
+        if not p & ~same[v]:
+            while x:
+                if p & adj[(x & -x).bit_length() - 1] == p:
+                    return
+                x &= x - 1
+            if (mods | 1 << module[v]).bit_count() >= min_modules:
+                while p:
+                    r += ((p & -p).bit_length() - 1,)
+                    p &= p - 1
+                cliques.append(tuple(sorted(r)))
             return
-        pivot, best = -1, -1
+        pivot, best, size = -1, -1, p.bit_count()
         m = p | x
         while m:
             u = (m & -m).bit_length() - 1
             m &= m - 1
             deg = (p & adj[u]).bit_count()
             if deg > best:
+                if deg == size:  # u is in X, as no vertex is its own neighbour
+                    return
                 pivot, best = u, deg
         cand = p & ~adj[pivot]
         while cand:
             v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
+            bit, a, k = 1 << v, adj[v], mods | 1 << module[v]
             cand &= cand - 1
-            expand(r + (v,), p & adj[v], x & adj[v])
+            if p & a:
+                expand(r + (v,), k, p & a, x & a)
+            elif not x & a and k.bit_count() >= min_modules:  # R + v is maximal
+                cliques.append(tuple(sorted(r + (v,))))
             p &= ~bit
             x |= bit
 
-    expand((), (1 << n) - 1, 0)
+    expand((), 0, (1 << len(adj)) - 1, 0)
     return cliques
 
 
@@ -280,12 +302,14 @@ def enumerate_maximal_families(
     if min_modules < 1:
         raise FlagrootsError("min_modules must be at least 1")
     graph = compatibility_graph(pd)
+    n_modules = len(pd.isotropy_decomposition())
+    if min_modules > n_modules:
+        raise FlagrootsError(f"min_modules {min_modules} exceeds the {n_modules} modules of {pd.name}")
     _check_members(pd, graph.vertices)
     module = [k for k, _ in graph.vertices]
     # Vertices are in sorted_members order, so ascending index tuples sort
     # the families canonically.
-    cliques = [c for c in _bron_kerbosch_pivot(graph.adjacency, len(module))
-               if len({module[i] for i in c}) >= min_modules]
+    cliques = _maximal_cliques(graph.adjacency, module, min_modules)
     cliques.sort()
     total = len(cliques)
     truncated = cap is not None and total > cap

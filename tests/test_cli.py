@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,23 @@ def test_enumerate_verify_misses_a_member_that_is_no_vertex(capsys, monkeypatch)
     assert len(doc["fixture_check"]["missed"]) == doc["fixture_check"]["checked"] == 39
 
 
+def test_enumerate_verify_misses_a_family_with_one_member_off_the_graph(capsys, monkeypatch):
+    # Each reference family gains a member b1^7, read as a root of module 6:
+    # no vertex.  The other members still make a maximal clique that is
+    # found, yet no clique holds the family, so every family is missed.
+    import flagroots.cli as cli
+
+    fixture = cli._space_fixture("F4_34")
+    monkeypatch.setattr(cli, "_space_fixture", lambda space: replace(fixture, families=tuple(
+        replace(f, members=f.members + ((7, 1),)) for f in fixture.families)))
+    root_of_label = FixtureSet.root_of_label
+    monkeypatch.setattr(FixtureSet, "root_of_label", lambda self, m, i: root_of_label(self, min(m, 6), i))
+    code, out, _ = run(capsys, "enumerate", "F4_34", "--verify-fixtures", "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["fixture_match"] is False
+    assert len(doc["fixture_check"]["missed"]) == doc["fixture_check"]["checked"] == 39
+
+
 def test_table_brackets_check_reads_reference(capsys, monkeypatch):
     # [m_1, m_3] reaches m_2 and m_4 in F4_34; a reference without m_4 fails
     from flagroots.flag import REFERENCE_BRACKETS, G2Kind
@@ -182,6 +200,16 @@ def test_verify_rejects_wrong_module_claim(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "F4_34", str(vec),
                        "--metric", "1,1,1,1,1,1")
     assert code == 2 and "module" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--verify-fixtures"], ["--verify-fixtures", "--format", "json"]])
+def test_enumerate_min_modules_above_module_count_exit_2(capsys, extra):
+    # A bound no family can meet is bad input, not an empty answer nor a
+    # failed comparison with the reference lists.
+    code, out, err = run(capsys, "enumerate", "F4_34", "--min-modules", "7", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "min_modules 7 exceeds the 6 modules of F4(3,4)" in err
+    assert run(capsys, "enumerate", "F4_34", "--min-modules", "6", *extra)[0] in (0, 1)
 
 
 def test_input_errors_exit_2(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -144,7 +145,8 @@ def _eager_families(pd, min_modules=2, cap=None):
 
 
 @pytest.mark.parametrize("sid", ["G2_12", "F4_34", "E6_36", "E7_56"])
-@pytest.mark.parametrize("min_modules,cap", [(2, None), (2, 5), (3, None), (3, 2), (2, 0)])
+@pytest.mark.parametrize("min_modules,cap", [(2, None), (2, 5), (3, None), (3, 2), (2, 0),
+                                             (1, None), (4, None), (5, None), (6, None)])
 def test_lazy_families_equal_eager_construction(diagrams, sid, min_modules, cap):
     pd = diagrams[sid]
     eager = _eager_families(pd, min_modules, cap)
@@ -208,7 +210,8 @@ def test_bk_matches_unpivoted_oracle(diagrams):
 
 
 def test_bk_random_graphs_against_oracle():
-    from flagroots.equigeo import _bron_kerbosch_pivot
+    # Each vertex its own module: every maximal clique, nothing filtered.
+    from flagroots.equigeo import _maximal_cliques
 
     rng = random.Random(19)
     for _ in range(40):
@@ -219,10 +222,47 @@ def test_bk_random_graphs_against_oracle():
                 if rng.random() < 0.45:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        cliques = _bron_kerbosch_pivot(adj, n)
+        cliques = _maximal_cliques(adj, list(range(n)), 1)
         assert all(list(c) == sorted(set(c)) for c in cliques)
         assert sorted(sum(1 << i for i in c) for c in cliques) == sorted(
             oracles.maximal_cliques_unpivoted(adj))
+
+
+def test_module_aware_search_against_oracle():
+    # Random graphs over a random module partition, each module a clique,
+    # under every module bound: the search's settled branches and its
+    # filter against the unpivoted oracle, filtered here.
+    from flagroots.equigeo import _maximal_cliques
+
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 13)
+        parts = rng.randint(1, n)
+        labels = rng.sample(range(1, 20), parts)
+        module = labels + [rng.choice(labels) for _ in range(n - parts)]
+        rng.shuffle(module)
+        density = rng.choice((0.2, 0.45, 0.7))
+        adj = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if module[i] == module[j] or rng.random() < density:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        oracle = oracles.maximal_cliques_unpivoted(adj)
+        for min_modules in range(1, parts + 1):
+            want = sorted(mask for mask in oracle
+                          if len({module[i] for i in range(n) if mask >> i & 1}) >= min_modules)
+            cliques = _maximal_cliques(adj, module, min_modules)
+            assert all(list(c) == sorted(set(c)) for c in cliques)
+            assert sorted(sum(1 << i for i in c) for c in cliques) == want
+
+
+def test_min_modules_above_the_module_count_is_rejected(diagrams):
+    for sid in ("G2_12", "F4_34", "E6_36"):
+        assert enumerate_maximal_families(diagrams[sid], min_modules=6).total >= 0
+        name = re.escape(diagrams[sid].name)
+        with pytest.raises(FlagrootsError, match=f"min_modules 7 exceeds the 6 modules of {name}"):
+            enumerate_maximal_families(diagrams[sid], min_modules=7)
 
 
 def test_residual_single_module_trivial(diagrams, tables):
