@@ -1,6 +1,7 @@
 """Pinned output bytes: `enumerate`, bracket tables, constant tables, a
-dense residual and the painting outputs for every space; and no family
-object built in `enumerate`.
+dense residual and the painting outputs for every space, the t-root,
+dimension and bracket tables in every format, and `check` and `verify` in
+text; and no family object built in `enumerate`.
 
 The bracket, constant-table and residual hashes were taken with the
 tuple-and-Fraction bracket, which the integer root-id kernel must match
@@ -243,3 +244,112 @@ def test_root_system_golden_hash(family):
 def test_painted_diagram_golden_hash(space):
     text = space_diagram(space).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_PAINTINGS[space]
+
+
+# sha256 of `table <which> <space> --format <fmt> [--check] --out FILE` in the
+# formats not pinned above; --check adds a verdict line in text.
+GOLDEN_TABLE_OUTPUTS = {
+    ("G2_12", "brackets", "latex", False): "fcf21cbc24de69043829571824b2497e5f17db9ec3332a20f5357ad016102bea",
+    ("G2_12", "brackets", "latex", True): "fcf21cbc24de69043829571824b2497e5f17db9ec3332a20f5357ad016102bea",
+    ("G2_12", "brackets", "text", False): "dd331d160cdd3e6f8154ca3ac5b0836d8a8fe4864633a8949424d695b869b1e9",
+    ("G2_12", "brackets", "text", True): "25a60894adf1b6fd15c631cef3d0a952b3d0eebcbcaf138d99f8c61c29a9e031",
+    ("G2_12", "dims", "latex", False): "973cc56329cc3ae3c89974cf1eb97b3f426652ad3f080f1702c32ede3d0e6b2e",
+    ("G2_12", "dims", "latex", True): "973cc56329cc3ae3c89974cf1eb97b3f426652ad3f080f1702c32ede3d0e6b2e",
+    ("G2_12", "dims", "text", False): "1ae5049ff6c955664aae606b6fb4064ddd37d830f08bdab4a681198611131db4",
+    ("G2_12", "dims", "text", True): "7400ea007f9e00f0f7b660bc272517a60cd8a9fc38a452f49ffd0f142cc171ad",
+    ("G2_12", "troots", "latex", False): "a1f833be49692d3da1e78fdbadf22223351bfbb451e231b54bd7af2a2411070e",
+    ("G2_12", "troots", "latex", True): "a1f833be49692d3da1e78fdbadf22223351bfbb451e231b54bd7af2a2411070e",
+    ("G2_12", "troots", "text", False): "4823b8469f916029f3db6939f7df62fbb7efd2763f86e773209385bacce88aff",
+    ("G2_12", "troots", "text", True): "69bbe301692ff5c0839dba97dda632f7d5b76be539a1ff2ecf88abfbf6dd5590",
+    ("F4_34", "brackets", "latex", False): "fcf21cbc24de69043829571824b2497e5f17db9ec3332a20f5357ad016102bea",
+    ("F4_34", "brackets", "latex", True): "fcf21cbc24de69043829571824b2497e5f17db9ec3332a20f5357ad016102bea",
+    ("F4_34", "brackets", "text", False): "dd331d160cdd3e6f8154ca3ac5b0836d8a8fe4864633a8949424d695b869b1e9",
+    ("F4_34", "brackets", "text", True): "25a60894adf1b6fd15c631cef3d0a952b3d0eebcbcaf138d99f8c61c29a9e031",
+    ("F4_34", "dims", "latex", False): "cbaf96e18d165d2d31dea8eab8565ca6638cd02fe41fe5902a53f36718a58f8f",
+    ("F4_34", "dims", "latex", True): "cbaf96e18d165d2d31dea8eab8565ca6638cd02fe41fe5902a53f36718a58f8f",
+    ("F4_34", "dims", "text", False): "9e131431c0baa7b407afe00113d0bcc80a021d9e69de69f8f58f59e362b193b8",
+    ("F4_34", "dims", "text", True): "ef9e3596d81e1750d03b5d087d384d70efcdfca6defd83d60017957acf60a3c0",
+    ("F4_34", "troots", "latex", False): "a1f833be49692d3da1e78fdbadf22223351bfbb451e231b54bd7af2a2411070e",
+    ("F4_34", "troots", "latex", True): "a1f833be49692d3da1e78fdbadf22223351bfbb451e231b54bd7af2a2411070e",
+    ("F4_34", "troots", "text", False): "4823b8469f916029f3db6939f7df62fbb7efd2763f86e773209385bacce88aff",
+    ("F4_34", "troots", "text", True): "69bbe301692ff5c0839dba97dda632f7d5b76be539a1ff2ecf88abfbf6dd5590",
+    ("E6_36", "brackets", "latex", False): "fcf21cbc24de69043829571824b2497e5f17db9ec3332a20f5357ad016102bea",
+    ("E6_36", "brackets", "latex", True): "fcf21cbc24de69043829571824b2497e5f17db9ec3332a20f5357ad016102bea",
+    ("E6_36", "brackets", "text", False): "dd331d160cdd3e6f8154ca3ac5b0836d8a8fe4864633a8949424d695b869b1e9",
+    ("E6_36", "brackets", "text", True): "25a60894adf1b6fd15c631cef3d0a952b3d0eebcbcaf138d99f8c61c29a9e031",
+    ("E6_36", "dims", "latex", False): "c100a3e8634ce68071b7fb1a0a0bd3ad1617abdc298346421cbdeffc3ea58071",
+    ("E6_36", "dims", "latex", True): "c100a3e8634ce68071b7fb1a0a0bd3ad1617abdc298346421cbdeffc3ea58071",
+    ("E6_36", "dims", "text", False): "6e69dc787b212c3753a7e55dd157c38bb41edd398882b46e4e890bd5283a5879",
+    ("E6_36", "dims", "text", True): "08ae51d91fd085aeaa3b5d923bb4b9f2b016fc59ba8e5fe5442283fdaaca7b14",
+    ("E6_36", "troots", "latex", False): "a1f833be49692d3da1e78fdbadf22223351bfbb451e231b54bd7af2a2411070e",
+    ("E6_36", "troots", "latex", True): "a1f833be49692d3da1e78fdbadf22223351bfbb451e231b54bd7af2a2411070e",
+    ("E6_36", "troots", "text", False): "4823b8469f916029f3db6939f7df62fbb7efd2763f86e773209385bacce88aff",
+    ("E6_36", "troots", "text", True): "69bbe301692ff5c0839dba97dda632f7d5b76be539a1ff2ecf88abfbf6dd5590",
+    ("E7_56", "brackets", "latex", False): "fcf21cbc24de69043829571824b2497e5f17db9ec3332a20f5357ad016102bea",
+    ("E7_56", "brackets", "latex", True): "fcf21cbc24de69043829571824b2497e5f17db9ec3332a20f5357ad016102bea",
+    ("E7_56", "brackets", "text", False): "dd331d160cdd3e6f8154ca3ac5b0836d8a8fe4864633a8949424d695b869b1e9",
+    ("E7_56", "brackets", "text", True): "25a60894adf1b6fd15c631cef3d0a952b3d0eebcbcaf138d99f8c61c29a9e031",
+    ("E7_56", "dims", "latex", False): "cb7c69a6848c33ba7d21fd174265ea26b07f3494dfd9b96ded62003969d6bdf7",
+    ("E7_56", "dims", "latex", True): "cb7c69a6848c33ba7d21fd174265ea26b07f3494dfd9b96ded62003969d6bdf7",
+    ("E7_56", "dims", "text", False): "972f6bafee04f615b3fea3f5fee8c8d4723042b2b45a3868187ccfe6452ec5d8",
+    ("E7_56", "dims", "text", True): "617bdb42cbf70dc12e36ecdc50bc99b24115f137c8909e9b013abebe8d162c4c",
+    ("E7_56", "troots", "latex", False): "a1f833be49692d3da1e78fdbadf22223351bfbb451e231b54bd7af2a2411070e",
+    ("E7_56", "troots", "latex", True): "a1f833be49692d3da1e78fdbadf22223351bfbb451e231b54bd7af2a2411070e",
+    ("E7_56", "troots", "text", False): "4823b8469f916029f3db6939f7df62fbb7efd2763f86e773209385bacce88aff",
+    ("E7_56", "troots", "text", True): "69bbe301692ff5c0839dba97dda632f7d5b76be539a1ff2ecf88abfbf6dd5590",
+    ("E8_12", "brackets", "latex", False): "d2b2370cb6ef84c0ea8f86e0f5ff049fa9340e7bcf37bbc5664f445b61d2ec90",
+    ("E8_12", "brackets", "latex", True): "d2b2370cb6ef84c0ea8f86e0f5ff049fa9340e7bcf37bbc5664f445b61d2ec90",
+    ("E8_12", "brackets", "text", False): "d654e105159846bca482a2de7411620e1b070f88425b0cc6151dcd42afd6333c",
+    ("E8_12", "brackets", "text", True): "c179088bb22da290e2fd79840c6ea2b823ec79e64a4886a4f825fc7a539e816e",
+    ("E8_12", "dims", "latex", False): "086fc422b8b0706080ae669d6e3663dbb872b76016421e3efeccc77d9d171d0d",
+    ("E8_12", "dims", "latex", True): "086fc422b8b0706080ae669d6e3663dbb872b76016421e3efeccc77d9d171d0d",
+    ("E8_12", "dims", "text", False): "93612382d3827b0302844012f3e4ff6e74c702d4ab1129ea5433dea36feb7773",
+    ("E8_12", "dims", "text", True): "22dab185379eadffadadf7397e99374f5782fdad0bdf63d21fcfe9436275101b",
+    ("E8_12", "troots", "latex", False): "9c070b4ce1c8582b9675e62d196f0a640092dc00b8b641968dcf408883551ad7",
+    ("E8_12", "troots", "latex", True): "9c070b4ce1c8582b9675e62d196f0a640092dc00b8b641968dcf408883551ad7",
+    ("E8_12", "troots", "text", False): "d108ba82c4d43124abf39cfd6f801b72c5c1b2e80def9a01d718258e8f543efb",
+    ("E8_12", "troots", "text", True): "716fa5d7a111d1da06f0a8a6d2e71a03b584cdafa742e47e0c39400c97a7ceb2",
+}
+
+
+@pytest.mark.parametrize("space,which,fmt,check", sorted(GOLDEN_TABLE_OUTPUTS))
+def test_table_text_and_latex_golden_hash(space, which, fmt, check, tmp_path):
+    out = tmp_path / "table"
+    check_flag = ["--check"] if check else []
+    assert main(["table", which, space, "--format", fmt, *check_flag, "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN_TABLE_OUTPUTS[space, which, fmt, check]
+
+
+# sha256 of `check F4_34 <members> --format <fmt> --out FILE` for
+# a structural family and a family that is not structural.
+GOLDEN_CHECK = {
+    (("b3^3", "b1^1", "b6^1"), "json"): "1dfa8a1fc27cea93e4196f46d3cbc4e53892862f997ad1cbdc82a81f93fcc90b",
+    (("b3^3", "b1^1", "b6^1"), "text"): "78776490bc51f78a7fae16f49add9b65ea050c02dab9b862a733ac41c04cee47",
+    (("b1^1", "b1^3"), "json"): "109670374e1c12466f0b288cbee77f9800aabc314c58e7a2bd06a522095e3fdf",
+    (("b1^1", "b1^3"), "text"): "9d5bf92f973b7d79cf5b45eed1e109ab95599d0bd52256e7cf3e1ff5b8f537fc",
+}
+
+
+@pytest.mark.parametrize("members,fmt", sorted(GOLDEN_CHECK))
+def test_check_golden_hash(members, fmt, tmp_path):
+    out = tmp_path / "check"
+    assert main(["check", "F4_34", *members, "--format", fmt, "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN_CHECK[members, fmt]
+
+
+# sha256 of `verify <space> FILE --metric DENSE_METRIC --out FILE` in text, on
+# dense_vector_doc(DENSE_SEED) (nonzero) and on ZERO_VECTOR (zero).
+ZERO_VECTOR = {"a": [{"label": "b1^1", "coeff": 2}, {"label": "b3^1", "coeff": "1/2"}],
+               "b": [{"label": "b1^1", "coeff": -1}]}
+GOLDEN_VERIFY_TEXT = {
+    "E8_12": "94d68c2f9bc0a7eb947a1d8357d823ceee1935a17ae39b2a4842837716d23ccc",
+    "F4_34": "ff9fb51036a15c5c92c8b80d3dac03262bfb9d081b1490f719ab4127e6069fce",
+}
+
+
+@pytest.mark.parametrize("space", sorted(GOLDEN_VERIFY_TEXT))
+def test_verify_text_golden_hash(space, tmp_path):
+    vec, out = tmp_path / "vec.json", tmp_path / "out.txt"
+    vec.write_text(json.dumps(dense_vector_doc(DENSE_SEED) if space == "E8_12" else ZERO_VECTOR))
+    assert main(["verify", space, str(vec), "--metric", DENSE_METRIC, "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN_VERIFY_TEXT[space]
