@@ -24,7 +24,7 @@ import sys
 from bisect import bisect_left
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 from .chevalley import AlgebraElement, build_constants
@@ -110,114 +110,74 @@ def _parse_fraction(x) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, json, text, latex), every output a
+# string or an iterable of string pieces (latex None where the parser does
+# not offer it); main writes the one asked for.
 # ----------------------------------------------------------------------
 
-def cmd_roots(args) -> int:
+def _doc(args, command: str, **fields) -> str:
+    """The JSON document of a command: the versioned header and its fields."""
+    return _json_dump({"schema_version": SCHEMA_VERSION, "command": command,
+                       "space": args.space, "seed": args.seed, **fields})
+
+
+def cmd_roots(args):
     pd = space_diagram(args.space)
     modules = pd.to_dict()["modules"]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "roots",
-        "space": args.space,
-        "seed": args.seed,
-        "type": pd.classify_g2_type().kind.value,
-        "r_k_pos": [list(r) for r in pd.r_k_pos],
-        "r_m_pos": [list(r) for r in pd.r_m_pos],
-        "modules": modules,
-    }
-    if args.format == "json":
-        _emit(_json_dump(doc), args.out)
-    elif args.format == "latex":
-        rows = [(m["label"], _fmt_root(m["troot"]), m["dim"],
-                 " ".join(_fmt_root(r) for r in m["roots"])) for m in modules]
-        _emit(_latex_table(["module", "t-root", "dim", "roots"], rows), args.out)
-    else:
-        lines = [f"space {args.space}  type {doc['type']}",
-                 f"R_K+ ({len(pd.r_k_pos)}): " + " ".join(_fmt_root(r) for r in pd.r_k_pos)]
-        for m in modules:
-            lines.append(f"{m['label']}  t-root {_fmt_root(m['troot'])}  dim {m['dim']}")
-            lines.append("  " + " ".join(_fmt_root(r) for r in m["roots"]))
-        _emit("\n".join(lines), args.out)
-    return 0
+    kind = pd.classify_g2_type().kind.value
+    rows = [(m["label"], _fmt_root(m["troot"]), m["dim"], " ".join(map(_fmt_root, m["roots"])))
+            for m in modules]
+    lines = [f"space {args.space}  type {kind}",
+             f"R_K+ ({len(pd.r_k_pos)}): " + " ".join(map(_fmt_root, pd.r_k_pos))]
+    lines += (f"{label}  t-root {troot}  dim {dim}\n  {roots}" for label, troot, dim, roots in rows)
+    return (0, _doc(args, "roots", type=kind, r_k_pos=[list(r) for r in pd.r_k_pos],
+                    r_m_pos=[list(r) for r in pd.r_m_pos], modules=modules),
+            "\n".join(lines), _latex_table(["module", "t-root", "dim", "roots"], rows))
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     pd = space_diagram(args.space)
-    cls = pd.classify_g2_type()
+    kind = pd.classify_g2_type().kind
     modules = pd.isotropy_decomposition()
+    labels = [m.label for m in modules]
     mismatch = False
     if args.which == "dims":
-        got = [m.dim_real for m in modules]
-        rows = [[m.label for m in modules], got]
-        headers = ["module"] * len(modules)
-        body = {"dims": got, "labels": [m.label for m in modules]}
+        dims = [m.dim_real for m in modules]
+        headers, rows = ["module"] * len(modules), [labels, dims]
+        body = {"dims": dims, "labels": labels}
         text = "  ".join(f"{m.label}:{m.dim_real}" for m in modules)
     elif args.which == "troots":
-        got = [list(m.troot) for m in modules]
-        rows = [[_fmt_root(t) for t in got]]
-        headers = [m.label for m in modules]
-        body = {"troots": got, "type": cls.kind.value}
-        text = f"type {cls.kind.value}  " + " ".join(_fmt_root(t) for t in got)
-    elif args.which == "brackets":
-        if cls.kind is G2Kind.NOT_G2_TYPE:
+        troots = [list(m.troot) for m in modules]
+        headers, rows = labels, [[_fmt_root(t) for t in troots]]
+        body = {"troots": troots, "type": kind.value}
+        text = f"type {kind.value}  " + " ".join(_fmt_root(t) for t in troots)
+    else:
+        if kind is G2Kind.NOT_G2_TYPE:
             raise FlagrootsError("bracket tables need a G2-type space")
         table = bracket_inclusion_table(pd, build_constants(pd.system))
         got = [[sorted(cell) for cell in row] for row in table]
-        headers = [""] + [m.label for m in modules]
-        rows = [
-            [modules[i].label] + ["{" + ",".join(cell) + "}" for cell in row]
-            for i, row in enumerate(got)
-        ]
-        body = {"brackets": got, "labels": [m.label for m in modules]}
-        text = "\n".join(
-            f"[{modules[i].label}, {modules[j].label}] -> " + ("{" + ",".join(got[i][j]) + "}")
-            for i in range(len(modules)) for j in range(i, len(modules)))
+        headers = [""] + labels
+        rows = [[labels[i]] + ["{" + ",".join(cell) + "}" for cell in row] for i, row in enumerate(got)]
+        body = {"brackets": got, "labels": labels}
+        text = "\n".join(f"[{labels[i]}, {labels[j]}] -> " + rows[i][j + 1]
+                         for i in range(len(labels)) for j in range(i, len(labels)))
         if args.check:
             # Modules a cross bracket may reach, or k when it reaches none.
-            ref = REFERENCE_BRACKETS[cls.kind]
-            for i in range(6):
-                for j in range(6):
-                    key = (min(i, j) + 1, max(i, j) + 1)
-                    allowed = {modules[k - 1].label for k in ref.get(key, ())}
-                    if not set(got[i][j]) <= (allowed or {"k"}):
-                        mismatch = True
-    else:
-        raise FlagrootsError(f"unknown table {args.which!r}")
-
-    if args.check and args.which in ("dims", "troots"):
-        fixture = _space_fixture(args.space)
-        if fixture is None:
-            raise FixtureError("--check needs a canonical space with fixtures")
-        expected_dims = [2 * len(fixture.label_map[k]) for k in sorted(fixture.label_map)]
-        if args.which == "dims" and [m.dim_real for m in modules] != expected_dims:
-            mismatch = True
-        if args.which == "troots":
-            from .flag import TYPE_I_TROOTS, TYPE_II_TROOTS
-            want = TYPE_I_TROOTS if cls.kind is G2Kind.TYPE_I else TYPE_II_TROOTS
-            if cls.kind is G2Kind.NOT_G2_TYPE or [tuple(m.troot) for m in modules] != list(want):
-                mismatch = True
-
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": f"table {args.which}",
-        "space": args.space,
-        "seed": args.seed,
-        "check": bool(args.check),
-        "match": not mismatch,
-        **body,
-    }
-    if args.format == "json":
-        _emit(_json_dump(doc), args.out)
-    elif args.format == "latex":
-        _emit(_latex_table(headers, rows), args.out)
-    else:
-        suffix = "" if not args.check else ("\ncheck: MATCH" if not mismatch else "\ncheck: MISMATCH")
-        _emit(text + suffix, args.out)
-    return 1 if mismatch else 0
+            ref = REFERENCE_BRACKETS[kind]
+            for i, j in product(range(6), repeat=2):
+                allowed = {labels[k - 1] for k in ref.get((min(i, j) + 1, max(i, j) + 1), ())}
+                mismatch |= not set(got[i][j]) <= (allowed or {"k"})
+    # The t-root and dimension tables match the fixture by construction: the
+    # painting orders G2-type modules by the reference t-roots, and the
+    # loader checks each label fiber against the computed fiber.
+    if args.check and args.which != "brackets" and _space_fixture(args.space) is None:
+        raise FixtureError("--check needs a canonical space with fixtures")
+    verdict = ("\ncheck: MISMATCH" if mismatch else "\ncheck: MATCH") if args.check else ""
+    return (int(mismatch), _doc(args, f"table {args.which}", check=args.check, match=not mismatch, **body),
+            text + verdict, _latex_table(headers, rows))
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     pd = space_diagram(args.space)
     fixture = _space_fixture(args.space)
     table = build_constants(pd.system)
@@ -237,42 +197,27 @@ def cmd_check(args) -> int:
     equi = is_equigeodesic_all_metrics(table, pd, x)
     rng = random.Random(args.seed)
     n_modules = len(pd.isotropy_decomposition())
-    spot_zero = True
-    for _ in range(N_SPOT_METRICS):
-        lam = MetricVector(tuple(Fraction(rng.randint(1, 60), rng.randint(1, 7)) for _ in range(n_modules)))
-        if not equigeodesic_residual(table, pd, x, lam).is_zero():
-            spot_zero = False
-            break
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check",
-        "space": args.space,
-        "seed": args.seed,
-        "members": [list(r) for r in roots],
-        "structural": structural,
-        "equigeodesic_all_metrics": equi,
-        "sampled_metric_residuals_zero": spot_zero,
-    }
-    if args.format == "json":
-        _emit(_json_dump(doc), args.out)
-    else:
-        _emit(
+
+    def spot_metric():
+        return MetricVector(tuple(Fraction(rng.randint(1, 60), rng.randint(1, 7)) for _ in range(n_modules)))
+
+    spot_zero = all(equigeodesic_residual(table, pd, x, spot_metric()).is_zero() for _ in range(N_SPOT_METRICS))
+    return (0, _doc(args, "check", members=[list(r) for r in roots], structural=structural,
+                    equigeodesic_all_metrics=equi, sampled_metric_residuals_zero=spot_zero),
             f"family of {len(roots)} roots in {args.space}\n"
             f"structural: {'yes' if structural else 'no'}\n"
             f"equigeodesic for all metrics: {'yes' if equi else 'no'}\n"
             f"sampled-metric residuals zero ({N_SPOT_METRICS} draws, seed {args.seed}): "
             f"{'yes' if spot_zero else 'no'}",
-            args.out,
-        )
-    return 0
+            None)
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args):
     pd = space_diagram(args.space)
     result = enumerate_maximal_families(pd, min_modules=args.min_modules, cap=args.cap)
     vertices = result.graph.vertices
     fixture_ok = True
-    fixture_report = None
+    fixture_fields = {}
     if args.verify_fixtures:
         fixture = _space_fixture(args.space)
         if fixture is None:
@@ -304,49 +249,36 @@ def cmd_enumerate(args) -> int:
             if not any(mask & want == want for mask in masks):
                 missed.append(fam)
         fixture_ok = not missed and not result.truncated
-        fixture_report = {
+        fixture_fields = {"fixture_match": fixture_ok, "fixture_check": {
             "checked": len(checked),
             "skipped_suspect": len(fixture.families) - len(checked),
             "missed": [[list(m) for m in f.members] for f in missed],
-        }
-    # One string per vertex (for json, a member of StructuralFamily.to_dict);
-    # each family is its members' strings joined.
-    form, sep = {"json": ('{{"module":{},"root_coeffs":[{}]}}', ","),
-                 "latex": ("b({};({}))", " "), "text": ("m{}:({})", " ")}[args.format]
-    member = [form.format(k, ",".join(map(str, r))) for k, r in vertices]
-    rows = (sep.join(map(member.__getitem__, c)) for c in result.cliques)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "enumerate",
-        "space": args.space,
-        "seed": args.seed,
-        "min_modules": args.min_modules,
-        "cap": args.cap,
-        "total": result.total,
-        "truncated": result.truncated,
-        "families": [],
-    }
-    if fixture_report is not None:
-        doc["fixture_check"] = fixture_report
-        doc["fixture_match"] = fixture_ok
-    if args.format == "json":
-        # Only "cap" and "command" sort before "families".
-        head, key, tail = _json_dump(doc).partition('"families":[]')
-        family_tail = "]," + _json_dump({"schema_version": SCHEMA_VERSION, "space": pd.name})[1:]
-        families = ((',{"members":[' if n else '{"members":[') + row + family_tail
-                    for n, row in enumerate(rows))
-        _emit(chain((head, key[:-1]), families, ("]", tail)), args.out)
-    elif args.format == "latex":
-        _emit(_latex_table(["maximal structural families"], ([row] for row in rows)), args.out)
-    else:
-        head = (f"{result.total} maximal structural families (min modules {args.min_modules})"
-                + (" [truncated]" if result.truncated else ""))
-        foot = [] if fixture_report is None else [
-            f"\nfixture check: {'ok' if fixture_ok else 'FAILED'} "
-            f"({fixture_report['checked']} checked, "
-            f"{fixture_report['skipped_suspect']} suspect skipped)"]
-        _emit(chain((head,), ("\n  " + row for row in rows), foot), args.out)
-    return 0 if fixture_ok else 1
+        }}
+
+    def rows(form, sep):
+        # One string per vertex (for json, a member of StructuralFamily.to_dict);
+        # each family is its members' strings joined.  Built only when read.
+        member = [form.format(k, ",".join(map(str, r))) for k, r in vertices]
+        for c in result.cliques:
+            yield sep.join(map(member.__getitem__, c))
+
+    # Only "cap" and "command" sort before "families".
+    head, key, tail = _doc(args, "enumerate", min_modules=args.min_modules, cap=args.cap,
+                           total=result.total, truncated=result.truncated, families=[],
+                           **fixture_fields).partition('"families":[]')
+    family_tail = "]," + _json_dump({"schema_version": SCHEMA_VERSION, "space": pd.name})[1:]
+    families = ((',{"members":[' if n else '{"members":[') + row + family_tail
+                for n, row in enumerate(rows('{{"module":{},"root_coeffs":[{}]}}', ",")))
+    text_head = (f"{result.total} maximal structural families (min modules {args.min_modules})"
+                 + (" [truncated]" if result.truncated else ""))
+    report = fixture_fields.get("fixture_check")
+    foot = [] if report is None else [
+        f"\nfixture check: {'ok' if fixture_ok else 'FAILED'} "
+        f"({report['checked']} checked, {report['skipped_suspect']} suspect skipped)"]
+    return (0 if fixture_ok else 1,
+            chain((head, key[:-1]), families, ("]", tail)),
+            chain((text_head,), ("\n  " + row for row in rows("m{}:({})", " ")), foot),
+            _latex_table(["maximal structural families"], ([row] for row in rows("b({};({}))", " "))))
 
 
 def _load_vector(pd, fixture, path: str) -> TangentVector:
@@ -354,7 +286,7 @@ def _load_vector(pd, fixture, path: str) -> TangentVector:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise FlagrootsError(f"{path}: cannot read the vector file: {exc.strerror}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
         raise FlagrootsError(f"{path}: not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise FlagrootsError(f"{path}: the top level must be an object with 'a'/'b' lists")
@@ -386,7 +318,7 @@ def _load_vector(pd, fixture, path: str) -> TangentVector:
     return TangentVector.from_coefficients(pd, a=a, b=b)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     pd = space_diagram(args.space)
     fixture = _space_fixture(args.space)
     table = build_constants(pd.system)
@@ -405,28 +337,13 @@ def cmd_verify(args) -> int:
                 limit = sys.get_int_max_str_digits()
                 raise FlagrootsError(f"{args.vector}: the residual coefficient of {kind}{_fmt_root(r)} "
                                      f"is too long to write (over {limit} digits)") from None
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "space": args.space,
-        "seed": args.seed,
-        "metric": [str(v) for v in metric.lambdas],
-        "zero": residual.is_zero(),
-        "residual_by_module": by_module,
-    }
-    if args.format == "json":
-        _emit(_json_dump(doc), args.out)
-    else:
-        if residual.is_zero():
-            _emit("zero", args.out)
-        else:
-            lines = ["nonzero residual:"]
-            for label in sorted(by_module):
-                for kind in sorted(by_module[label]):
-                    for root, c in by_module[label][kind].items():
-                        lines.append(f"  {label}  {c} * {kind}{root}")
-            _emit("\n".join(lines), args.out)
-    return 0
+    zero = residual.is_zero()
+    lines = ["nonzero residual:"] + [f"  {label}  {c} * {kind}{root}"
+                                     for label in sorted(by_module) for kind in sorted(by_module[label])
+                                     for root, c in by_module[label][kind].items()]
+    return (0, _doc(args, "verify", metric=[str(v) for v in metric.lambdas], zero=zero,
+                    residual_by_module=by_module),
+            "zero" if zero else "\n".join(lines), None)
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +405,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, json_out, text, latex = args.func(args)
+        _emit({"json": json_out, "text": text, "latex": latex}[args.format], args.out)
+        return code
     except BrokenPipeError:  # stdout closed: devnull takes the flush at exit (signal docs)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

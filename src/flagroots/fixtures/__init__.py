@@ -118,25 +118,40 @@ def _fixture_dir() -> Path | None:
     return None
 
 
-def _read_fixture_text(space_id: str) -> str:
+def _read_fixture_text(space_id: str) -> tuple[str, str]:
+    """The fixture document's file name and text."""
     override = _fixture_dir()
     name = f"{space_id.lower()}.json"
     if override is not None:
         path = override / name
         if not path.is_file():
             raise FixtureError(f"fixture file not found: {path}")
-        return path.read_text()
+        return str(path), path.read_text()
     ref = resources.files(__package__) / name
     if not ref.is_file():
         raise FixtureError(f"no bundled fixture for {space_id}")
-    return ref.read_text()
+    return str(ref), ref.read_text()
 
 
 def load_fixture(space_id: str) -> FixtureSet:
-    """Load and validate the fixture document of a canonical space."""
+    """Load and validate the fixture document of a canonical space.
+
+    Any fault in the document is a FixtureError that names its file.
+    """
     if space_id not in _SPACE_DEFS:
         raise FixtureError(f"no fixtures for space {space_id!r}")
-    doc = json.loads(_read_fixture_text(space_id))
+    path, text = _read_fixture_text(space_id)
+    try:
+        return _parse_fixture(space_id, json.loads(text))
+    except FlagrootsError as exc:
+        raise FixtureError(f"{path}: {exc}") from exc
+    except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+        raise FixtureError(f"{path}: malformed fixture ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_fixture(space_id: str, doc) -> FixtureSet:
+    if not isinstance(doc, dict) or not isinstance(doc.get("label_map"), dict):
+        raise FixtureError("the document must be an object with a 'label_map' object")
     if doc.get("space") != space_id:
         raise FixtureError(f"fixture space mismatch: {doc.get('space')!r}")
     pd = space_diagram(space_id)
@@ -146,11 +161,12 @@ def load_fixture(space_id: str) -> FixtureSet:
         label_map[int(key)] = tuple(system.root(r) for r in roots)
     modules = pd.isotropy_decomposition()
     if sorted(label_map) != list(range(1, len(modules) + 1)):
-        raise FixtureError(f"{space_id}: label map does not cover the modules")
+        raise FixtureError("label map does not cover the modules")
     for k, mod in enumerate(modules, start=1):
-        if {tuple(r) for r in label_map[k]} != {tuple(r) for r in mod.roots}:
-            raise FixtureError(
-                f"{space_id}: label map fiber {k} disagrees with the computed fiber")
+        if set(label_map[k]) != set(mod.roots):
+            raise FixtureError(f"label map fiber {k} disagrees with the computed fiber")
+        if len(label_map[k]) != len(mod.roots):
+            raise FixtureError(f"label map fiber {k} lists a root twice")
     pair_lists = tuple(
         PairList(
             modules=tuple(p["modules"]),
@@ -181,8 +197,7 @@ def load_fixture(space_id: str) -> FixtureSet:
         sizes = (len(label_map[pl.modules[0]]), len(label_map[pl.modules[1]]))
         for i, j in pl.pairs:
             if not (1 <= i <= sizes[0] and 1 <= j <= sizes[1]):
-                raise FixtureError(
-                    f"{space_id}: pair ({i},{j}) out of range for modules {pl.modules}")
+                raise FixtureError(f"pair ({i},{j}) out of range for modules {pl.modules}")
     for fam in families:
         for m, i in fam.members:
             fixture.root_of_label(m, i)

@@ -249,6 +249,58 @@ def test_check_reports_fixture_error(capsys, tmp_path, monkeypatch):
     assert "canonical space" not in err
 
 
+def _drop_label_map(doc):
+    del doc["label_map"]
+
+
+def _label_map_as_list(doc):
+    doc["label_map"] = list(doc["label_map"].values())
+
+
+def _short_member(doc):
+    doc["families"][0]["members"][0] = [1]
+
+
+def _non_root_label(doc):
+    doc["label_map"]["1"][0] = [9] * len(doc["label_map"]["1"][0])
+
+
+def _repeated_root(doc):
+    doc["label_map"]["1"].append(doc["label_map"]["1"][0])
+
+
+@pytest.mark.parametrize("space,edit,words", [
+    ("F4_34", _drop_label_map, "'label_map' object"),
+    ("G2_12", _label_map_as_list, "'label_map' object"),
+    ("E6_36", None, "malformed fixture (JSONDecodeError"),
+    ("E7_56", _short_member, "malformed fixture (ValueError"),
+    ("E8_12", _non_root_label, "is not a root of E8"),
+    ("F4_34", _repeated_root, "label map fiber 1 lists a root twice"),
+], ids=["no-label-map", "label-map-list", "invalid-json", "short-member", "non-root", "repeated-root"])
+def test_malformed_fixture_exits_2_naming_the_file(capsys, tmp_path, monkeypatch, space, edit, words):
+    # Every command that reads the fixture reports the fault, naming the
+    # file; none exits with a traceback or reads past the fault.
+    from importlib import resources
+
+    import flagroots.fixtures as fxmod
+
+    text = (resources.files("flagroots") / "fixtures" / f"{space.lower()}.json").read_text()
+    if edit is None:
+        text = text[:-10]
+    else:
+        doc = json.loads(text)
+        edit(doc)
+        text = json.dumps(doc)
+    path = tmp_path / f"{space.lower()}.json"
+    path.write_text(text)
+    monkeypatch.setenv(fxmod.ENV_FIXTURE_DIR, str(tmp_path))
+    for argv in (["check", space, "b1^1"], ["check", space, "b7^1"], ["table", "dims", space, "--check"],
+                 ["table", "troots", space, "--check"], ["enumerate", space, "--verify-fixtures"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {path}: ") and words in err, argv
+
+
 def test_check_rejects_repeated_member(capsys):
     code, out, err = run(capsys, "check", "F4_34", "b1^1", "b1^1")
     assert code == 2 and out == "" and "'b1^1'" in err and "repeats" in err
@@ -355,6 +407,15 @@ def test_verify_malformed_entry_exit_2(capsys, tmp_path, entry, words):
 def test_verify_directory_as_vector_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "F4_34", str(tmp_path), "--metric", "1,1,1,1,1,1")
     assert code == 2 and out == "" and err.startswith("error:") and str(tmp_path) in err
+
+
+def test_verify_deeply_nested_vector_exit_2(capsys, tmp_path):
+    # Arrays nested past the JSON decoder's recursion limit.
+    vec = tmp_path / "deep.json"
+    vec.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {vec}: not a JSON document")
 
 
 @pytest.mark.parametrize("argv", [
