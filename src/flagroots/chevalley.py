@@ -150,16 +150,6 @@ class StructureConstantTable:
                         out[(roots[i], roots[j + n])] = out[(roots[i + n], roots[j])] = e[3]
         return out
 
-    def bracket_support(self, x: int, y: int) -> tuple[int, ...]:
-        """Ids hit by the brackets of A_x, B_x with A_y, B_y, for positive-root
-        ids x and y: x+y and +-(x-y) where their constants are nonzero, and n
-        for the Cartan part when x = y.  The four brackets share this support,
-        as x+y and x-y never coincide."""
-        if x == y:
-            return (self._n,)
-        e = self._pairs[x][y]
-        return () if e is None else tuple(k for k, c in ((e[0], e[1]), (e[2], e[3])) if c)
-
     def n(self, x: Sequence[int], y: Sequence[int]) -> int:
         """N(x,y); zero when x+y is not a root."""
         return self.n_map.get((tuple(x), tuple(y)), 0)

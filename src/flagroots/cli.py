@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain, product
 from pathlib import Path
 
-from .chevalley import AlgebraElement, build_constants
+from .chevalley import build_constants
 from .equigeo import (
     MetricVector,
     StructuralFamily,
@@ -154,8 +154,7 @@ def cmd_table(args):
     else:
         if kind is G2Kind.NOT_G2_TYPE:
             raise FlagrootsError("bracket tables need a G2-type space")
-        table = bracket_inclusion_table(pd, build_constants(pd.system))
-        got = [[sorted(cell) for cell in row] for row in table]
+        got = bracket_inclusion_table(pd)
         headers = [""] + labels
         rows = [[labels[i]] + ["{" + ",".join(cell) + "}" for cell in row] for i, row in enumerate(got)]
         body = {"brackets": got, "labels": labels}
@@ -297,20 +296,18 @@ def _load_vector(pd, fixture, path: str) -> TangentVector:
         if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
             raise FlagrootsError(f"{path}: '{part}' must be a list of objects")
         for item in items:
-            if "coeff" not in item:
-                raise FlagrootsError(f"{path}: entry {item} in '{part}' has no 'coeff'")
-            if isinstance(item.get("label"), str):
-                root = _parse_member(pd, fixture, item["label"])
-            elif isinstance(item.get("root"), list) and all(type(c) is int for c in item["root"]):
-                root = pd.system.root(tuple(item["root"]))
-            else:
-                raise FlagrootsError(
-                    f"{path}: entry {item} in '{part}' needs a 'label' string or a 'root' list of integers")
-            module = item.get("module")
-            if "module" in item and (type(module) is not int or module != pd.module_index(root)):
-                raise FlagrootsError(
-                    f"{path}: entry {item} in '{part}': root {tuple(root)} is not in module {module!r}")
             try:
+                if "coeff" not in item:
+                    raise FlagrootsError("no 'coeff'")
+                if isinstance(item.get("label"), str):
+                    root = _parse_member(pd, fixture, item["label"])
+                elif isinstance(item.get("root"), list) and all(type(c) is int for c in item["root"]):
+                    root = pd.system.root(tuple(item["root"]))
+                else:
+                    raise FlagrootsError("needs a 'label' string or a 'root' list of integers")
+                module = pd.module_index(root)  # refuses a root of R_K
+                if "module" in item and (type(item["module"]) is not int or item["module"] != module):
+                    raise FlagrootsError(f"root {tuple(root)} is not in module {item['module']!r}")
                 coeff = _parse_fraction(item["coeff"])
             except FlagrootsError as exc:
                 raise FlagrootsError(f"{path}: entry {item} in '{part}': {exc}") from None

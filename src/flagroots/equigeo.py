@@ -316,14 +316,19 @@ def enumerate_maximal_families(
     return EnumerationResult(graph, tuple(cliques[:cap]), truncated, total)
 
 
-def _module_parts(pd: PaintedDiagram, x: TangentVector) -> list[tuple[int, AlgebraElement]]:
-    """(k, X_k) for each nonzero module part X_k of X, k ascending, in one pass."""
+def _cross_pair_sum(table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector,
+                    lam: Sequence[Scalar]) -> AlgebraElement:
+    """sum over i < j of (l_j - l_i) [X_i, X_j], over the nonzero module parts
+    X_k of X split off in one pass, with l_k = lam[k - 1]; pairs with
+    l_i = l_j are skipped."""
     parts: defaultdict[int, tuple[dict, dict]] = defaultdict(lambda: ({}, {}))
     module_of, index = pd.module_of, pd.system.index
     for kind, store in enumerate((x.element.a, x.element.b)):
         for r, c in store.items():
             parts[module_of[index[r]]][kind][r] = c
-    return [(k, AlgebraElement(pd.system, x.element.cartan, *parts[k])) for k in sorted(parts)]
+    xs = [(k, AlgebraElement(pd.system, x.element.cartan, *parts[k])) for k in sorted(parts)]
+    return _bracket_sum(table, [(lam[j - 1] - lam[i - 1], xi, xj) for (i, xi), (j, xj)
+                                in combinations(xs, 2) if lam[i - 1] != lam[j - 1]])
 
 
 def equigeodesic_residual(table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector,
@@ -343,8 +348,7 @@ def equigeodesic_residual(table: StructureConstantTable, pd: PaintedDiagram, x: 
     lam, n_modules = metric.lambdas, len(pd.isotropy_decomposition())
     if len(lam) != n_modules:
         raise FlagrootsError(f"metric has {len(lam)} parameters, expected {n_modules}")
-    return _bracket_sum(table, [(lam[j - 1] - lam[i - 1], xi, xj) for (i, xi), (j, xj)
-                                in combinations(_module_parts(pd, x), 2) if lam[i - 1] != lam[j - 1]])
+    return _cross_pair_sum(table, pd, x, lam)
 
 
 def is_equigeodesic_all_metrics(table: StructureConstantTable, pd: PaintedDiagram,
@@ -354,8 +358,8 @@ def is_equigeodesic_all_metrics(table: StructureConstantTable, pd: PaintedDiagra
     The residual is linear in the metric: [X, Lambda X]_m = sum_k l_k C_k
     with C_k = [X, X_k]_m and X_k the module-k part of X.  So X qualifies
     iff every C_k is zero, which is what is tested, stopping at the first
-    nonzero one.  C_k, the residual at the unit metric e_k, is the
-    cross-pair sum [X - X_k, X_k], from one split of X into module parts.
+    nonzero one.  C_k is the residual at the unit metric e_k, the cross-pair
+    sum with weight -1 on the pairs (k, j) and +1 on the pairs (i, k).
     Since sum_k C_k = [X, X]_m = 0, the last C_k vanishes once the others
     do.  If all cross-module pairs of the support are compatible, every
     cross basis-pair bracket and so every C_k vanishes: no bracket is run.
@@ -364,10 +368,6 @@ def is_equigeodesic_all_metrics(table: StructureConstantTable, pd: PaintedDiagra
         raise SupportError("tangent vector belongs to a different painting")
     if _all_compatible(pd, x.element.support()):
         return True
-    elem = x.element
-    for _, xk in _module_parts(pd, x)[:-1]:
-        rest = AlgebraElement(pd.system, elem.cartan, *({r: c for r, c in p.items() if r not in q}
-                                                        for p, q in ((elem.a, xk.a), (elem.b, xk.b))))
-        if not _bracket_sum(table, [(1, rest, xk)]).is_zero():
-            return False
-    return True
+    n_modules = len(pd.isotropy_decomposition())
+    return all(_cross_pair_sum(table, pd, x, [int(i == k) for i in range(1, n_modules + 1)]).is_zero()
+               for k in range(1, n_modules))

@@ -111,19 +111,13 @@ class FixtureSet:
         return [self.root_of_label(m, i) for m, i in family.members]
 
 
-def _fixture_dir() -> Path | None:
-    override = os.environ.get(ENV_FIXTURE_DIR)
-    if override:
-        return Path(override)
-    return None
-
-
 def _read_fixture_text(space_id: str) -> tuple[str, str]:
-    """The fixture document's file name and text."""
-    override = _fixture_dir()
+    """The fixture document's file name and text, from the directory that
+    FLAGROOTS_FIXTURES names when it is set and nonempty."""
+    override = os.environ.get(ENV_FIXTURE_DIR)
     name = f"{space_id.lower()}.json"
-    if override is not None:
-        path = override / name
+    if override:
+        path = Path(override) / name
         if not path.is_file():
             raise FixtureError(f"fixture file not found: {path}")
         return str(path), path.read_text()

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .chevalley import StructureConstantTable
 from .rootsys import (
     Coeffs,
     FlagrootsError,
@@ -59,9 +58,10 @@ class G2Kind(Enum):
 TYPE_I_TROOTS = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
 TYPE_II_TROOTS = ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
 
-# Reference upper bounds for the 6x6 bracket tables: for modules i < j
-# (1-based, module order), the modules [m_i, m_j] may reach; an empty
-# entry means k only.  Diagonal brackets [m_i, m_i] lie in k.
+# The paper's 6x6 bracket tables, transcribed: for modules i < j (1-based,
+# module order), the modules [m_i, m_j] may reach; an empty entry means k
+# only.  Diagonal brackets [m_i, m_i] lie in k.  The one copy: `table
+# brackets --check` and the tests compare the computed tables against it.
 REFERENCE_BRACKETS: dict[G2Kind, dict[tuple[int, int], tuple[int, ...]]] = {
     G2Kind.TYPE_I: {
         (1, 2): (3,), (1, 3): (2, 4), (1, 4): (3, 5), (1, 5): (4,), (1, 6): (),
@@ -81,7 +81,6 @@ REFERENCE_BRACKETS: dict[G2Kind, dict[tuple[int, int], tuple[int, ...]]] = {
 @dataclass(frozen=True)
 class G2TypeClassification:
     kind: G2Kind
-    module_order: tuple[TRoot, ...]
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,7 @@ class PaintedDiagram:
             for g2, pattern in ((G2Kind.TYPE_I, TYPE_I_TROOTS), (G2Kind.TYPE_II, TYPE_II_TROOTS)):
                 if set(fibers) == set(pattern):
                     kind, order = g2, pattern
-        self._classification = G2TypeClassification(
-            kind, () if kind is G2Kind.NOT_G2_TYPE else tuple(map(TRoot, order)))
+        self._classification = G2TypeClassification(kind)
         prefix = "n" if kind is G2Kind.TYPE_II else "m"
         pos, n = system.positive_roots, len(system.positive_roots)
         module_of = [0] * (2 * n)
@@ -211,33 +209,33 @@ def paint(system: RootSystem, painted: Iterable[int]) -> PaintedDiagram:
     return PaintedDiagram(system, painted)
 
 
-def bracket_inclusion_table(
-    pd: PaintedDiagram, table: StructureConstantTable
-) -> list[list[list[str]]]:
+def bracket_inclusion_table(pd: PaintedDiagram) -> list[list[list[str]]]:
     """6x6 table: which modules (or k) each [m_i, m_j] actually hits.
 
-    Entry (i, j) lists the labels of modules receiving a nonzero
+    Entry (i, j) lists, sorted, the labels of modules receiving a nonzero
     component of some basis-pair bracket, with "k" when the isotropy
-    subalgebra receives one.  Minimal by construction: a label appears
-    only if a bracket actually lands there.  The hits are read from the
-    table's bracket supports; no bracket is evaluated.
+    subalgebra receives one.  For x in m_i and y in m_j, the brackets of
+    A_x, B_x with A_y, B_y reach x+y and +-(x-y) where these are roots,
+    as a Chevalley constant on a root sum is never 0, and the Cartan part
+    when x = y; so the table is root arithmetic on the root codes.
     """
-    cls = pd.classify_g2_type()
-    if cls.kind is G2Kind.NOT_G2_TYPE:
+    if pd.classify_g2_type().kind is G2Kind.NOT_G2_TYPE:
         raise NotG2TypeError("bracket inclusion tables need a G2-type painting")
-    if table.system is not pd.system:
-        raise FlagrootsError("constant table does not match the painted diagram")
-    modules, index = pd.isotropy_decomposition(), pd.system.index
-    # Label per positive-root id, with "k" for K-roots and the Cartan id n.
+    modules, system, module_of = pd.isotropy_decomposition(), pd.system, pd.module_of
+    codes, get = system.codes, system.code_ids.get
     labels = ["k"] + [mod.label for mod in modules]
-    label = [labels[k] for k in pd.module_of[:len(pd.system.positive_roots)]] + ["k"]
-    ids = [[index[r] for r in mod.roots] for mod in modules]
+    ids = [[system.index[r] for r in mod.roots] for mod in modules]
     size = len(modules)
     out: list[list[list[str]]] = [[[] for _ in range(size)] for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            out[i][j] = out[j][i] = sorted({label[k] for x in ids[i] for y in ids[j]
-                                            for k in table.bracket_support(x, y)})
+            hit = {"k"} if i == j else set()
+            for x in ids[i]:
+                for y in ids[j]:
+                    for c in (codes[x] + codes[y], codes[x] - codes[y]):
+                        if (k := get(c)) is not None:
+                            hit.add(labels[module_of[k]])
+            out[i][j] = out[j][i] = sorted(hit)
     return out
 
 

@@ -324,22 +324,27 @@ def test_table_json_dump_stable(systems, tables):
 
 @pytest.mark.parametrize("lie_type", [LieType.G2, LieType.F4, LieType.E6])
 def test_bracket_support_matches_basis_brackets(systems, tables, lie_type):
-    # support of the four A/B basis-pair brackets, Cartan part as id n
+    # The four A/B basis-pair brackets of positive roots x and y reach x+y
+    # and +-(x-y) where these are roots, and the Cartan part (None) when
+    # x = y: a Chevalley constant on a root sum is never 0.
     system, table = systems[lie_type], tables[lie_type]
-    n = len(system.positive_roots)
-    basis = [(AlgebraElement.basis_a(system, r), AlgebraElement.basis_b(system, r))
-             for r in system.positive_roots]
-    for x in range(n):
-        for y in range(n):
+    pos = [tuple(r) for r in system.positive_roots]
+    positive = set(pos)
+    basis = [(AlgebraElement.basis_a(system, r), AlgebraElement.basis_b(system, r)) for r in pos]
+    for x, rx in enumerate(pos):
+        for y, ry in enumerate(pos):
             hit = set()
             for u in basis[x]:
                 for v in basis[y]:
                     z = bracket(table, u, v)
-                    hit |= {system.index[r] for r in z.support()}
+                    hit |= z.support()
                     if any(z.cartan):
-                        hit.add(n)
-            got = table.bracket_support(x, y)
-            assert sorted(got) == sorted(hit), (lie_type, x, y)
+                        hit.add(None)
+            want = {None} if x == y else set()
+            for w in (tuple(a + b for a, b in zip(rx, ry)), tuple(a - b for a, b in zip(rx, ry))):
+                if system.is_root(w):
+                    want.add(w if w in positive else _neg(w))
+            assert hit == want, (lie_type, rx, ry)
 
 
 # Pairs with a root sum, and quadruples a+b+c+d = 0 with a+b a root and no
@@ -409,7 +414,7 @@ def test_four_root_identity_exhaustive(systems, tables, lie_type):
 def test_n_map_built_only_when_read(diagrams):
     pd = diagrams["F4_34"]
     table = build_constants(pd.system)
-    bracket_inclusion_table(pd, table)
+    bracket_inclusion_table(pd)
     x = AlgebraElement.basis_a(pd.system, (0, 1, 1, 0))
     bracket(table, x, AlgebraElement.basis_b(pd.system, (0, 0, 1, 1)))
     assert "n_map" not in table.__dict__

@@ -330,7 +330,8 @@ def test_verify_names_a_malformed_label(capsys, tmp_path):
     vec = tmp_path / "vec.json"
     vec.write_text(json.dumps({"a": [{"label": "b1^x", "coeff": 1}]}))
     code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1")
-    assert code == 2 and out == "" and err.startswith("error: member 'b1^x' is not a label")
+    assert code == 2 and out == "" and err.startswith(f"error: {vec}: entry ")
+    assert "member 'b1^x' is not a label" in err
 
 
 class _ClosedPipe(io.StringIO):
@@ -447,9 +448,15 @@ def test_verify_metric_rejected_by_token(capsys, tmp_path, token):
     ({"root": [False, True, True, True], "coeff": 1}, "'root' list of integers"),
     ({"root": [0, 1, 1, 1], "coeff": True}, "got True"),
     ({"root": [0, 1, 1, 1], "coeff": 1, "module": True}, "is not in module True"),
+    ({"label": "b1^x", "coeff": 1}, "member 'b1^x' is not a label"),
+    ({"label": "b99^1", "coeff": 1}, "no label b99^1"),
+    ({"root": [0, 1, 1, 0, 0, 0], "coeff": 1}, "expected length 4, got 6"),
+    ({"root": [1, 1, 1, 5], "coeff": 1}, "(1, 1, 1, 5) is not a root of F4"),
+    ({"root": [0, 1, 0, 0], "coeff": 1}, "(0, 1, 0, 0) is not in R_M"),
 ])
 def test_verify_vector_entry_rejected_by_entry(capsys, tmp_path, entry, words):
-    # JSON booleans are not integers, and coefficients follow the metric's rules
+    # JSON booleans are not integers, coefficients follow the metric's rules,
+    # and each entry's root must be a root of R_M, by label or by coefficients
     vec = tmp_path / "vec.json"
     vec.write_text(json.dumps({"a": [entry]}))
     code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1")

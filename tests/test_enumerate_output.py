@@ -97,6 +97,15 @@ GOLDEN_BRACKETS = {
     "E8_12": "34b5cf7dd7b98c6d35f301ca799d9670764d962f6737d572be5d30e020125a8e",
 }
 
+# sha256 of `table brackets <space> --format json --out FILE`, without --check.
+GOLDEN_BRACKETS_NO_CHECK = {
+    "G2_12": "031f50e7f801c3744a11155fa6bfa14112120a2645d859eccc5ddf73e6fb6afd",
+    "F4_34": "d32498b42ddb0bf6b4cb1a1d94092968423a47b1d9a543e4900b4eb9191941f5",
+    "E6_36": "dcc124fe223679fdf4029f6caa201ec8e7e7a6f033abbe8b02af6e1db6f7a032",
+    "E7_56": "151f22b97dbb53e6b0000b49eef303ab439e999f577f9b2d52dda8ac5327eb86",
+    "E8_12": "41110411e560bec80fad5f79c1d545052d7c174cbccf836865e7aae38630c319",
+}
+
 # sha256 of StructureConstantTable.to_json().
 GOLDEN_CONSTANTS = {
     "G2": "688b489f63b1e2b827cdac4156c2c1fe32f1fc38ff305be96f15eacf387ec044",
@@ -122,6 +131,13 @@ def test_bracket_table_golden_hash(space, tmp_path):
     out = tmp_path / f"{space}.json"
     assert main(["table", "brackets", space, "--check", "--format", "json", "--out", str(out)]) == 0
     assert _sha256(out) == GOLDEN_BRACKETS[space]
+
+
+@pytest.mark.parametrize("space", SPACE_IDS)
+def test_bracket_table_golden_hash_without_check(space, tmp_path):
+    out = tmp_path / f"{space}.json"
+    assert main(["table", "brackets", space, "--format", "json", "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN_BRACKETS_NO_CHECK[space]
 
 
 @pytest.mark.parametrize("family", sorted(GOLDEN_CONSTANTS))

@@ -14,6 +14,7 @@ from flagroots import (
     StructuralFamily,
     SupportError,
     TangentVector,
+    bracket,
     compatibility_graph,
     enumerate_maximal_families,
     equigeodesic_residual,
@@ -403,18 +404,20 @@ def test_pair_compatible_certificate(diagrams, tables, sid):
     f in m_j, i != j, take k = j: P_j e = 0, so [e, f]_m = 0; and [e, f] has
     t-root +-xi_i +- xi_j != 0, so it lies in m and [e, f] = 0.  Conversely
     C_k(X) is a sum of such cross brackets, as [X_k, X_k] = 0.  So V consists
-    of equigeodesic vectors iff bracket_support(a, b) is empty for each cross
-    pair of S, and by this test iff S is structural.  The all-metrics test's
-    early return, which skips every bracket on a structural support, rests
-    on it.
+    of equigeodesic vectors iff the four basis brackets [A_a, A_b], [A_a, B_b],
+    [B_a, A_b], [B_a, B_b] are zero for each cross pair of S, and by this
+    test iff S is structural.  The all-metrics test's early return, which
+    skips every bracket on a structural support, rests on it.
     """
     pd, table = diagrams[sid], tables[diagrams[sid].system.lie_type]
-    index = pd.system.index
+    system = pd.system
     pairs = [(a, b) for a, b in combinations(pd.r_m_pos, 2)
              if pd.module_index(a) != pd.module_index(b)]
     assert len(pairs) == CROSS_PAIRS[sid]
+    basis = {r: (AlgebraElement.basis_a(system, r), AlgebraElement.basis_b(system, r))
+             for r in pd.r_m_pos}
     mismatched = [(a, b) for a, b in pairs if pair_compatible(pd, a, b)
-                  != (table.bracket_support(index[a], index[b]) == ())]
+                  != all(bracket(table, u, v).is_zero() for u in basis[a] for v in basis[b])]
     assert mismatched == []
 
 
@@ -494,7 +497,8 @@ def test_residual_linear_and_shift_invariant(diagrams, tables, sid):
 def test_residual_brackets_only_cross_module_pairs(diagrams, tables, monkeypatch):
     # The kernel sees each pair of distinct module parts once, i < j, with
     # weight l_j - l_i, and no pair whose parameters are equal; the
-    # all-metrics test brackets X - X_k with X_k for each k but the last.
+    # all-metrics test sums, for each k but the last, the cross pairs
+    # involving k at the unit metric e_k: weight -1 on (k, j), +1 on (i, k).
     pd, table = diagrams["E8_12"], tables[LieType.E8]
     rng = random.Random(83)
     x = _dense_vector(pd, rng)
@@ -514,11 +518,22 @@ def test_residual_brackets_only_cross_module_pairs(diagrams, tables, monkeypatch
         pairs.append((i, j))
     assert sorted(pairs) == [(i, j) for i in range(1, 7) for j in range(i + 1, 7)
                              if lam[i - 1] != lam[j - 1]]
-    seen.clear()
+    calls = []
+
+    def record_call(table, terms):
+        call = []
+        for w, u, v in terms:
+            (i,), (j,) = ({pd.module_index(r) for r in e.support()} for e in (u, v))
+            call.append((w, i, j))
+        calls.append(call)
+        return AlgebraElement.zero(pd.system)
+
+    monkeypatch.setattr(equigeo, "_bracket_sum", record_call)
     assert is_equigeodesic_all_metrics(table, pd, x)  # every recorded C_k is zero
-    modules = [[{pd.module_index(r) for r in e.support()} for e in (u, v)] for _, u, v in seen]
-    assert [w for w, _, _ in seen] == [1] * 5
-    assert modules == [[set(range(1, 7)) - {k}, {k}] for k in range(1, 6)]
+    assert len(calls) == 5
+    for k, terms in enumerate(calls, start=1):
+        assert sorted(terms) == sorted([(-1, k, j) for j in range(k + 1, 7)]
+                                       + [(1, i, k) for i in range(1, k)])
 
 
 def test_residual_agrees_across_coefficient_types(diagrams, tables):

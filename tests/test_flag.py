@@ -1,18 +1,21 @@
 import json
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from flagroots import (
+    AlgebraElement,
     FlagrootsError,
     G2Kind,
     LieType,
     NotComplementaryRootError,
     NotG2TypeError,
+    bracket,
     bracket_inclusion_table,
     g2_type_paintings,
     paint,
 )
+from flagroots.flag import REFERENCE_BRACKETS
 
 TYPE_I_SET = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
 TYPE_II_SET = {(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)}
@@ -32,21 +35,6 @@ EXPECTED_SIZES = {  # |R_M+|, |R_K+|
     "G2_12": (6, 0),
     "E8_12": (84, 36),
 }
-
-# Reference upper bounds for the module bracket tables, by index pair.
-TYPE_I_BRACKETS = {
-    (1, 2): {3}, (1, 3): {2, 4}, (1, 4): {3, 5}, (1, 5): {4}, (1, 6): set(),
-    (2, 3): {1}, (2, 4): set(), (2, 5): {6}, (2, 6): {5},
-    (3, 4): {1, 6}, (3, 5): set(), (3, 6): {4},
-    (4, 5): {1}, (4, 6): {3}, (5, 6): {2},
-}
-TYPE_II_BRACKETS = {
-    (1, 2): {3}, (1, 3): {2}, (1, 4): set(), (1, 5): {6}, (1, 6): {5},
-    (2, 3): {1, 4}, (2, 4): {3, 5}, (2, 5): {4}, (2, 6): set(),
-    (3, 4): {2, 6}, (3, 5): set(), (3, 6): {4},
-    (4, 5): {2}, (4, 6): {3}, (5, 6): {1},
-}
-
 
 def test_partition_sizes(diagrams):
     for sid, (nm, nk) in EXPECTED_SIZES.items():
@@ -137,13 +125,12 @@ def test_painting_input_validation(systems):
 
 
 @pytest.mark.parametrize("sid", ["G2_12", "F4_34", "E6_36", "E7_56", "E8_12"])
-def test_bracket_inclusion_contained_in_reference(diagrams, tables, sid):
+def test_bracket_inclusion_contained_in_reference(diagrams, sid):
     pd = diagrams[sid]
-    table = tables[pd.system.lie_type]
-    got = bracket_inclusion_table(pd, table)
+    got = bracket_inclusion_table(pd)
     mods = pd.isotropy_decomposition()
     labels = [m.label for m in mods]
-    ref = TYPE_II_BRACKETS if sid == "E8_12" else TYPE_I_BRACKETS
+    ref = REFERENCE_BRACKETS[G2Kind.TYPE_II if sid == "E8_12" else G2Kind.TYPE_I]
     for i in range(6):
         for j in range(6):
             cell = set(got[i][j])
@@ -155,25 +142,25 @@ def test_bracket_inclusion_contained_in_reference(diagrams, tables, sid):
             assert cell <= allowed, (sid, i + 1, j + 1, cell, allowed)
 
 
-def test_bracket_inclusion_examples(diagrams, tables):
+def test_bracket_inclusion_examples(diagrams):
     f4 = diagrams["F4_34"]
-    tbl = bracket_inclusion_table(f4, tables[LieType.F4])
+    tbl = bracket_inclusion_table(f4)
     assert set(tbl[0][1]) <= {"m(1,1)"}
     for i in range(6):
         assert set(tbl[i][i]) <= {"k"}
     e8 = diagrams["E8_12"]
-    tbl8 = bracket_inclusion_table(e8, tables[LieType.E8])
+    tbl8 = bracket_inclusion_table(e8)
     assert set(tbl8[1][2]) <= {"n(1,0)", "n(1,2)"}
 
 
-def test_bracket_inclusion_matches_root_arithmetic(diagrams, tables):
+def test_bracket_inclusion_matches_root_arithmetic(diagrams):
     # every structure constant on a root pair is nonzero, so the hit-set
     # equals the prediction from root sums/differences alone.
     for sid in ("G2_12", "F4_34", "E6_36", "E7_56", "E8_12"):
         pd = diagrams[sid]
         system = pd.system
         mods = pd.isotropy_decomposition()
-        got = bracket_inclusion_table(pd, tables[system.lie_type])
+        got = bracket_inclusion_table(pd)
         for i in range(6):
             for j in range(6):
                 predict = set()
@@ -195,10 +182,34 @@ def test_bracket_inclusion_matches_root_arithmetic(diagrams, tables):
                 assert set(got[i][j]) == predict, (sid, i, j)
 
 
-def test_bracket_table_requires_g2_type(systems, tables):
+@pytest.mark.parametrize("sid", ["G2_12", "F4_34", "E6_36", "E7_56", "E8_12"])
+def test_bracket_inclusion_matches_basis_brackets(diagrams, tables, sid):
+    # The table equals the one read from evaluated brackets: for every pair
+    # of R_M+ roots, the four A/B basis-pair brackets, each support root
+    # labelled by its module (k for a K-root) and k for a Cartan part.
+    pd = diagrams[sid]
+    system, table = pd.system, tables[pd.system.lie_type]
+    labels = ["k"] + [m.label for m in pd.isotropy_decomposition()]
+    module = {r: pd.module_index(r) for r in pd.r_m_pos}
+    basis = {r: (AlgebraElement.basis_a(system, r), AlgebraElement.basis_b(system, r))
+             for r in pd.r_m_pos}
+    want = [[set() for _ in range(6)] for _ in range(6)]
+    for a, b in combinations_with_replacement(pd.r_m_pos, 2):
+        hit = want[module[a] - 1][module[b] - 1]
+        for u in basis[a]:
+            for v in basis[b]:
+                z = bracket(table, u, v)
+                hit |= {labels[pd.module_of[system.index[r]]] for r in z.support()}
+                if any(z.cartan):
+                    hit.add("k")
+        want[module[b] - 1][module[a] - 1] |= hit
+    assert bracket_inclusion_table(pd) == [[sorted(cell) for cell in row] for row in want]
+
+
+def test_bracket_table_requires_g2_type(systems):
     pd = paint(systems[LieType.F4], (1,))
     with pytest.raises(NotG2TypeError):
-        bracket_inclusion_table(pd, tables[LieType.F4])
+        bracket_inclusion_table(pd)
 
 
 def test_decomposition_json(diagrams):
