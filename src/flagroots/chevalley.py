@@ -70,7 +70,8 @@ class StructureConstantTable:
     (s, N(i,j), d, N(i,-j), -sign(i-j) N(i,-j)) with s the id of i+j and d
     that of +-(i-j), or None when neither is a root; an absent one has
     constant 0 and the spare id n.  n_map, keyed by root pairs, is built
-    from _pairs only when it is read.
+    from _pairs only when it is read, as is each painting's cross-pair
+    system, which equigeo caches in _compiled under the painted nodes.
     """
 
     def __init__(self, system: RootSystem):
@@ -132,6 +133,7 @@ class StructureConstantTable:
         if any(m * d % (k // 2) for r, k in zip(pos, norm) for m, d in zip(r, sym)):
             raise FlagrootsError("non-integral coroot coefficient")
         self._coroots = [tuple(m * d // (k // 2) for m, d in zip(r, sym)) for r, k in zip(pos, norm)]
+        self._compiled: dict[tuple[int, ...], list] = {}
 
     # -- queries -----------------------------------------------------
 
@@ -272,78 +274,57 @@ def _numerators(index: dict[Coeffs, int], elem: AlgebraElement):
     for r in chain(elem.a, elem.b):
         if index.get(r, n) >= n:
             raise FlagrootsError(f"{r} is not a positive root key")
-    den = 1
-    for c in chain(elem.cartan, elem.a.values(), elem.b.values()):
-        if type(c) is not int and c.denominator != 1:
-            den = lcm(den, c.denominator)
+    den = lcm(*{c.denominator for c in chain(elem.cartan, elem.a.values(), elem.b.values())})
     num = lambda c: c * den if type(c) is int else c.numerator * (den // c.denominator)  # noqa: E731
     a = {index[r]: num(c) for r, c in elem.a.items()}
     b = {index[r]: num(c) for r, c in elem.b.items()}
     return den, a, b, {k: num(c) for k, c in enumerate(elem.cartan) if c} if any(elem.cartan) else {}
 
 
-def _bracket_sum(table: StructureConstantTable,
-                 terms: Sequence[tuple[Scalar, AlgebraElement, AlgebraElement]]) -> AlgebraElement:
-    """sum_t w_t [x_t, y_t] over terms (w_t, x_t, y_t), exact coefficients.
-
-    Each operand becomes int numerators, keyed by positive-root id, once
-    however many terms share it.  All terms accumulate into one integer per
-    root id over the common denominator D of all terms, each scaled by an
-    integer factor folded into x_t; each pair of basis terms costs one lookup
-    in the table's pair entries, and only the result is made of Fractions
-    over D (ints when D = 1).
-    """
+def bracket(table: StructureConstantTable, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """Lie bracket of two real-form elements, exact coefficients: int numerators
+    keyed by positive-root id, one lookup in the table's pair entries per pair of
+    basis terms, and only the result made of Fractions over the product D of the
+    operands' denominators (ints when D = 1)."""
     system, rows = table.system, table._pairs
-    operands = {id(u): u for _, x, y in terms for u in (x, y)}
-    if any(u.system is not system for u in operands.values()):
+    if x.system is not system or y.system is not system:
         raise MixedSystemError("elements do not match the constant table")
-    nums = {k: _numerators(system.index, u) for k, u in operands.items()}
-    den = lcm(*(w.denominator * nums[id(x)][0] * nums[id(y)][0] for w, x, y in terms))
+    (dx, xa, xb, xh), (dy, ya, yb, yh) = _numerators(system.index, x), _numerators(system.index, y)
     # Absent sums and differences add 0 at the spare id n.
     out_a: defaultdict[int, int] = defaultdict(int)
     out_b: defaultdict[int, int] = defaultdict(int)
     out_h = [0] * system.rank
-    for w, x, y in terms:
-        (dx, xa, xb, xh), (dy, ya, yb, yh) = nums[id(x)], nums[id(y)]
-        m = w.numerator * (den // (w.denominator * dx * dy))
-        if m != 1:
-            xa, xb, xh = ({i: m * c for i, c in p.items()} for p in (xa, xb, xh))
-        # [A,A], [B,B] land on A and [A,B], [B,A] on B; sign and sign_d scale
-        # the sum and difference terms, read from entry field 1 and field `slot`.
-        for xs, ys, out, sign, sign_d, slot in ((xa, ya, out_a, 1, 1, 3), (xb, yb, out_a, -1, 1, 3),
-                                                (xa, yb, out_b, 1, 1, 4), (xb, ya, out_b, 1, -1, 4)):
-            for i, ci in xs.items() if ys else ():
-                row = rows[i]
-                for j, cj in ys.items():
-                    e = row[j]
-                    if e is not None:
-                        c = ci * cj
-                        out[e[0]] += sign * c * e[1]
-                        out[e[2]] += sign_d * c * e[slot]
-        # [A_x, B_x] = 2 sqrt(-1) h_x, from both orderings.
-        for xs, ys, sign in ((xa, yb, 2), (ya, xb, -2)):
-            for i, ci in xs.items() if ys else ():
-                if i in ys:
-                    c = sign * ci * ys[i]
-                    for k, h in enumerate(table._coroots[i]):
-                        out_h[k] += c * h
-        # Cartan action: [sqrt(-1)h, A_y] = y(h) B_y, [sqrt(-1)h, B_y] = -y(h) A_y.
-        for hs, a, b, sign in ((xh, ya, yb, 1), (yh, xa, xb, -1)):
-            for j, cj in a.items() if hs else ():
-                out_b[j] += sign * cj * sum(h * table._pairings[j][k] for k, h in hs.items())
-            for j, cj in b.items() if hs else ():
-                out_a[j] -= sign * cj * sum(h * table._pairings[j][k] for k, h in hs.items())
+    # [A,A], [B,B] land on A and [A,B], [B,A] on B; sign and sign_d scale
+    # the sum and difference terms, read from entry field 1 and field `slot`.
+    for xs, ys, out, sign, sign_d, slot in ((xa, ya, out_a, 1, 1, 3), (xb, yb, out_a, -1, 1, 3),
+                                            (xa, yb, out_b, 1, 1, 4), (xb, ya, out_b, 1, -1, 4)):
+        for i, ci in xs.items() if ys else ():
+            row = rows[i]
+            for j, cj in ys.items():
+                e = row[j]
+                if e is not None:
+                    c = ci * cj
+                    out[e[0]] += sign * c * e[1]
+                    out[e[2]] += sign_d * c * e[slot]
+    # [A_x, B_x] = 2 sqrt(-1) h_x, from both orderings.
+    for xs, ys, sign in ((xa, yb, 2), (ya, xb, -2)):
+        for i, ci in xs.items() if ys else ():
+            if i in ys:
+                c = sign * ci * ys[i]
+                for k, h in enumerate(table._coroots[i]):
+                    out_h[k] += c * h
+    # Cartan action: [sqrt(-1)h, A_y] = y(h) B_y, [sqrt(-1)h, B_y] = -y(h) A_y.
+    for hs, a, b, sign in ((xh, ya, yb, 1), (yh, xa, xb, -1)):
+        for j, cj in a.items() if hs else ():
+            out_b[j] += sign * cj * sum(h * table._pairings[j][k] for k, h in hs.items())
+        for j, cj in b.items() if hs else ():
+            out_a[j] -= sign * cj * sum(h * table._pairings[j][k] for k, h in hs.items())
 
-    pos = table._roots
+    pos, den = table._roots, dx * dy
     scalar = int if den == 1 else lambda v: Fraction(v, den)
     return AlgebraElement(system, tuple(map(scalar, out_h)) if any(out_h) else (0,) * len(out_h),
                           {pos[k]: scalar(v) for k, v in out_a.items() if v},
                           {pos[k]: scalar(v) for k, v in out_b.items() if v})
-
-
-def bracket(table: StructureConstantTable, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Lie bracket of two real-form elements: the one-term _bracket_sum."""
-    return _bracket_sum(table, ((1, x, y),))
 
 
 def project_m(pd, x: AlgebraElement) -> AlgebraElement:

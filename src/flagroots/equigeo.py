@@ -14,17 +14,21 @@ coefficients, so a zero here is an identity, not a tolerance.  Over the
 module parts X_k of X it is the sum over i < j of (l_j - l_i) [X_i, X_j],
 as [X_i, X_i] = 0 and the pairs (i, j), (j, i) combine by antisymmetry;
 each such bracket lies in m, as xi_i +- xi_j != 0 for distinct t-roots.
+Only the cross pairs of roots whose sum or difference is a root add to
+it.  They are compiled once per constant table and painting, on first
+use, into the painting's cross-pair system, which the residual and the
+all-metrics test evaluate in integers.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Container, Iterable, Sequence
 from itertools import combinations
+from math import lcm
 
-from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _bracket_sum
+from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _numerators
 from .flag import G2Kind, NotG2TypeError, PaintedDiagram
 from .rootsys import Coeffs, FlagrootsError, Root, SCHEMA_VERSION
 
@@ -316,38 +320,65 @@ def enumerate_maximal_families(
     return EnumerationResult(graph, tuple(cliques[:cap]), truncated, total)
 
 
+def _cross_pairs(table: StructureConstantTable, pd: PaintedDiagram) -> list[list[tuple[int, ...]]]:
+    """The cross-pair system of pd, cached on the table by painted nodes: for x in R_M+, each y of
+    a later module with x + y or x - y a root, as (y, module of y, s, N(x,y), d, N(x,-y),
+    -sign(x-y) N(x,-y)) from the table's pair entries; empty for any other id."""
+    if pd.painted not in table._compiled:
+        module_of = pd.module_of
+        table._compiled[pd.painted] = [[(y, module_of[y], *e) for y, e in enumerate(row) if e and module_of[y] > k]
+                                       if k else [] for row, k in zip(table._pairs, module_of)]
+    return table._compiled[pd.painted]
+
+
 def _cross_pair_sum(table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector,
                     lam: Sequence[Scalar]) -> AlgebraElement:
-    """sum over i < j of (l_j - l_i) [X_i, X_j], over the nonzero module parts
-    X_k of X split off in one pass, with l_k = lam[k - 1]; pairs with
-    l_i = l_j are skipped."""
-    parts: defaultdict[int, tuple[dict, dict]] = defaultdict(lambda: ({}, {}))
-    module_of, index = pd.module_of, pd.system.index
-    for kind, store in enumerate((x.element.a, x.element.b)):
-        for r, c in store.items():
-            parts[module_of[index[r]]][kind][r] = c
-    xs = [(k, AlgebraElement(pd.system, x.element.cartan, *parts[k])) for k in sorted(parts)]
-    return _bracket_sum(table, [(lam[j - 1] - lam[i - 1], xi, xj) for (i, xi), (j, xj)
-                                in combinations(xs, 2) if lam[i - 1] != lam[j - 1]])
+    """sum over i < j of (l_j - l_i) [X_i, X_j], l_k = lam[k - 1], on the cross-pair system.
+
+    X's numerators over one denominator D sit in per-id lists and each weight w = l_j - l_i is an
+    int over one denominator L.  By the real-form formulas a pair x in m_i, y in m_j adds
+    w (a_x a_y -+ b_x b_y) N(x,+-y) to A_{x+-y}, and w (a_x b_y +- b_x a_y) to B_{x+y} and
+    B_{+-(x-y)}, times N(x,y) and -sign(x-y) N(x,-y).  Only the result, over D^2 L, is made of
+    Fractions (ints when D^2 L = 1)."""
+    pairs, module_of, n = _cross_pairs(table, pd), pd.module_of, len(table._roots)
+    den, a, b, _ = _numerators(pd.system.index, x.element)
+    lden = lcm(*(v.denominator for v in lam))
+    scaled = [0, *(v.numerator * (lden // v.denominator) for v in lam)]
+    weights = [[v - u for v in scaled] for u in scaled]
+    (xa, xb), out_a, out_b = ([p.get(i, 0) for i in range(n)] for p in (a, b)), [0] * n, [0] * n
+    for i in a.keys() | b.keys():
+        ai, bi, w = xa[i], xb[i], weights[module_of[i]]
+        for j, k, s, ns, d, nd, nb in pairs[i]:
+            if wk := w[k]:
+                wa, wb, aj, bj = wk * ai, wk * bi, xa[j], xb[j]
+                if ns:
+                    out_a[s] += (wa * aj - wb * bj) * ns
+                    out_b[s] += (wa * bj + wb * aj) * ns
+                if nd:
+                    out_a[d] += (wa * aj + wb * bj) * nd
+                    out_b[d] += (wa * bj - wb * aj) * nb
+    scalar = int if den * den * lden == 1 else lambda v: Fraction(v, den * den * lden)
+    return AlgebraElement(pd.system, (0,) * pd.system.rank,
+                          *({r: scalar(v) for r, v in zip(table._roots, out) if v} for out in (out_a, out_b)))
 
 
-def equigeodesic_residual(table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector,
-                          metric: MetricVector) -> AlgebraElement:
-    """[X, Lambda X]_m with exact rational coefficients.
-
-    With X = sum_k X_k over the module parts, [X, Lambda X] is the sum over
-    i < j of (l_j - l_i) [X_i, X_j]: each [X_i, X_i] is 0, and the pairs
-    (i, j) and (j, i) combine by antisymmetry.  A cross-module bracket lies
-    wholly in m, as its t-roots +-xi_i +- xi_j are nonzero for distinct
-    G2-type t-roots, so only those pairs are evaluated and none is projected.
-    """
+def _check_operands(table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector) -> None:
     if x.space is not pd:
         raise SupportError("tangent vector belongs to a different painting")
     if table.system is not pd.system:
         raise MixedSystemError("elements do not match the constant table")
+
+
+def equigeodesic_residual(table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector,
+                          metric: MetricVector) -> AlgebraElement:
+    """[X, Lambda X]_m with exact rational coefficients, from the cross-pair
+    system; zero at once when every cross pair of the support is compatible."""
+    _check_operands(table, pd, x)
     lam, n_modules = metric.lambdas, len(pd.isotropy_decomposition())
     if len(lam) != n_modules:
         raise FlagrootsError(f"metric has {len(lam)} parameters, expected {n_modules}")
+    if _all_compatible(pd, x.element.support()):
+        return AlgebraElement.zero(pd.system)
     return _cross_pair_sum(table, pd, x, lam)
 
 
@@ -356,16 +387,13 @@ def is_equigeodesic_all_metrics(table: StructureConstantTable, pd: PaintedDiagra
     """True iff [X, Lambda X]_m = 0 for every invariant metric Lambda.
 
     The residual is linear in the metric: [X, Lambda X]_m = sum_k l_k C_k
-    with C_k = [X, X_k]_m and X_k the module-k part of X.  So X qualifies
-    iff every C_k is zero, which is what is tested, stopping at the first
-    nonzero one.  C_k is the residual at the unit metric e_k, the cross-pair
-    sum with weight -1 on the pairs (k, j) and +1 on the pairs (i, k).
-    Since sum_k C_k = [X, X]_m = 0, the last C_k vanishes once the others
-    do.  If all cross-module pairs of the support are compatible, every
-    cross basis-pair bracket and so every C_k vanishes: no bracket is run.
+    with C_k = [X, X_k]_m, X_k the module-k part of X.  C_k is the cross-pair
+    sum at the unit metric e_k, with weight -1 on the pairs (k, j) and +1 on
+    the pairs (i, k); X qualifies iff each is zero, tested up to the first
+    nonzero one, and the last vanishes with the others, as sum_k C_k =
+    [X, X]_m = 0.  A support whose cross pairs are all compatible runs none.
     """
-    if x.space is not pd:
-        raise SupportError("tangent vector belongs to a different painting")
+    _check_operands(table, pd, x)
     if _all_compatible(pd, x.element.support()):
         return True
     n_modules = len(pd.isotropy_decomposition())

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .rootsys import (
@@ -244,10 +245,5 @@ def g2_type_paintings(lie_type: LieType) -> list[tuple[int, int]]:
     from .rootsys import root_system
 
     system = root_system(lie_type)
-    found = []
-    for i in range(1, system.rank + 1):
-        for j in range(i + 1, system.rank + 1):
-            pd = PaintedDiagram(system, (i, j))
-            if pd.classify_g2_type().kind is not G2Kind.NOT_G2_TYPE:
-                found.append((i, j))
-    return found
+    return [nodes for nodes in combinations(range(1, system.rank + 1), 2)
+            if PaintedDiagram(system, nodes).classify_g2_type().kind is not G2Kind.NOT_G2_TYPE]

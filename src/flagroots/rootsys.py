@@ -116,18 +116,12 @@ class CartanMatrix:
         if len(coeffs) != self.rank:
             raise DimensionMismatchError(
                 f"expected length {self.rank}, got {len(coeffs)}")
-        return tuple(
-            sum(row[j] * coeffs[j] for j in range(self.rank))
-            for row in self.entries
-        )
+        return tuple(sum(a * c for a, c in zip(row, coeffs)) for row in self.entries)
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """Inner product (x, y), normalized so short roots have norm 2."""
-        n = self.rank
-        return sum(
-            self.symmetrizer[i] * self.entries[i][j] * x[i] * y[j]
-            for i in range(n) for j in range(n)
-        )
+        """Inner product (x, y) = sum_i d_i x_i <y, a_i^>, normalized so short
+        roots have norm 2."""
+        return sum(d * c * p for d, c, p in zip(self.symmetrizer, x, self.coroot_pairing(y)))
 
     def normsq(self, x: Sequence[int]) -> int:
         return self.inner(x, x)

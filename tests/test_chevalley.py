@@ -10,11 +10,14 @@ from flagroots import (
     AlgebraElement,
     FlagrootsError,
     LieType,
+    MetricVector,
     MixedSystemError,
+    TangentVector,
     bracket,
-    bracket_inclusion_table,
     build_constants,
     chevalley,
+    equigeodesic_residual,
+    is_equigeodesic_all_metrics,
     paint,
     project_m,
 )
@@ -62,25 +65,21 @@ def test_bracket_matches_reference(systems, tables, lie_type):
 
 
 @pytest.mark.parametrize("lie_type", [LieType.G2, LieType.F4, LieType.E8])
-def test_bracket_sum_matches_term_by_term(systems, tables, lie_type):
-    # Shared operands, weights over different denominators, int and
-    # integral-Fraction weights, and operands with Cartan parts.
+def test_bracket_operand_mix_matches_reference(systems, tables, lie_type):
+    # Shared operands, operands with and without Cartan parts, p/q, int and
+    # integral-Fraction coefficients, a self-bracket and a zero operand.
     s, t = systems[lie_type], tables[lie_type]
     rng = random.Random(f"bracket-sum:{lie_type.name}")
     density = 1.0 if lie_type is LieType.G2 else 0.2
     x = random_element(rng, s, density, True, True)
     y = random_element(rng, s, density, False, True)
     z = random_element(rng, s, density, True, False)
-    terms = [(Fraction(3, 7), x, y), (-2, y, z), (Fraction(5, 11), z, x),
-             (Fraction(4), x, z), (Fraction(-1, 13), y, y), (1, x, y)]
-    got = chevalley._bracket_sum(t, terms)
-    want = AlgebraElement.zero(s)
-    for w, u, v in terms:
-        term = bracket(t, u, v)
-        assert term == oracles.reference_bracket(t, u, v)
-        want = want + term * w
-    assert got == want
-    assert chevalley._bracket_sum(t, []).is_zero()
+    zf = _with_coefficients(z, "Fraction")
+    zero = AlgebraElement.zero(s)
+    for u, v in ((x, y), (y, z), (z, x), (x, zf), (zf, y), (y, y), (x, x), (zero, x)):
+        assert bracket(t, u, v) == oracles.reference_bracket(t, u, v)
+    assert bracket(t, x, zf) == bracket(t, x, z)
+    assert bracket(t, y, y).is_zero() and bracket(t, zero, x).is_zero()
 
 
 def _with_coefficients(elem, kind):
@@ -412,11 +411,17 @@ def test_four_root_identity_exhaustive(systems, tables, lie_type):
 
 
 def test_n_map_built_only_when_read(diagrams):
+    # The bracket, and the residual and the all-metrics test with the cross-pair
+    # system they compile, read the table's pair entries, never n_map.
     pd = diagrams["F4_34"]
     table = build_constants(pd.system)
-    bracket_inclusion_table(pd)
     x = AlgebraElement.basis_a(pd.system, (0, 1, 1, 0))
     bracket(table, x, AlgebraElement.basis_b(pd.system, (0, 0, 1, 1)))
+    dense = TangentVector.from_coefficients(pd, a={r: 1 for r in pd.r_m_pos},
+                                            b={r: Fraction(1, 3) for r in pd.r_m_pos})
+    assert not equigeodesic_residual(table, pd, dense, MetricVector((1, 2, 3, 4, 5, 6))).is_zero()
+    assert not is_equigeodesic_all_metrics(table, pd, dense)
+    assert list(table._compiled) == [pd.painted]
     assert "n_map" not in table.__dict__
     assert len(table.n_map) == ROOT_SUM_PAIRS[LieType.F4]
     assert "n_map" in table.__dict__

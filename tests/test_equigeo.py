@@ -15,6 +15,7 @@ from flagroots import (
     SupportError,
     TangentVector,
     bracket,
+    build_constants,
     compatibility_graph,
     enumerate_maximal_families,
     equigeodesic_residual,
@@ -23,6 +24,7 @@ from flagroots import (
     load_fixture,
     pair_compatible,
     project_m,
+    space_diagram,
 )
 from flagroots import equigeo
 
@@ -449,8 +451,9 @@ def _metric(rng, n):
 
 def _oracle_residual(table, pd, x, lam):
     """project_m([X, Lambda X]), Lambda X built term by term and the bracket
-    taken by the reference oracle."""
-    scaled = [{r: c * lam[pd.module_index(r) - 1] for r, c in part.items()}
+    taken by the reference oracle.  A zero parameter (a unit metric) drops
+    its module's terms, as an element stores no zero coefficient."""
+    scaled = [{r: c * lam[pd.module_index(r) - 1] for r, c in part.items() if lam[pd.module_index(r) - 1]}
               for part in (x.element.a, x.element.b)]
     lx = AlgebraElement(pd.system, (0,) * pd.system.rank, *scaled)
     return project_m(pd, oracles.reference_bracket(table, x.element, lx))
@@ -494,46 +497,102 @@ def test_residual_linear_and_shift_invariant(diagrams, tables, sid):
     assert res([p + c for p in lam]) == res(lam)
 
 
-def test_residual_brackets_only_cross_module_pairs(diagrams, tables, monkeypatch):
-    # The kernel sees each pair of distinct module parts once, i < j, with
-    # weight l_j - l_i, and no pair whose parameters are equal; the
-    # all-metrics test sums, for each k but the last, the cross pairs
-    # involving k at the unit metric e_k: weight -1 on (k, j), +1 on (i, k).
-    pd, table = diagrams["E8_12"], tables[LieType.E8]
-    rng = random.Random(83)
-    x = _dense_vector(pd, rng)
-    lam = (Fraction(3), Fraction(1, 2), Fraction(3), Fraction(7, 3), Fraction(1, 2), Fraction(5))
-    seen = []
+# Cross-module pairs of R_M+ whose root sum or difference is a root: the
+# complements of the compatible ones among CROSS_PAIRS.
+BRACKETING_PAIRS = {"G2_12": 12, "F4_34": 111, "E6_36": 192, "E7_56": 408, "E8_12": 1056}
 
-    def record(table, terms):
-        seen.extend(terms)
-        return AlgebraElement.zero(pd.system)
 
-    monkeypatch.setattr(equigeo, "_bracket_sum", record)
-    equigeodesic_residual(table, pd, x, MetricVector(lam))
-    pairs = []
-    for w, u, v in seen:
-        (i,), (j,) = ({pd.module_index(r) for r in e.support()} for e in (u, v))
-        assert i < j and w == lam[j - 1] - lam[i - 1] != 0
-        pairs.append((i, j))
-    assert sorted(pairs) == [(i, j) for i in range(1, 7) for j in range(i + 1, 7)
-                             if lam[i - 1] != lam[j - 1]]
-    calls = []
+def _bracketing_pairs(pd):
+    """(x, y) over cross-module pairs of R_M+, lower module first, whose sum or
+    difference is a root, by tuple arithmetic."""
+    system, out = pd.system, set()
+    for a, b in combinations(pd.r_m_pos, 2):
+        i, j = pd.module_index(a), pd.module_index(b)
+        if i != j and any(system.is_root(tuple(p + s * q for p, q in zip(a, b))) for s in (1, -1)):
+            out.add((a, b) if i < j else (b, a))
+    return out
 
-    def record_call(table, terms):
-        call = []
-        for w, u, v in terms:
-            (i,), (j,) = ({pd.module_index(r) for r in e.support()} for e in (u, v))
-            call.append((w, i, j))
-        calls.append(call)
-        return AlgebraElement.zero(pd.system)
 
-    monkeypatch.setattr(equigeo, "_bracket_sum", record_call)
-    assert is_equigeodesic_all_metrics(table, pd, x)  # every recorded C_k is zero
-    assert len(calls) == 5
-    for k, terms in enumerate(calls, start=1):
-        assert sorted(terms) == sorted([(-1, k, j) for j in range(k + 1, 7)]
-                                       + [(1, i, k) for i in range(1, k)])
+def _unit(n, k):
+    return tuple(int(i == k) for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("sid", sorted(BRACKETING_PAIRS))
+def test_cross_pair_system_holds_the_bracketing_pairs(diagrams, tables, sid):
+    # The compiled system lists each cross-module pair with a root sum or
+    # difference once, lower module first, with the constants of the table;
+    # the kernel at the unit metric e_k is C_k = [X, X_k]_m, which weighs the
+    # pairs (k, j) by -1 and (i, k) by +1.
+    pd, table = diagrams[sid], tables[diagrams[sid].system.lie_type]
+    system, n = pd.system, len(pd.system.positive_roots)
+    stored = [(system.roots[x], entry) for x, row in enumerate(equigeo._cross_pairs(table, pd)) for entry in row]
+    pairs = [(x, system.roots[entry[0]]) for x, entry in stored]
+    assert len(pairs) == len(set(pairs)) == BRACKETING_PAIRS[sid]
+    assert set(pairs) == _bracketing_pairs(pd)
+    for x, (y_id, k, s, ns, d, nd, nb) in stored:
+        y = system.roots[y_id]
+        diff = tuple(p - q for p, q in zip(x, y))
+        assert k == pd.module_index(y) > pd.module_index(x)
+        assert (ns, nd) == (table.n(x, y), table.n(x, -y))
+        assert s == system.index.get(tuple(p + q for p, q in zip(x, y)), n)
+        assert d == (n if nd == 0 else system.fold(diff)[0])
+        assert nb == (-nd if nd and system.fold(diff)[1] > 0 else nd)
+    rng = random.Random(f"unit-metrics:{sid}")
+    x, n_modules = _dense_vector(pd, rng), len(pd.isotropy_decomposition())
+    for k in range(1, n_modules + 1):
+        got = equigeo._cross_pair_sum(table, pd, x, _unit(n_modules, k))
+        assert got == _oracle_residual(table, pd, x, _unit(n_modules, k)), k
+        assert not got.is_zero()
+
+
+def test_structural_supports_build_no_cross_pair_system(diagrams):
+    # The non-suspect reference families, as the certify benchmark runs them
+    # on fresh tables, and a support inside one module are answered without
+    # compiling a cross-pair system.
+    checked = 0
+    for sid, pd in diagrams.items():
+        table, fx = build_constants(pd.system), load_fixture(sid)
+        lam = MetricVector(tuple(range(1, len(pd.isotropy_decomposition()) + 1)))
+        supports = [fx.family_roots(f) for f in fx.families if not f.suspect]
+        for roots in supports + [pd.isotropy_decomposition()[0].roots]:
+            x = TangentVector.from_coefficients(pd, a={r: Fraction(i + 1, 3) for i, r in enumerate(roots)},
+                                                b={r: -i - 1 for i, r in enumerate(roots)})
+            assert is_equigeodesic_all_metrics(table, pd, x)
+            assert equigeodesic_residual(table, pd, x, lam).is_zero()
+        checked += len(supports)
+        assert table._compiled == {}, sid
+    assert checked == 162
+
+
+def test_cross_pair_system_is_compiled_once(diagrams):
+    pd = diagrams["E6_36"]
+    table = build_constants(pd.system)
+    rng = random.Random(97)
+    x, lam = _dense_vector(pd, rng), MetricVector(_metric(rng, 6))
+    first = equigeodesic_residual(table, pd, x, lam)
+    system = table._compiled[pd.painted]
+    assert not is_equigeodesic_all_metrics(table, pd, x)
+    assert equigeodesic_residual(table, pd, x, lam) == first
+    assert list(table._compiled) == [pd.painted] and table._compiled[pd.painted] is system
+
+
+def test_one_table_keeps_the_paintings_apart(diagrams):
+    # F4_34 and the custom painting F4:1 share one root system and one table,
+    # which holds a cross-pair system for each, under its painted nodes.
+    pd, custom = diagrams["F4_34"], space_diagram("F4:1")
+    assert custom.system is pd.system and len(custom.isotropy_decomposition()) == 2
+    table = build_constants(pd.system)
+    rng = random.Random(101)
+    for space in (pd, custom, pd):
+        x = _dense_vector(space, rng)
+        lam = _metric(rng, len(space.isotropy_decomposition()))
+        got = equigeodesic_residual(table, space, x, MetricVector(lam))
+        assert not got.is_zero() and got == _oracle_residual(table, space, x, lam)
+    assert sorted(table._compiled) == [(1,), (3, 4)]
+    for space in (pd, custom):
+        stored = {(x, e[0]) for x, row in enumerate(table._compiled[space.painted]) for e in row}
+        index = space.system.index
+        assert stored == {(index[a], index[b]) for a, b in _bracketing_pairs(space)}
 
 
 def test_residual_agrees_across_coefficient_types(diagrams, tables):
