@@ -14,10 +14,11 @@ coefficients, so a zero here is an identity, not a tolerance.  Over the
 module parts X_k of X it is the sum over i < j of (l_j - l_i) [X_i, X_j],
 as [X_i, X_i] = 0 and the pairs (i, j), (j, i) combine by antisymmetry;
 each such bracket lies in m, as xi_i +- xi_j != 0 for distinct t-roots.
-Only the cross pairs of roots whose sum or difference is a root add to
-it.  They are compiled once per constant table and painting, on first
-use, into the painting's cross-pair system, which the residual and the
-all-metrics test evaluate in integers.
+It equals sum_k l_k C_k with C_k = [X, X_k]_m.  Only the cross pairs of
+roots whose sum or difference is a root add to it; compiled once per
+constant table and painting, they give all the C_k of X in one integer
+pass.  The residual combines the C_k; the all-metrics test asks that
+every C_k be zero.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from fractions import Fraction
 from collections.abc import Container, Iterable, Sequence
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _numerators
 from .flag import G2Kind, NotG2TypeError, PaintedDiagram
@@ -78,9 +80,7 @@ class StructuralFamily:
 
     @classmethod
     def from_roots(cls, space: PaintedDiagram, roots: Iterable[Sequence[int]]) -> "StructuralFamily":
-        members = frozenset(
-            (space.module_index(r), space.system.root(r)) for r in roots)
-        return cls(space, members)
+        return cls(space, frozenset((space.module_index(r), space.system.root(r)) for r in roots))
 
     def modules(self) -> set[int]:
         return {k for k, _ in self.members}
@@ -107,7 +107,7 @@ class StructuralFamily:
 
 
 class TangentVector:
-    """An element of the tangent space: no Cartan part, no K-support."""
+    """A tangent-space element, no Cartan part or K-support; immutable, its C_k memoised by table."""
 
     def __init__(self, pd: PaintedDiagram, element: AlgebraElement):
         if element.system is not pd.system:
@@ -117,8 +117,8 @@ class TangentVector:
         bad = [r for r in element.support() if pd._m_id(r) is None]
         if bad:
             raise SupportError(f"support leaves R_M+: {sorted(bad)}")
-        self.space = pd
-        self.element = element
+        self.space, self.element = pd, element
+        self._brackets: dict[StructureConstantTable, tuple[int, tuple, tuple]] = {}
 
     @classmethod
     def from_coefficients(
@@ -127,13 +127,15 @@ class TangentVector:
         a: dict[Sequence[int], Scalar] | None = None,
         b: dict[Sequence[int], Scalar] | None = None,
     ) -> "TangentVector":
-        """Sum of coeff A_root over a and coeff B_root over b in one pass; a
-        negative root counts as its positive, B with the coefficient negated."""
+        """Sum of coeff A_root over a and coeff B_root over b, each coeff an int or a Fraction;
+        a negative root counts as its positive, B with the coefficient negated."""
         system, parts = pd.system, []
         for coeffs, flip in ((a, 1), (b, -1)):
             out: dict[Coeffs, Scalar] = {}
             for root, coeff in (coeffs or {}).items():
                 k, sign = system.fold(root)
+                if not (type(coeff) is int or isinstance(coeff, Fraction)):
+                    raise FlagrootsError(f"coefficient {coeff!r} of root {tuple(root)} is not an int or a Fraction")
                 r = tuple(system.positive_roots[k])
                 w = out.get(r, 0) + (coeff if sign > 0 else flip * coeff)
                 if w:
@@ -168,8 +170,7 @@ def pair_compatible(pd: PaintedDiagram, alpha: Sequence[int], beta: Sequence[int
     may be a root (that forces every relevant structure constant to
     vanish, so all cross brackets are identically zero).
     """
-    a = tuple(alpha)
-    b = tuple(beta)
+    a, b = tuple(alpha), tuple(beta)
     if pd._m_id(a) is None or pd._m_id(b) is None:
         raise SupportError("pair_compatible needs roots from R_M+")
     if a == b:
@@ -331,35 +332,41 @@ def _cross_pairs(table: StructureConstantTable, pd: PaintedDiagram) -> list[list
     return table._compiled[pd.painted]
 
 
-def _cross_pair_sum(table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector,
-                    lam: Sequence[Scalar]) -> AlgebraElement:
-    """sum over i < j of (l_j - l_i) [X_i, X_j], l_k = lam[k - 1], on the cross-pair system.
-
-    X's numerators over one denominator D sit in per-id lists and each weight w = l_j - l_i is an
-    int over one denominator L.  By the real-form formulas a pair x in m_i, y in m_j adds
-    w (a_x a_y -+ b_x b_y) N(x,+-y) to A_{x+-y}, and w (a_x b_y +- b_x a_y) to B_{x+y} and
-    B_{+-(x-y)}, times N(x,y) and -sign(x-y) N(x,-y).  Only the result, over D^2 L, is made of
-    Fractions (ints when D^2 L = 1)."""
-    pairs, module_of, n = _cross_pairs(table, pd), pd.module_of, len(table._roots)
-    den, a, b, _ = _numerators(pd.system.index, x.element)
-    lden = lcm(*(v.denominator for v in lam))
-    scaled = [0, *(v.numerator * (lden // v.denominator) for v in lam)]
-    weights = [[v - u for v in scaled] for u in scaled]
-    (xa, xb), out_a, out_b = ([p.get(i, 0) for i in range(n)] for p in (a, b)), [0] * n, [0] * n
-    for i in a.keys() | b.keys():
-        ai, bi, w = xa[i], xb[i], weights[module_of[i]]
-        for j, k, s, ns, d, nd, nb in pairs[i]:
-            if wk := w[k]:
-                wa, wb, aj, bj = wk * ai, wk * bi, xa[j], xb[j]
-                if ns:
-                    out_a[s] += (wa * aj - wb * bj) * ns
-                    out_b[s] += (wa * bj + wb * aj) * ns
-                if nd:
-                    out_a[d] += (wa * aj + wb * bj) * nd
-                    out_b[d] += (wa * bj - wb * aj) * nb
-    scalar = int if den * den * lden == 1 else lambda v: Fraction(v, den * den * lden)
-    return AlgebraElement(pd.system, (0,) * pd.system.rank,
-                          *({r: scalar(v) for r, v in zip(table._roots, out) if v} for out in (out_a, out_b)))
+def _module_brackets(table: StructureConstantTable, x: TangentVector) -> tuple[int, tuple, tuple]:
+    """All C_k = [X, X_k]_m in one integer pass over the cross-pair system, memoised on X by table:
+    (D^2, A rows, B rows), a row (root, (c_1, .., c_m)) for each root, in id order, where some C_k
+    is nonzero, with int numerators over D^2, D the common denominator of X.  A pair x in m_i,
+    y in m_j, i < j, is weighed by l_j - l_i, so its term is added to C_j and subtracted from C_i:
+    (a_x a_y -+ b_x b_y) N(x,+-y) on A_{x+-y}, and (a_x b_y +- b_x a_y) on B_{x+y} and B_{+-(x-y)},
+    times N(x,y) and -sign(x-y) N(x,-y), by the real-form formulas."""
+    memo = x._brackets.get(table)
+    if memo is None:
+        pd = x.space
+        pairs, module_of, n = _cross_pairs(table, pd), pd.module_of, len(table._roots)
+        den, a, b, _ = _numerators(pd.system.index, x.element)
+        xa, xb = ([p.get(i, 0) for i in range(n)] for p in (a, b))
+        cols_a, cols_b = ([[0] * n for _ in range(len(pd.isotropy_decomposition()) + 1)] for _ in "ab")
+        for i in a.keys() | b.keys():
+            ai, bi, ca_i, cb_i = xa[i], xb[i], cols_a[module_of[i]], cols_b[module_of[i]]
+            for j, k, s, ns, d, nd, nb in pairs[i]:
+                aj, bj = xa[j], xb[j]
+                if aj or bj:
+                    ca_k, cb_k, p, q, u, v = cols_a[k], cols_b[k], ai * aj, bi * bj, ai * bj, bi * aj
+                    if ns:
+                        t, w = (p - q) * ns, (u + v) * ns
+                        ca_k[s] += t
+                        ca_i[s] -= t
+                        cb_k[s] += w
+                        cb_i[s] -= w
+                    if nd:
+                        t, w = (p + q) * nd, (u - v) * nb
+                        ca_k[d] += t
+                        ca_i[d] -= t
+                        cb_k[d] += w
+                        cb_i[d] -= w
+        rows = (tuple((r, cs) for r, cs in zip(table._roots, zip(*cols[1:])) if any(cs)) for cols in (cols_a, cols_b))
+        memo = x._brackets[table] = (den * den, *rows)
+    return memo
 
 
 def _check_operands(table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector) -> None:
@@ -371,31 +378,32 @@ def _check_operands(table: StructureConstantTable, pd: PaintedDiagram, x: Tangen
 
 def equigeodesic_residual(table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector,
                           metric: MetricVector) -> AlgebraElement:
-    """[X, Lambda X]_m with exact rational coefficients, from the cross-pair
-    system; zero at once when every cross pair of the support is compatible."""
+    """[X, Lambda X]_m = sum_k l_k C_k exactly, each l_k an int over one denominator L; zero at once
+    when every cross pair of the support is compatible.  Only the result, over D^2 L, is made of
+    Fractions (ints when D^2 L = 1)."""
     _check_operands(table, pd, x)
     lam, n_modules = metric.lambdas, len(pd.isotropy_decomposition())
     if len(lam) != n_modules:
         raise FlagrootsError(f"metric has {len(lam)} parameters, expected {n_modules}")
     if _all_compatible(pd, x.element.support()):
         return AlgebraElement.zero(pd.system)
-    return _cross_pair_sum(table, pd, x, lam)
+    den, *rows = _module_brackets(table, x)
+    lden = lcm(*(v.denominator for v in lam))
+    scaled, den = [v.numerator * (lden // v.denominator) for v in lam], den * lden
+    scalar = int if den == 1 else lambda v: Fraction(v, den)
+    return AlgebraElement(pd.system, (0,) * pd.system.rank,
+                          *({r: scalar(v) for r, cs in part if (v := sum(map(mul, scaled, cs)))} for part in rows))
 
 
 def is_equigeodesic_all_metrics(table: StructureConstantTable, pd: PaintedDiagram,
                                 x: TangentVector) -> bool:
     """True iff [X, Lambda X]_m = 0 for every invariant metric Lambda.
 
-    The residual is linear in the metric: [X, Lambda X]_m = sum_k l_k C_k
-    with C_k = [X, X_k]_m, X_k the module-k part of X.  C_k is the cross-pair
-    sum at the unit metric e_k, with weight -1 on the pairs (k, j) and +1 on
-    the pairs (i, k); X qualifies iff each is zero, tested up to the first
-    nonzero one, and the last vanishes with the others, as sum_k C_k =
-    [X, X]_m = 0.  A support whose cross pairs are all compatible runs none.
+    As [X, Lambda X]_m = sum_k l_k C_k, with C_k = [X, X_k]_m and X_k the
+    module-k part of X, that is: no C_k has a nonzero entry.  A support whose
+    cross pairs are all compatible needs no C_k.
     """
     _check_operands(table, pd, x)
     if _all_compatible(pd, x.element.support()):
         return True
-    n_modules = len(pd.isotropy_decomposition())
-    return all(_cross_pair_sum(table, pd, x, [int(i == k) for i in range(1, n_modules + 1)]).is_zero()
-               for k in range(1, n_modules))
+    return not any(_module_brackets(table, x)[1:])

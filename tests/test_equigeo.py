@@ -1,9 +1,12 @@
 import random
 import re
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from flagroots import (
@@ -11,6 +14,7 @@ from flagroots import (
     FlagrootsError,
     LieType,
     MetricVector,
+    MixedSystemError,
     StructuralFamily,
     SupportError,
     TangentVector,
@@ -517,12 +521,19 @@ def _unit(n, k):
     return tuple(int(i == k) for i in range(1, n + 1))
 
 
+def _c_k(table, x, k):
+    """C_k = [X, X_k]_m read from the one-pass system memoised on x."""
+    den, rows_a, rows_b = equigeo._module_brackets(table, x)
+    return AlgebraElement(x.space.system, (0,) * x.space.system.rank,
+                          *({r: Fraction(cs[k - 1], den) for r, cs in rows if cs[k - 1]} for rows in (rows_a, rows_b)))
+
+
 @pytest.mark.parametrize("sid", sorted(BRACKETING_PAIRS))
 def test_cross_pair_system_holds_the_bracketing_pairs(diagrams, tables, sid):
     # The compiled system lists each cross-module pair with a root sum or
     # difference once, lower module first, with the constants of the table;
-    # the kernel at the unit metric e_k is C_k = [X, X_k]_m, which weighs the
-    # pairs (k, j) by -1 and (i, k) by +1.
+    # the one-pass system's C_k is the residual at the unit metric e_k,
+    # [X, X_k]_m, which weighs the pairs (k, j) by -1 and (i, k) by +1.
     pd, table = diagrams[sid], tables[diagrams[sid].system.lie_type]
     system, n = pd.system, len(pd.system.positive_roots)
     stored = [(system.roots[x], entry) for x, row in enumerate(equigeo._cross_pairs(table, pd)) for entry in row]
@@ -540,7 +551,7 @@ def test_cross_pair_system_holds_the_bracketing_pairs(diagrams, tables, sid):
     rng = random.Random(f"unit-metrics:{sid}")
     x, n_modules = _dense_vector(pd, rng), len(pd.isotropy_decomposition())
     for k in range(1, n_modules + 1):
-        got = equigeo._cross_pair_sum(table, pd, x, _unit(n_modules, k))
+        got = _c_k(table, x, k)
         assert got == _oracle_residual(table, pd, x, _unit(n_modules, k)), k
         assert not got.is_zero()
 
@@ -548,7 +559,7 @@ def test_cross_pair_system_holds_the_bracketing_pairs(diagrams, tables, sid):
 def test_structural_supports_build_no_cross_pair_system(diagrams):
     # The non-suspect reference families, as the certify benchmark runs them
     # on fresh tables, and a support inside one module are answered without
-    # compiling a cross-pair system.
+    # compiling a cross-pair system or filling the vector's C_k.
     checked = 0
     for sid, pd in diagrams.items():
         table, fx = build_constants(pd.system), load_fixture(sid)
@@ -559,6 +570,7 @@ def test_structural_supports_build_no_cross_pair_system(diagrams):
                                                 b={r: -i - 1 for i, r in enumerate(roots)})
             assert is_equigeodesic_all_metrics(table, pd, x)
             assert equigeodesic_residual(table, pd, x, lam).is_zero()
+            assert x._brackets == {}
         checked += len(supports)
         assert table._compiled == {}, sid
     assert checked == 162
@@ -574,6 +586,85 @@ def test_cross_pair_system_is_compiled_once(diagrams):
     assert not is_equigeodesic_all_metrics(table, pd, x)
     assert equigeodesic_residual(table, pd, x, lam) == first
     assert list(table._compiled) == [pd.painted] and table._compiled[pd.painted] is system
+
+
+def _counting(monkeypatch, calls, *names):
+    """Count the calls equigeo makes to each named function of its namespace."""
+    for name in names:
+        real = getattr(equigeo, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(equigeo, name, counted)
+
+
+def test_module_brackets_are_computed_once_per_vector(diagrams, monkeypatch):
+    # One numerator pass and one pass over the cross-pair system per vector
+    # and table: later residuals and the all-metrics test read the memo.
+    pd = diagrams["E6_36"]
+    table, calls = build_constants(pd.system), Counter()
+    _counting(monkeypatch, calls, "_numerators", "_cross_pairs")
+    rng = random.Random(103)
+    x, metrics = _dense_vector(pd, rng), [MetricVector(_metric(rng, 6)) for _ in range(3)]
+    first = equigeodesic_residual(table, pd, x, metrics[0])
+    assert calls == {"_numerators": 1, "_cross_pairs": 1}
+    again = [equigeodesic_residual(table, pd, x, lam) for lam in metrics]
+    assert not is_equigeodesic_all_metrics(table, pd, x)
+    assert calls == {"_numerators": 1, "_cross_pairs": 1}
+    assert again[0] == first == _oracle_residual(table, pd, x, metrics[0].lambdas)
+    assert list(x._brackets) == [table]
+    y = _dense_vector(pd, rng)
+    assert not is_equigeodesic_all_metrics(table, pd, y)
+    assert calls == {"_numerators": 2, "_cross_pairs": 2}
+
+
+def test_memoised_residuals_do_not_depend_on_the_order(diagrams, tables):
+    # A shuffled batch of metrics on a vector whose C_k are already stored
+    # gives the elements of the same batch on a fresh copy of the vector.
+    pd, table = diagrams["F4_34"], tables[LieType.F4]
+    rng = random.Random(107)
+    a, b = ({r: _p_over_q(rng) for r in pd.r_m_pos} for _ in "ab")
+    metrics = [MetricVector(_metric(rng, 6)) for _ in range(8)]
+    x = TangentVector.from_coefficients(pd, a=a, b=b)
+    assert not is_equigeodesic_all_metrics(table, pd, x)
+    order = list(range(len(metrics)))
+    rng.shuffle(order)
+    shuffled = {i: equigeodesic_residual(table, pd, x, metrics[i]) for i in order}
+    fresh = TangentVector.from_coefficients(pd, a=a, b=b)
+    assert [shuffled[i] for i in range(len(metrics))] == [equigeodesic_residual(table, pd, fresh, lam)
+                                                          for lam in metrics]
+
+
+def test_one_vector_under_two_tables_of_its_system(diagrams, tables):
+    pd = diagrams["F4_34"]
+    first, second = build_constants(pd.system), build_constants(pd.system)
+    rng = random.Random(109)
+    x, lam = _dense_vector(pd, rng), MetricVector(_metric(rng, 6))
+    want = _oracle_residual(first, pd, x, lam.lambdas)
+    assert equigeodesic_residual(first, pd, x, lam) == want
+    assert equigeodesic_residual(second, pd, x, lam) == want
+    assert not is_equigeodesic_all_metrics(second, pd, x)
+    assert set(x._brackets) == {first, second}
+
+
+def test_operand_checks_come_before_the_memo(diagrams, tables):
+    # A table of another system, a painting other than the vector's and a
+    # metric of the wrong length are refused after the C_k are stored too.
+    pd, table = diagrams["F4_34"], tables[LieType.F4]
+    rng = random.Random(113)
+    x, lam = _dense_vector(pd, rng), MetricVector(_metric(rng, 6))
+    assert not equigeodesic_residual(table, pd, x, lam).is_zero()
+    assert x._brackets
+    with pytest.raises(MixedSystemError):
+        equigeodesic_residual(tables[LieType.E6], pd, x, lam)
+    with pytest.raises(MixedSystemError):
+        is_equigeodesic_all_metrics(tables[LieType.E6], pd, x)
+    with pytest.raises(SupportError):
+        is_equigeodesic_all_metrics(table, space_diagram("F4:1"), x)
+    with pytest.raises(FlagrootsError, match="metric has 2 parameters"):
+        equigeodesic_residual(table, pd, x, MetricVector((1, 2)))
+    assert list(x._brackets) == [table]
 
 
 def test_one_table_keeps_the_paintings_apart(diagrams):
@@ -723,3 +814,39 @@ def test_from_coefficients_matches_fold(diagrams):
             assert got.cartan == want.cartan
     with pytest.raises(FlagrootsError):
         TangentVector.from_coefficients(diagrams["F4_34"], a={(1, 0, 0, 1): 1})
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1.0, "1/2", Decimal("0.5"), True])
+def test_from_coefficients_refuses_non_rational_coefficients(diagrams, coeff):
+    # Only int and Fraction coefficients are exact rationals of the engine; a
+    # float once reached the numerator pass and died there with AttributeError.
+    pd, root = diagrams["F4_34"], (0, 1, 1, 0)
+    for part in ("a", "b"):
+        with pytest.raises(FlagrootsError, match=re.escape(f"coefficient {coeff!r} of root {root} ")):
+            TangentVector.from_coefficients(pd, **{part: {(1, 1, 1, 0): 1, root: coeff}})
+
+
+R_M_POS = {sid: space_diagram(sid).r_m_pos for sid in ("G2_12", "F4_34")}
+COEFF = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+CASES = st.sampled_from(sorted(R_M_POS)).flatmap(lambda sid: st.tuples(
+    st.just(sid), st.lists(st.tuples(st.sampled_from(R_M_POS[sid]), COEFF, COEFF), max_size=10)))
+LAMBDAS = st.lists(st.builds(Fraction, st.integers(1, 60), st.integers(1, 7)), min_size=6, max_size=6)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(case=CASES, lam=LAMBDAS)
+@example(case=("F4_34", [(r, 1, 1) for r in sorted(F4_ALL_ONES_CANCELLATIONS)[0]]), lam=[1, 2, 3, 4, 5, 6])
+@example(case=("F4_34", [(r, 1, 1) for r in sorted(F4_ALL_ONES_CANCELLATIONS)[1]]), lam=[2, 3, 5, 7, 11, 13])
+@example(case=("F4_34", [(r, 1, 1) for r in sorted(F4_ALL_ONES_CANCELLATIONS)[2]]), lam=[6, 5, 4, 3, 2, 1])
+@example(case=("F4_34", [(r, 1, 1) for r in sorted(F4_ALL_ONES_CANCELLATIONS)[3]]), lam=[1, 1, 2, 3, 5, 8])
+def test_module_brackets_against_the_oracle(diagrams, tables, case, lam):
+    # Random vectors (with the four all-ones cancellation vectors of F4 as
+    # fixed examples) and metrics: the residual equals the oracle's, and the
+    # all-metrics test holds iff every oracle C_k, the residual at e_k, is 0.
+    sid, terms = case
+    pd = diagrams[sid]
+    table = tables[pd.system.lie_type]
+    x = TangentVector.from_coefficients(pd, a={r: c for r, c, _ in terms}, b={r: c for r, _, c in terms})
+    assert equigeodesic_residual(table, pd, x, MetricVector(lam)) == _oracle_residual(table, pd, x, lam)
+    c_zero = all(_oracle_residual(table, pd, x, _unit(6, k)).is_zero() for k in range(1, 7))
+    assert is_equigeodesic_all_metrics(table, pd, x) == c_zero
