@@ -4,11 +4,13 @@
     flagroots table     <troots|dims|brackets> <space> [--check]
     flagroots check     <space> <member> [<member> ...]
     flagroots enumerate <space> [--min-modules N] [--cap N] [--verify-fixtures]
-    flagroots verify    <space> <vector.json> --metric L1,..,L6
+    flagroots verify    <space> <vector.json> --metric L1,..,Lm
 
 Spaces are the canonical ids (G2_12, F4_34, E6_36, E7_56, E8_12) or
-FAMILY:n1,n2 for a custom painting.  Members are display labels such as
-b3^3 or raw coefficient vectors such as 0,1,1,0.  Output formats: text
+FAMILY:n1,n2 for a custom painting, and every command takes either; table
+brackets --check needs a G2-type painting, and --check on dims and troots
+and --verify-fixtures a canonical space.  Members are display labels such
+as b3^3 or raw coefficient vectors such as 0,1,1,0.  Output formats: text
 (default), json (versioned, byte-stable), latex (not for check and
 verify).  Exit status: 0 on success, 1 when a --check/--verify-fixtures
 comparison fails or stdout is closed, 2 on bad input.
@@ -38,7 +40,7 @@ from .equigeo import (
     is_structural_family,
 )
 from .fixtures import SPACE_IDS, FixtureError, load_fixture, space_diagram
-from .flag import REFERENCE_BRACKETS, G2Kind, bracket_inclusion_table
+from .flag import REFERENCE_BRACKETS, G2Kind, NotG2TypeError, bracket_inclusion_table
 from .rootsys import FlagrootsError, SCHEMA_VERSION
 
 # Sampled-metric spot checks run alongside the identity checks in `check`.
@@ -124,7 +126,7 @@ def _doc(args, command: str, **fields) -> str:
 def cmd_roots(args):
     pd = space_diagram(args.space)
     modules = pd.to_dict()["modules"]
-    kind = pd.classify_g2_type().kind.value
+    kind = pd.kind.value
     rows = [(m["label"], _fmt_root(m["troot"]), m["dim"], " ".join(map(_fmt_root, m["roots"])))
             for m in modules]
     lines = [f"space {args.space}  type {kind}",
@@ -137,7 +139,7 @@ def cmd_roots(args):
 
 def cmd_table(args):
     pd = space_diagram(args.space)
-    kind = pd.classify_g2_type().kind
+    kind = pd.kind
     modules = pd.isotropy_decomposition()
     labels = [m.label for m in modules]
     mismatch = False
@@ -152,8 +154,6 @@ def cmd_table(args):
         body = {"troots": troots, "type": kind.value}
         text = f"type {kind.value}  " + " ".join(_fmt_root(t) for t in troots)
     else:
-        if kind is G2Kind.NOT_G2_TYPE:
-            raise FlagrootsError("bracket tables need a G2-type space")
         got = bracket_inclusion_table(pd)
         headers = [""] + labels
         rows = [[labels[i]] + ["{" + ",".join(cell) + "}" for cell in row] for i, row in enumerate(got)]
@@ -161,6 +161,8 @@ def cmd_table(args):
         text = "\n".join(f"[{labels[i]}, {labels[j]}] -> " + rows[i][j + 1]
                          for i in range(len(labels)) for j in range(i, len(labels)))
         if args.check:
+            if kind is G2Kind.NOT_G2_TYPE:
+                raise NotG2TypeError(f"table brackets --check needs a G2-type painting; {args.space} is not one")
             # Modules a cross bracket may reach, or k when it reaches none.
             ref = REFERENCE_BRACKETS[kind]
             for i, j in product(range(6), repeat=2):
@@ -348,9 +350,9 @@ def cmd_verify(args):
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flagroots",
-        description="Exact computations on painted Dynkin diagrams with "
-                    "six isotropy summands: root systems, bracket tables, "
-                    "structural equigeodesic subspaces.")
+        description="Exact computations on painted Dynkin diagrams of the "
+                    "exceptional Lie types: root systems, isotropy summands, "
+                    "bracket tables, structural equigeodesic subspaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, formats=("text", "json", "latex")):

@@ -2,8 +2,9 @@
 
 A cross-module pair of complementary roots a, b is compatible when
 neither a+b nor a-b is a root; same-module pairs are unconditionally
-compatible because [m_i, m_i] lies in the isotropy subalgebra and the
-equigeodesic system only constrains distinct modules.  A set of roots
+compatible because Lambda scales a module part X_i by one l_i, so
+[X_i, l_i X_i] = 0 and the equigeodesic system only constrains distinct
+modules (on any painting: [m_i, m_i] need not lie in k).  A set of roots
 all of whose cross-module pairs are compatible spans a subspace
 consisting entirely of equigeodesic vectors, for every invariant
 metric; such sets are exactly the cliques of the compatibility graph.
@@ -31,7 +32,7 @@ from math import lcm
 from operator import mul
 
 from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _numerators
-from .flag import G2Kind, NotG2TypeError, PaintedDiagram
+from .flag import PaintedDiagram
 from .rootsys import Coeffs, FlagrootsError, Root, SCHEMA_VERSION
 
 
@@ -41,13 +42,16 @@ class SupportError(FlagrootsError):
 
 @dataclass(frozen=True)
 class MetricVector:
-    """One positive scaling parameter per isotropy module."""
+    """One positive scaling parameter per isotropy module, each an int or a Fraction."""
 
     lambdas: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "lambdas", tuple(Fraction(v) for v in self.lambdas))
+        lambdas = tuple(self.lambdas)
+        for k, v in enumerate(lambdas, start=1):
+            if not (type(v) is int or isinstance(v, Fraction)):
+                raise FlagrootsError(f"metric parameter {k}, {v!r}, is not an int or a Fraction")
+        object.__setattr__(self, "lambdas", tuple(map(Fraction, lambdas)))
         if any(v <= 0 for v in self.lambdas):
             raise FlagrootsError("metric parameters must be strictly positive")
 
@@ -107,7 +111,7 @@ class StructuralFamily:
 
 
 class TangentVector:
-    """A tangent-space element, no Cartan part or K-support; immutable, its C_k memoised by table."""
+    """A tangent-space element, no Cartan part or K-support; immutable, its verdict and C_k memoised."""
 
     def __init__(self, pd: PaintedDiagram, element: AlgebraElement):
         if element.system is not pd.system:
@@ -118,6 +122,7 @@ class TangentVector:
         if bad:
             raise SupportError(f"support leaves R_M+: {sorted(bad)}")
         self.space, self.element = pd, element
+        self._structural: bool | None = None
         self._brackets: dict[StructureConstantTable, tuple[int, tuple, tuple]] = {}
 
     @classmethod
@@ -163,6 +168,13 @@ def _all_compatible(pd: PaintedDiagram, roots: Iterable[Sequence[int]]) -> bool:
     return all(_compatible(code_ids, u, v) for u, v in combinations(_vertices(pd, roots), 2))
 
 
+def _is_structural(x: TangentVector) -> bool:
+    """Whether every cross pair of the support of X is compatible, found once per vector."""
+    if x._structural is None:
+        x._structural = _all_compatible(x.space, x.element.support())
+    return x._structural
+
+
 def pair_compatible(pd: PaintedDiagram, alpha: Sequence[int], beta: Sequence[int]) -> bool:
     """True iff the two R_M+ roots can share a structural family.
 
@@ -194,8 +206,6 @@ class CompatibilityGraph:
 
 
 def compatibility_graph(pd: PaintedDiagram) -> CompatibilityGraph:
-    if pd.classify_g2_type().kind is G2Kind.NOT_G2_TYPE:
-        raise NotG2TypeError("compatibility graphs need a G2-type painting")
     vertices = [(k, r) for k, mod in enumerate(pd.isotropy_decomposition(), start=1)
                 for r in mod.roots]
     verts, code_ids = _vertices(pd, (r for _, r in vertices)), pd.system.code_ids
@@ -385,7 +395,7 @@ def equigeodesic_residual(table: StructureConstantTable, pd: PaintedDiagram, x: 
     lam, n_modules = metric.lambdas, len(pd.isotropy_decomposition())
     if len(lam) != n_modules:
         raise FlagrootsError(f"metric has {len(lam)} parameters, expected {n_modules}")
-    if _all_compatible(pd, x.element.support()):
+    if _is_structural(x):
         return AlgebraElement.zero(pd.system)
     den, *rows = _module_brackets(table, x)
     lden = lcm(*(v.denominator for v in lam))
@@ -404,6 +414,6 @@ def is_equigeodesic_all_metrics(table: StructureConstantTable, pd: PaintedDiagra
     cross pairs are all compatible needs no C_k.
     """
     _check_operands(table, pd, x)
-    if _all_compatible(pd, x.element.support()):
+    if _is_structural(x):
         return True
     return not any(_module_brackets(table, x)[1:])

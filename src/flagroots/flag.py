@@ -1,4 +1,4 @@
-"""Painted Dynkin diagrams, t-roots, isotropy modules, type classification.
+"""Painted Dynkin diagrams, t-roots, isotropy modules, G2 type.
 
 Painting a set of nodes black splits the positive roots into the
 subsystem R_K+ (supported on unpainted nodes only) and the complement
@@ -8,7 +8,9 @@ summands, one per positive t-root.
 
 Two-node paintings whose six positive t-roots form the pattern
 {x, y, x+y, 2x+y, 3x+y, 3x+2y} are Type I; the mark-swapped pattern
-{x, y, x+y, x+2y, x+3y, 2x+3y} is Type II.
+{x, y, x+y, x+2y, x+3y, 2x+3y} is Type II.  The type, PaintedDiagram.kind,
+fixes only the order and labels of the modules and which reference bracket
+table applies; the rest works on any painting.
 """
 
 from __future__ import annotations
@@ -36,18 +38,6 @@ class NotComplementaryRootError(FlagrootsError):
 
 class NotG2TypeError(FlagrootsError):
     """The requested operation needs a painting with G2-type t-roots."""
-
-
-class TRoot(tuple):
-    """Restriction of a root to the painted coordinates."""
-
-    __slots__ = ()
-
-    def __neg__(self) -> "TRoot":
-        return TRoot(-c for c in self)
-
-    def __repr__(self) -> str:
-        return f"TRoot({tuple(self)})"
 
 
 class G2Kind(Enum):
@@ -80,15 +70,10 @@ REFERENCE_BRACKETS: dict[G2Kind, dict[tuple[int, int], tuple[int, ...]]] = {
 
 
 @dataclass(frozen=True)
-class G2TypeClassification:
-    kind: G2Kind
-
-
-@dataclass(frozen=True)
 class IsotropyModule:
     """One irreducible summand: the fiber of a positive t-root."""
 
-    troot: TRoot
+    troot: Coeffs
     roots: tuple[Root, ...]
     label: str
 
@@ -100,7 +85,7 @@ class IsotropyModule:
 class PaintedDiagram:
     """A root system with a nonempty painted node set (1-based indices).
 
-    Construction computes the t-roots, the classification and the modules
+    Construction computes the t-roots, the G2 type (kind) and the modules
     in one pass.  module_of[i] is the 1-based module index of root id i
     (both signs share it, as a module holds the pair +-r), and 0 for R_K.
     Immutable after construction.
@@ -124,13 +109,12 @@ class PaintedDiagram:
         r_k = fibers.pop((0,) * len(nodes), [])
         # G2-type paintings use the fixed six-label order, anything else the
         # canonical t-root order.
-        kind, order = G2Kind.NOT_G2_TYPE, sorted(fibers, key=canonical_key)
+        self.kind, order = G2Kind.NOT_G2_TYPE, sorted(fibers, key=canonical_key)
         if len(nodes) == 2:
             for g2, pattern in ((G2Kind.TYPE_I, TYPE_I_TROOTS), (G2Kind.TYPE_II, TYPE_II_TROOTS)):
                 if set(fibers) == set(pattern):
-                    kind, order = g2, pattern
-        self._classification = G2TypeClassification(kind)
-        prefix = "n" if kind is G2Kind.TYPE_II else "m"
+                    self.kind, order = g2, pattern
+        prefix = "n" if self.kind is G2Kind.TYPE_II else "m"
         pos, n = system.positive_roots, len(system.positive_roots)
         module_of = [0] * (2 * n)
         modules = []
@@ -138,7 +122,7 @@ class PaintedDiagram:
             for i in fibers[t]:
                 module_of[i] = module_of[i + n] = k
             label = f"{prefix}({','.join(map(str, t))})"
-            modules.append(IsotropyModule(TRoot(t), tuple(pos[i] for i in fibers[t]), label))
+            modules.append(IsotropyModule(t, tuple(pos[i] for i in fibers[t]), label))
         self._modules: tuple[IsotropyModule, ...] = tuple(modules)
         self.module_of: tuple[int, ...] = tuple(module_of)
         self.r_k_pos: tuple[Root, ...] = tuple(pos[i] for i in r_k)
@@ -148,26 +132,16 @@ class PaintedDiagram:
         nodes = ",".join(str(i) for i in self.painted)
         return f"PaintedDiagram({self.system.lie_type.name}; painted {nodes})"
 
-    def t_root(self, root: Sequence[int]) -> TRoot:
-        """Restrict a complementary root to the painted coordinates.
-
-        Rejects K-roots, whose t-root is zero: a zero answer here is
-        always a caller bug.
-        """
-        t = TRoot(self.system.root(root)[i] for i in self._painted0)
+    def t_root(self, root: Sequence[int]) -> Coeffs:
+        """Restrict a complementary root to the painted coordinates; a K-root,
+        whose t-root is zero, is refused: a zero answer here is a caller bug."""
+        t = tuple(self.system.root(root)[i] for i in self._painted0)
         if not any(t):
             raise NotComplementaryRootError(f"{tuple(root)} lies in R_K; its t-root is zero")
         return t
 
-    def classify_g2_type(self) -> G2TypeClassification:
-        return self._classification
-
     def isotropy_decomposition(self) -> tuple[IsotropyModule, ...]:
-        """Fibers of the t-root map over R_M+, in module order.
-
-        G2-type paintings use the fixed six-label order; anything else
-        falls back to the canonical t-root order.
-        """
+        """Fibers of the t-root map over R_M+, in module order."""
         return self._modules
 
     def module_index(self, root: Sequence[int]) -> int:
@@ -185,11 +159,10 @@ class PaintedDiagram:
         return None
 
     def to_dict(self) -> dict:
-        cls = self.classify_g2_type()
         return {
             "schema_version": SCHEMA_VERSION,
             "space": self.name,
-            "type": cls.kind.value,
+            "type": self.kind.value,
             "modules": [
                 {
                     "label": m.label,
@@ -211,7 +184,7 @@ def paint(system: RootSystem, painted: Iterable[int]) -> PaintedDiagram:
 
 
 def bracket_inclusion_table(pd: PaintedDiagram) -> list[list[list[str]]]:
-    """6x6 table: which modules (or k) each [m_i, m_j] actually hits.
+    """m x m table, m modules: which modules (or k) each [m_i, m_j] actually hits.
 
     Entry (i, j) lists, sorted, the labels of modules receiving a nonzero
     component of some basis-pair bracket, with "k" when the isotropy
@@ -220,8 +193,6 @@ def bracket_inclusion_table(pd: PaintedDiagram) -> list[list[list[str]]]:
     as a Chevalley constant on a root sum is never 0, and the Cartan part
     when x = y; so the table is root arithmetic on the root codes.
     """
-    if pd.classify_g2_type().kind is G2Kind.NOT_G2_TYPE:
-        raise NotG2TypeError("bracket inclusion tables need a G2-type painting")
     modules, system, module_of = pd.isotropy_decomposition(), pd.system, pd.module_of
     codes, get = system.codes, system.code_ids.get
     labels = ["k"] + [mod.label for mod in modules]
@@ -246,4 +217,4 @@ def g2_type_paintings(lie_type: LieType) -> list[tuple[int, int]]:
 
     system = root_system(lie_type)
     return [nodes for nodes in combinations(range(1, system.rank + 1), 2)
-            if PaintedDiagram(system, nodes).classify_g2_type().kind is not G2Kind.NOT_G2_TYPE]
+            if PaintedDiagram(system, nodes).kind is not G2Kind.NOT_G2_TYPE]

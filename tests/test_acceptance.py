@@ -68,7 +68,7 @@ def test_criterion_2_troot_sets_and_types(diagrams):
     for sid in SPACE_IDS:
         pd = diagrams[sid]
         got = {tuple(pd.t_root(r)) for r in pd.r_m_pos}
-        kind = pd.classify_g2_type().kind.value
+        kind = pd.kind.value
         if sid == "E8_12":
             assert got == type_ii and kind == "II"
         else:

@@ -63,6 +63,16 @@ def test_table_check_mismatch_exit_code(capsys):
     assert code == 2 and "error" in err
 
 
+def test_table_brackets_check_needs_a_g2_type_space(capsys):
+    # Any painting has a bracket table (F4:1,2 has nine modules, so 45 cells
+    # with i <= j); the reference tables exist only for Type I and II.
+    code, out, _ = run(capsys, "table", "brackets", "F4:1,2")
+    assert code == 0 and out.count(" -> ") == 45
+    code, out, err = run(capsys, "table", "brackets", "F4:1,2", "--check")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "F4:1,2" in err and "G2-type" in err
+
+
 def test_table_latex(capsys):
     code, out, _ = run(capsys, "table", "dims", "F4_34", "--format", "latex")
     assert code == 0

@@ -140,6 +140,22 @@ def test_bracket_table_golden_hash_without_check(space, tmp_path):
     assert _sha256(out) == GOLDEN_BRACKETS_NO_CHECK[space]
 
 
+# sha256 of `<command> F4:1,2 --format json --out FILE` on a painting that is
+# not G2-type: its 42 maximal families over two or more of its nine modules,
+# and its 9x9 bracket table.
+GOLDEN_NOT_G2_TYPE = {
+    ("enumerate",): "a12026b8f87e158b11a93df76ea8f85ecb1b2b3d1cb4aa803dfaad12388ee63c",
+    ("table", "brackets"): "c79894a00712705540d429ccbf51f64f0439f42f3df6831d3d1827f422b77bf6",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_NOT_G2_TYPE))
+def test_not_g2_type_golden_hash(command, tmp_path):
+    out = tmp_path / "out.json"
+    assert main([*command, "F4:1,2", "--format", "json", "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN_NOT_G2_TYPE[command]
+
+
 @pytest.mark.parametrize("family", sorted(GOLDEN_CONSTANTS))
 def test_constant_table_golden_hash(family):
     text = build_constants(root_system(LieType[family])).to_json()

@@ -349,6 +349,14 @@ def test_metric_validation():
     assert m[6] == Fraction(7, 2)
 
 
+@pytest.mark.parametrize("value", [0.1, 2.0, "1/2", Decimal("0.5"), True])
+def test_metric_refuses_non_rational_parameters(value):
+    # A float was taken as its binary value and a string was parsed; only
+    # int and Fraction parameters are exact rationals of the engine.
+    with pytest.raises(FlagrootsError, match=re.escape(f"metric parameter 2, {value!r}, is not an int")):
+        MetricVector([1, value, 3, 4, 5, 6])
+
+
 def test_tangent_vector_support_validation(diagrams):
     pd = diagrams["F4_34"]
     with pytest.raises(SupportError):
@@ -619,6 +627,22 @@ def test_module_brackets_are_computed_once_per_vector(diagrams, monkeypatch):
     assert calls == {"_numerators": 2, "_cross_pairs": 2}
 
 
+def test_structural_verdict_is_found_once_per_vector(diagrams, monkeypatch):
+    # Four residuals and the all-metrics test on one vector walk its support's
+    # pairs once, for a structural support (no C_k) and a dense one alike.
+    pd, fx = diagrams["F4_34"], load_fixture("F4_34")
+    table, rng, calls = build_constants(pd.system), random.Random(127), Counter()
+    _counting(monkeypatch, calls, "_all_compatible")
+    family = TangentVector.from_coefficients(pd, a={r: 1 for r in fx.family_roots(fx.families[0])})
+    for x, structural in ((family, True), (_dense_vector(pd, rng), False)):
+        calls.clear()
+        residuals = [equigeodesic_residual(table, pd, x, MetricVector(_metric(rng, 6))) for _ in range(4)]
+        assert is_equigeodesic_all_metrics(table, pd, x) is structural
+        assert calls == {"_all_compatible": 1}
+        assert all(r.is_zero() for r in residuals) is structural
+        assert (x._brackets == {}) is structural
+
+
 def test_memoised_residuals_do_not_depend_on_the_order(diagrams, tables):
     # A shuffled batch of metrics on a vector whose C_k are already stored
     # gives the elements of the same batch on a fresh copy of the vector.
@@ -769,9 +793,12 @@ def test_structural_iff_equigeodesic_sampled_large(diagrams, tables):
                 assert not all(verdicts), (sid, subset)
 
 
-@pytest.mark.parametrize("sid,count", [("E6_36", 147), ("E7_56", 1713), ("E8_12", 78357)])
-def test_enumeration_matches_networkx_oracle(diagrams, sid, count):
-    pd = diagrams[sid]
+# The last four paintings are not G2-type: one module (E6:1), three, nine,
+# and the full flag of F4, whose 24 modules hold one root each.
+@pytest.mark.parametrize("sid,count", [("E6_36", 147), ("E7_56", 1713), ("E8_12", 78357),
+                                       ("G2:1", 2), ("E6:1", 0), ("F4:1,2", 42), ("F4:1,2,3,4", 39)])
+def test_enumeration_matches_networkx_oracle(sid, count):
+    pd = space_diagram(sid)
     oracle = oracles.maximal_cliques_networkx(oracles.weyl_closure_roots(pd.system), pd.painted)
     res = enumerate_maximal_families(pd, min_modules=1)
     assert {f.root_set() for f in res.families} == oracle

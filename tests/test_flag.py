@@ -9,11 +9,11 @@ from flagroots import (
     G2Kind,
     LieType,
     NotComplementaryRootError,
-    NotG2TypeError,
     bracket,
     bracket_inclusion_table,
     g2_type_paintings,
     paint,
+    space_diagram,
 )
 from flagroots.flag import REFERENCE_BRACKETS
 
@@ -58,13 +58,12 @@ def test_t_root_examples(diagrams):
 def test_troot_sets_and_classification(diagrams):
     for sid, pd in diagrams.items():
         got = {tuple(pd.t_root(r)) for r in pd.r_m_pos}
-        cls = pd.classify_g2_type()
         if sid == "E8_12":
             assert got == TYPE_II_SET
-            assert cls.kind is G2Kind.TYPE_II
+            assert pd.kind is G2Kind.TYPE_II
         else:
             assert got == TYPE_I_SET
-            assert cls.kind is G2Kind.TYPE_I
+            assert pd.kind is G2Kind.TYPE_I
 
 
 def test_module_dimensions_in_order(diagrams):
@@ -96,7 +95,7 @@ def test_fibers_partition_r_m(diagrams):
 
 def test_single_painted_node_not_g2_type(systems):
     pd = paint(systems[LieType.E6], (1,))
-    assert pd.classify_g2_type().kind is G2Kind.NOT_G2_TYPE
+    assert pd.kind is G2Kind.NOT_G2_TYPE
     # decomposition still works generically: mark of node 1 is 1
     mods = pd.isotropy_decomposition()
     assert [tuple(m.troot) for m in mods] == [(1,)]
@@ -182,18 +181,21 @@ def test_bracket_inclusion_matches_root_arithmetic(diagrams):
                 assert set(got[i][j]) == predict, (sid, i, j)
 
 
-@pytest.mark.parametrize("sid", ["G2_12", "F4_34", "E6_36", "E7_56", "E8_12"])
-def test_bracket_inclusion_matches_basis_brackets(diagrams, tables, sid):
+@pytest.mark.parametrize("sid", ["G2_12", "F4_34", "E6_36", "E7_56", "E8_12", "F4:1", "F4:1,2", "E6:1"])
+def test_bracket_inclusion_matches_basis_brackets(tables, sid):
     # The table equals the one read from evaluated brackets: for every pair
     # of R_M+ roots, the four A/B basis-pair brackets, each support root
-    # labelled by its module (k for a K-root) and k for a Cartan part.
-    pd = diagrams[sid]
+    # labelled by its module (k for a K-root) and k for a Cartan part.  The
+    # last three paintings are not G2-type: their tables are m x m, with m
+    # their module count (2, 9 and 1).
+    pd = space_diagram(sid)
     system, table = pd.system, tables[pd.system.lie_type]
     labels = ["k"] + [m.label for m in pd.isotropy_decomposition()]
     module = {r: pd.module_index(r) for r in pd.r_m_pos}
     basis = {r: (AlgebraElement.basis_a(system, r), AlgebraElement.basis_b(system, r))
              for r in pd.r_m_pos}
-    want = [[set() for _ in range(6)] for _ in range(6)]
+    size = len(labels) - 1
+    want = [[set() for _ in range(size)] for _ in range(size)]
     for a, b in combinations_with_replacement(pd.r_m_pos, 2):
         hit = want[module[a] - 1][module[b] - 1]
         for u in basis[a]:
@@ -204,12 +206,6 @@ def test_bracket_inclusion_matches_basis_brackets(diagrams, tables, sid):
                     hit.add("k")
         want[module[b] - 1][module[a] - 1] |= hit
     assert bracket_inclusion_table(pd) == [[sorted(cell) for cell in row] for row in want]
-
-
-def test_bracket_table_requires_g2_type(systems):
-    pd = paint(systems[LieType.F4], (1,))
-    with pytest.raises(NotG2TypeError):
-        bracket_inclusion_table(pd)
 
 
 def test_decomposition_json(diagrams):
