@@ -34,6 +34,7 @@ from functools import cached_property
 from itertools import chain
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Sequence
 
 from .rootsys import (
@@ -63,25 +64,26 @@ class StructureConstantTable:
     all belong to triples of lower height.  Once N(a,b) is fixed, the three-root
     identity N(x,y)/|z|^2 = N(y,z)/|x|^2 = N(z,x)/|y|^2 for x+y+z = 0, with
     N(y,x) = -N(x,y) and N(-x,-y) = -N(x,y), gives the triple's other
-    eleven ordered pairs.
+    eleven ordered pairs.  The first triple of g also gives g's coroot
+    pairings, <g, .> = <a, .> + <b, .>; only a simple root, which has no
+    triple, reads them from the Cartan matrix.
 
     Immutable after construction; bracket evaluation is pure.  For the
     bracket kernel, entry (i, j) of _pairs over positive-root ids is
     (s, N(i,j), d, N(i,-j), -sign(i-j) N(i,-j)) with s the id of i+j and d
     that of +-(i-j), or None when neither is a root; an absent one has
-    constant 0 and the spare id n.  n_map, keyed by root pairs, is built
+    constant 0 and the spare id n.  Each triple writes the entries of its
+    six ordered pairs, of which it already knows g = a+b, g-a = b and
+    g-b = a.  n_map, keyed by root pairs, is built
     from _pairs only when it is read, as is each painting's cross-pair
     system, which equigeo caches in _compiled under the painted nodes.
     """
 
     def __init__(self, system: RootSystem):
         self.system = system
-        pos = self._roots = [tuple(r) for r in system.positive_roots]
+        pos = self._roots = system.positive_keys
         n = self._n = len(pos)
         sym = system.cartan.symmetrizer
-        pairings = self._pairings = [system.cartan.coroot_pairing(r) for r in pos]
-        # |x|^2 = sum_i d_i x_i <x, a_i^>, d the symmetrizer.
-        norm = [sum(d * m * q for d, m, q in zip(sym, r, pr)) for r, pr in zip(pos, pairings)]
         codes, get = system.codes, system.code_ids.get
         # triples[g]: the pairs a < b of positive ids with a + b = g.
         triples: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -91,6 +93,13 @@ class StructureConstantTable:
                 g = get(ca + codes[b])
                 if g is not None:
                     triples[g].append((a, b))
+        # <g, .> = <a, .> + <b, .> for g's first triple (a, b); a simple root has none.
+        pairings = self._pairings = []
+        for r, pairs in zip(pos, triples):
+            pairings.append(tuple(map(add, pairings[pairs[0][0]], pairings[pairs[0][1]])) if pairs
+                            else system.cartan.coroot_pairing(r))
+        # |x|^2 = sum_i d_i x_i <x, a_i^>, d the symmetrizer.
+        norm = [sum(d * m * q for d, m, q in zip(sym, r, pr)) for r, pr in zip(pos, pairings)]
         # raw[x][y]: N(x,y) in the raw Chevalley convention, x > 0, y any id.
         raw = [[0] * (2 * n) for _ in range(n)]
         for g, pairs in enumerate(triples):
@@ -120,15 +129,15 @@ class StructureConstantTable:
                 raw[a][g + n] = raw[g][a + n] = -v // norm[g]
 
         # f_{-x} = -e_x flips N(i,-j) when i - j > 0; the raw N(i,-j) is
-        # -sign(i-j) times the stored one.
+        # -sign(i-j) times the stored one.  e is the id of i - j, -1 if none.
         rows = self._pairs = [[None] * n for _ in range(n)]
         for g, pairs in enumerate(triples):
             for a, b in pairs:
-                for i, j in ((a, b), (b, a), (g, a), (a, g), (g, b), (b, g)):
-                    r, d = raw[i], get(codes[i] - codes[j], -1)
-                    x = r[j + n]
-                    rows[i][j] = (get(codes[i] + codes[j], n), r[j], d % n if d >= 0 else n,
-                                  x if d >= n else -x, x)
+                d, ga, gb = get(codes[a] - codes[b], -1), get(codes[g] + codes[a], n), get(codes[g] + codes[b], n)
+                for i, j, s, e in ((a, b, g, d), (b, a, g, (d + n) % (2 * n) if d >= 0 else -1),
+                                   (g, a, ga, b), (a, g, ga, b + n), (g, b, gb, a), (b, g, gb, a + n)):
+                    x = raw[i][j + n]
+                    rows[i][j] = (s, raw[i][j], e % n if e >= 0 else n, x if e >= n else -x, x)
         # h_x = sum_i x_i d_i / (|x|^2/2) h_i over the simple coroots.
         if any(m * d % (k // 2) for r, k in zip(pos, norm) for m, d in zip(r, sym)):
             raise FlagrootsError("non-integral coroot coefficient")
@@ -201,13 +210,13 @@ class AlgebraElement:
 
     @classmethod
     def basis_a(cls, system: RootSystem, root: Sequence[int], coeff: Scalar = 1) -> "AlgebraElement":
-        r = tuple(system.positive_roots[system.fold(root)[0]])
+        r = system.positive_keys[system.fold(root)[0]]
         return cls(system, (0,) * system.rank, a={r: coeff} if coeff else {})
 
     @classmethod
     def basis_b(cls, system: RootSystem, root: Sequence[int], coeff: Scalar = 1) -> "AlgebraElement":
         k, sign = system.fold(root)
-        r = tuple(system.positive_roots[k])
+        r = system.positive_keys[k]
         return cls(system, (0,) * system.rank, b={r: sign * coeff} if coeff else {})
 
     @classmethod

@@ -9,8 +9,9 @@
 Spaces are the canonical ids (G2_12, F4_34, E6_36, E7_56, E8_12) or
 FAMILY:n1,n2 for a custom painting, and every command takes either; table
 brackets --check needs a G2-type painting, and --check on dims and troots
-and --verify-fixtures a canonical space.  Members are display labels such
-as b3^3 or raw coefficient vectors such as 0,1,1,0.  Output formats: text
+and --verify-fixtures the painting of a canonical space (F4:3,4 is F4_34).
+Members are display labels such as b3^3, on the painting of a canonical
+space, or raw coefficient vectors such as 0,1,1,0.  Output formats: text
 (default), json (versioned, byte-stable), latex (not for check and
 verify).  Exit status: 0 on success, 1 when a --check/--verify-fixtures
 comparison fails or stdout is closed, 2 on bad input.
@@ -25,6 +26,7 @@ import random
 import sys
 from bisect import bisect_left
 from contextlib import nullcontext
+from functools import cache
 from fractions import Fraction
 from itertools import chain, product
 from pathlib import Path
@@ -39,7 +41,7 @@ from .equigeo import (
     is_equigeodesic_all_metrics,
     is_structural_family,
 )
-from .fixtures import SPACE_IDS, FixtureError, load_fixture, space_diagram
+from .fixtures import _SPACE_DEFS, FixtureError, load_fixture, space_diagram
 from .flag import REFERENCE_BRACKETS, G2Kind, NotG2TypeError, bracket_inclusion_table
 from .rootsys import FlagrootsError, SCHEMA_VERSION
 
@@ -71,12 +73,11 @@ def _emit(text, out: str | None) -> None:
         fh.flush()
 
 
-def _space_fixture(space: str):
-    """Fixture for canonical spaces, None for custom paintings.
-
-    A canonical space whose fixture cannot be loaded is an error.
-    """
-    return load_fixture(space) if space in SPACE_IDS else None
+def _space_fixture(pd):
+    """Fixture of a canonical painting in any spelling (F4_34 or F4:3,4), None for
+    any other; a canonical space whose fixture cannot be loaded is an error."""
+    sid = next((s for s, painting in _SPACE_DEFS.items() if painting == (pd.system.lie_type, pd.painted)), None)
+    return None if sid is None else load_fixture(sid)
 
 
 def _parse_member(pd, fixture, token: str):
@@ -171,8 +172,8 @@ def cmd_table(args):
     # The t-root and dimension tables match the fixture by construction: the
     # painting orders G2-type modules by the reference t-roots, and the
     # loader checks each label fiber against the computed fiber.
-    if args.check and args.which != "brackets" and _space_fixture(args.space) is None:
-        raise FixtureError("--check needs a canonical space with fixtures")
+    if args.check and args.which != "brackets" and _space_fixture(pd) is None:
+        raise FixtureError(f"--check needs a canonical space with fixtures; {args.space} is not one")
     verdict = ("\ncheck: MISMATCH" if mismatch else "\ncheck: MATCH") if args.check else ""
     return (int(mismatch), _doc(args, f"table {args.which}", check=args.check, match=not mismatch, **body),
             text + verdict, _latex_table(headers, rows))
@@ -180,7 +181,7 @@ def cmd_table(args):
 
 def cmd_check(args):
     pd = space_diagram(args.space)
-    fixture = _space_fixture(args.space)
+    fixture = _space_fixture(pd)
     table = build_constants(pd.system)
     roots = [_parse_member(pd, fixture, tok) for tok in args.members]
     seen: dict = {}
@@ -220,9 +221,9 @@ def cmd_enumerate(args):
     fixture_ok = True
     fixture_fields = {}
     if args.verify_fixtures:
-        fixture = _space_fixture(args.space)
+        fixture = _space_fixture(pd)
         if fixture is None:
-            raise FixtureError("--verify-fixtures needs a canonical space with fixtures")
+            raise FixtureError(f"--verify-fixtures needs a canonical space with fixtures; {args.space} is not one")
         # Label module j is computed module j (load_fixture checks the
         # fibers), so each member is the vertex of its (module, root) pair;
         # a member that is no vertex gets bit n, which no clique has.  A
@@ -319,7 +320,7 @@ def _load_vector(pd, fixture, path: str) -> TangentVector:
 
 def cmd_verify(args):
     pd = space_diagram(args.space)
-    fixture = _space_fixture(args.space)
+    fixture = _space_fixture(pd)
     table = build_constants(pd.system)
     x = _load_vector(pd, fixture, args.vector)
     lambdas = tuple(_parse_fraction(tok) for tok in args.metric.split(","))
@@ -347,6 +348,7 @@ def cmd_verify(args):
 
 # ----------------------------------------------------------------------
 
+@cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flagroots",

@@ -141,8 +141,9 @@ class TangentVector:
                 k, sign = system.fold(root)
                 if not (type(coeff) is int or isinstance(coeff, Fraction)):
                     raise FlagrootsError(f"coefficient {coeff!r} of root {tuple(root)} is not an int or a Fraction")
-                r = tuple(system.positive_roots[k])
-                w = out.get(r, 0) + (coeff if sign > 0 else flip * coeff)
+                r = system.positive_keys[k]
+                c = coeff if sign > 0 else flip * coeff
+                w = out[r] + c if r in out else c  # a first coefficient as given, not as 0 + c
                 if w:
                     out[r] = w
                 else:

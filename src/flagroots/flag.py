@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, product
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .rootsys import (
@@ -191,22 +192,30 @@ def bracket_inclusion_table(pd: PaintedDiagram) -> list[list[list[str]]]:
     subalgebra receives one.  For x in m_i and y in m_j, the brackets of
     A_x, B_x with A_y, B_y reach x+y and +-(x-y) where these are roots,
     as a Chevalley constant on a root sum is never 0, and the Cartan part
-    when x = y; so the table is root arithmetic on the root codes.
+    when x = y; so the table is root arithmetic on the root codes.  As
+    x+y and x-y have t-roots t_i+t_j and t_i-t_j, a cell holds at most
+    the modules of t_i+t_j and +-(t_i-t_j), and k when i = j; the scan of
+    a cell stops once it has them all.
     """
     modules, system, module_of = pd.isotropy_decomposition(), pd.system, pd.module_of
     codes, get = system.codes, system.code_ids.get
     labels = ["k"] + [mod.label for mod in modules]
+    by_troot = {mod.troot: mod.label for mod in modules}
     ids = [[system.index[r] for r in mod.roots] for mod in modules]
     size = len(modules)
     out: list[list[list[str]]] = [[[] for _ in range(size)] for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
             hit = {"k"} if i == j else set()
-            for x in ids[i]:
-                for y in ids[j]:
-                    for c in (codes[x] + codes[y], codes[x] - codes[y]):
-                        if (k := get(c)) is not None:
-                            hit.add(labels[module_of[k]])
+            ti, tj = modules[i].troot, modules[j].troot
+            bound = len(hit | {by_troot[t] for t in (tuple(map(add, ti, tj)), tuple(map(sub, ti, tj)),
+                                                     tuple(map(sub, tj, ti))) if t in by_troot})
+            for x, y in product(ids[i], ids[j]):
+                if len(hit) == bound:
+                    break
+                for c in (codes[x] + codes[y], codes[x] - codes[y]):
+                    if (k := get(c)) is not None:
+                        hit.add(labels[module_of[k]])
             out[i][j] = out[j][i] = sorted(hit)
     return out
 

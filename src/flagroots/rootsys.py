@@ -230,6 +230,8 @@ class RootSystem:
             raise InvalidCartanError("matrix rank does not match Lie type")
         self.positive_roots: tuple[Root, ...] = tuple(generate_positive_roots(self.cartan))
         self.roots: tuple[Root, ...] = self.positive_roots + tuple(-r for r in self.positive_roots)
+        # The positive roots as plain tuples: the keys of AlgebraElement's a and b.
+        self.positive_keys: tuple[Coeffs, ...] = tuple(map(tuple, self.positive_roots))
         self.index: dict[Coeffs, int] = {r: i for i, r in enumerate(self.roots)}
         self.highest_root: Root = self.positive_roots[-1]
         self.marks: Coeffs = tuple(self.highest_root)

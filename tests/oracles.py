@@ -226,3 +226,34 @@ def reference_bracket(table, x, y):
                 store[key] = store.get(key, 0) + c
     return AlgebraElement(system, tuple(cartan),
                           {r: c for r, c in a.items() if c}, {r: c for r, c in b.items() if c})
+
+
+def bracket_inclusion_by_scan(pd):
+    """The bracket inclusion table by scanning every pair x, y of R_M+ roots
+    in every module pair: x+y and x-y, where they are roots, land in the
+    module whose t-root is theirs up to sign, or in k when that t-root is 0;
+    x = y adds k for the Cartan part.  Reads only the painting's modules."""
+    system, modules = pd.system, pd.isotropy_decomposition()
+    label = {m.troot: m.label for m in modules}
+    nodes = [i - 1 for i in pd.painted]
+
+    def where(v):
+        t = tuple(v[i] for i in nodes)
+        if not any(t):
+            return "k"
+        return label[t] if t in label else label[tuple(-c for c in t)]
+
+    size = len(modules)
+    out = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            hit = set()
+            for x in modules[i].roots:
+                for y in modules[j].roots:
+                    if x == y:
+                        hit.add("k")
+                    for v in (tuple(a + b for a, b in zip(x, y)), tuple(a - b for a, b in zip(x, y))):
+                        if system.is_root(v):
+                            hit.add(where(v))
+            out[i][j] = out[j][i] = sorted(hit)
+    return out

@@ -443,3 +443,28 @@ def test_consistency_checks_catch_a_wrong_string_length(systems, monkeypatch, x,
                         lambda system, a, b: string_p(system, a, b) + ((a, b) == target))
     with pytest.raises(FlagrootsError, match=message):
         build_constants(s)
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_pairings_by_linearity_match_coroot_pairing(systems, tables, lie_type):
+    # Only the simple roots' pairings come from the Cartan matrix; the rest
+    # are sums along a triple.
+    s = systems[lie_type]
+    assert tables[lie_type]._pairings == [s.cartan.coroot_pairing(r) for r in s.positive_roots]
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_pair_entries_name_the_sum_and_difference(systems, tables, lie_type):
+    # For every pair of positive ids (14,400 on E8): the entry's sum id is
+    # that of i+j and its difference id that of +-(i-j), each n when absent,
+    # read from coefficient tuples; no entry where neither is a root.
+    s, rows = systems[lie_type], tables[lie_type]._pairs
+    pos, n = s.positive_roots, len(s.positive_roots)
+    for i, j in itertools.product(range(n), repeat=2):
+        sm = s.index.get(tuple(a + b for a, b in zip(pos[i], pos[j])))
+        df = s.index.get(tuple(a - b for a, b in zip(pos[i], pos[j])))
+        e = rows[i][j]
+        if sm is None and df is None:
+            assert e is None, (i, j)
+        else:
+            assert (e[0], e[2]) == (n if sm is None else sm, n if df is None else df % n), (i, j)

@@ -141,8 +141,8 @@ def test_enumerate_verify_misses_a_family_with_one_member_off_the_graph(capsys, 
     # found, yet no clique holds the family, so every family is missed.
     import flagroots.cli as cli
 
-    fixture = cli._space_fixture("F4_34")
-    monkeypatch.setattr(cli, "_space_fixture", lambda space: replace(fixture, families=tuple(
+    fixture = cli._space_fixture(cli.space_diagram("F4_34"))
+    monkeypatch.setattr(cli, "_space_fixture", lambda pd: replace(fixture, families=tuple(
         replace(f, members=f.members + ((7, 1),)) for f in fixture.families)))
     root_of_label = FixtureSet.root_of_label
     monkeypatch.setattr(FixtureSet, "root_of_label", lambda self, m, i: root_of_label(self, min(m, 6), i))
@@ -485,3 +485,59 @@ def test_verify_names_a_residual_coefficient_too_long_to_write(capsys, tmp_path,
                          "--format", fmt)
     assert code == 2 and out == "" and err.startswith("error:")
     assert str(vec) in err and "A(0,0,0,1)" in err and "too long to write" in err
+
+
+SPELLED_COMMANDS = [["table", "troots", "{}", "--check"], ["table", "dims", "{}", "--check"],
+                    ["enumerate", "{}", "--verify-fixtures"]]
+
+
+@pytest.mark.parametrize("argv", SPELLED_COMMANDS, ids=["troots", "dims", "enumerate"])
+def test_canonical_space_in_any_spelling(capsys, argv):
+    # F4:3,4 and F4:4,3 paint the nodes of F4_34, so they are F4_34 with
+    # its fixture; only the space field of the document tells them apart.
+    spell = lambda space: [a.format(space) for a in argv] + ["--format", "json"]  # noqa: E731
+    code, want, _ = run(capsys, *spell("F4_34"))
+    assert code == 0
+    for space in ("F4:3,4", "F4:4,3"):
+        code, out, _ = run(capsys, *spell(space))
+        assert code == 0
+        assert json.loads(out) == {**json.loads(want), "space": space}
+
+
+@pytest.mark.parametrize("argv", SPELLED_COMMANDS, ids=["troots", "dims", "enumerate"])
+def test_non_canonical_painting_has_no_fixture(capsys, argv):
+    code, out, err = run(capsys, *[a.format("F4:1,2") for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "canonical space" in err and "F4:1,2" in err
+
+
+def test_parser_reuse_leaves_no_flags_behind(capsys, tmp_path):
+    # The parser is built once per process; a call that drops the flags the
+    # previous call set answers as in a fresh process.
+    argv = ["table", "brackets", "F4_34"]
+    code, out, _ = run(capsys, *argv, "--check", "--seed", "7", "--out", str(tmp_path / "t.json"),
+                       "--format", "json")
+    assert code == 0 and out == ""
+    code, out, err = run(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(flagroots.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-m", "flagroots.cli", *argv], capture_output=True, env=env,
+                           timeout=60)
+    assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+@pytest.mark.parametrize("argv", [["bogus", "F4_34"], ["roots", "F4_34", "--format", "yaml"]])
+def test_argparse_error_after_a_successful_call_exits_2(capsys, argv):
+    assert run(capsys, "roots", "G2_12")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_parser_built_once_across_calls(capsys):
+    import flagroots.cli as cli
+
+    cli._build_parser.cache_clear()
+    for argv in (["roots", "G2_12"], ["table", "dims", "F4_34"], ["roots", "E6:1", "--format", "json"]) * 3:
+        assert run(capsys, *argv)[0] == 0
+    assert cli._build_parser.cache_info().misses == 1

@@ -369,6 +369,24 @@ def test_tangent_vector_support_validation(diagrams):
         TangentVector(pd, AlgebraElement(pd.system, (0,) * 4, {(0, -1, -1, 0): 1}))
 
 
+def test_from_coefficients_folds_signs_and_keeps_order_and_types(diagrams):
+    # Keys in order of first appearance, as plain tuples; a root and its
+    # negative add up in A and cancel in B, where -x negates the coefficient;
+    # a zero coefficient is not stored; int stays int and Fraction Fraction.
+    pd = diagrams["F4_34"]
+    r1, r2, r3 = pd.r_m_pos[:3]
+    neg = lambda r: tuple(-c for c in r)  # noqa: E731
+    x = TangentVector.from_coefficients(
+        pd, a={r2: 3, r1: Fraction(1, 2), neg(r2): 4, r3: 0},
+        b={r1: Fraction(2, 3), neg(r1): Fraction(2, 3), r3: 5, neg(r2): Fraction(3)})
+    assert list(x.element.a.items()) == [(r2, 7), (r1, Fraction(1, 2))]
+    assert list(x.element.b.items()) == [(r3, 5), (r2, Fraction(-3))]
+    for part in (x.element.a, x.element.b):
+        assert all(type(r) is tuple for r in part)
+    assert [type(c) for c in x.element.a.values()] == [int, Fraction]
+    assert [type(c) for c in x.element.b.values()] == [int, Fraction]
+
+
 def test_criteria_equivalence_random_vectors(diagrams, tables):
     # all-metrics test (every C_k = 0) == sampled-metric residual test ==
     # polynomial identity == pair-vanishing oracle, on mixed random supports

@@ -3,6 +3,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+import oracles
 from flagroots import (
     AlgebraElement,
     FlagrootsError,
@@ -259,3 +260,12 @@ def test_module_index_is_the_troot_position(systems, lie_type, nodes):
             pd.module_index(not_a_root)
         with pytest.raises(FlagrootsError):
             pd.t_root(not_a_root)
+
+
+@pytest.mark.parametrize("lie_type,nodes", SMALL_PAINTINGS,
+                         ids=[f"{t.name}:{','.join(map(str, n))}" for t, n in SMALL_PAINTINGS])
+def test_bracket_inclusion_matches_exhaustive_scan(systems, lie_type, nodes):
+    # The table stops scanning a cell once it holds every label its t-roots
+    # allow; the oracle scans every root pair of every cell.
+    pd = paint(systems[lie_type], nodes)
+    assert bracket_inclusion_table(pd) == oracles.bracket_inclusion_by_scan(pd)
