@@ -68,15 +68,18 @@ class StructureConstantTable:
     pairings, <g, .> = <a, .> + <b, .>; only a simple root, which has no
     triple, reads them from the Cartan matrix.
 
-    Immutable after construction; bracket evaluation is pure.  For the
-    bracket kernel, entry (i, j) of _pairs over positive-root ids is
+    Construction runs the recursion and the coroot check, so all four
+    consistency errors raise there, and keeps the pairings, the coroots and
+    _solved: per triple, g, a, b, N(a,b), N(b,-g), N(a,-g) in the raw
+    convention.  Everything else is built from it on first read, so a table
+    costs its bracket kernel's index only when something brackets:
+    _pairs, where entry (i, j) over positive-root ids is
     (s, N(i,j), d, N(i,-j), -sign(i-j) N(i,-j)) with s the id of i+j and d
-    that of +-(i-j), or None when neither is a root; an absent one has
-    constant 0 and the spare id n.  Each triple writes the entries of its
-    six ordered pairs, of which it already knows g = a+b, g-a = b and
-    g-b = a.  n_map, keyed by root pairs, is built
-    from _pairs only when it is read, as is each painting's cross-pair
-    system, which equigeo caches in _compiled under the painted nodes.
+    that of +-(i-j), or None when neither is a root (an absent one has
+    constant 0 and the spare id n); n_map, keyed by root pairs, from _pairs;
+    and each painting's cross-pair system, which equigeo caches in _compiled
+    under the painted nodes.  _solved is never dropped, so two threads that
+    make the first read at once build equal copies.  Bracket evaluation is pure.
     """
 
     def __init__(self, system: RootSystem):
@@ -102,6 +105,9 @@ class StructureConstantTable:
         norm = [sum(d * m * q for d, m, q in zip(sym, r, pr)) for r, pr in zip(pos, pairings)]
         # raw[x][y]: N(x,y) in the raw Chevalley convention, x > 0, y any id.
         raw = [[0] * (2 * n) for _ in range(n)]
+        # solved: g, a, b, N(a,b), N(b,-g), N(a,-g) per triple, all the pair entries
+        # need, in one flat list of small ints, so no per-triple object stays alive.
+        solved = self._solved = []
         for g, pairs in enumerate(triples):
             for k, (a, b) in enumerate(pairs):
                 c = _string_p(system, a, b) + 1
@@ -124,20 +130,11 @@ class StructureConstantTable:
                 u, v = c * norm[a], c * norm[b]
                 if u % norm[g] or v % norm[g]:
                     raise FlagrootsError("non-integral structure constant reduction")
+                p, q = u // norm[g], -v // norm[g]
                 raw[a][b], raw[b][a] = c, -c
-                raw[b][g + n] = raw[g][b + n] = u // norm[g]
-                raw[a][g + n] = raw[g][a + n] = -v // norm[g]
-
-        # f_{-x} = -e_x flips N(i,-j) when i - j > 0; the raw N(i,-j) is
-        # -sign(i-j) times the stored one.  e is the id of i - j, -1 if none.
-        rows = self._pairs = [[None] * n for _ in range(n)]
-        for g, pairs in enumerate(triples):
-            for a, b in pairs:
-                d, ga, gb = get(codes[a] - codes[b], -1), get(codes[g] + codes[a], n), get(codes[g] + codes[b], n)
-                for i, j, s, e in ((a, b, g, d), (b, a, g, (d + n) % (2 * n) if d >= 0 else -1),
-                                   (g, a, ga, b), (a, g, ga, b + n), (g, b, gb, a), (b, g, gb, a + n)):
-                    x = raw[i][j + n]
-                    rows[i][j] = (s, raw[i][j], e % n if e >= 0 else n, x if e >= n else -x, x)
+                raw[b][g + n] = raw[g][b + n] = p
+                raw[a][g + n] = raw[g][a + n] = q
+                solved += (g, a, b, c, p, q)
         # h_x = sum_i x_i d_i / (|x|^2/2) h_i over the simple coroots.
         if any(m * d % (k // 2) for r, k in zip(pos, norm) for m, d in zip(r, sym)):
             raise FlagrootsError("non-integral coroot coefficient")
@@ -145,6 +142,25 @@ class StructureConstantTable:
         self._compiled: dict[tuple[int, ...], list] = {}
 
     # -- queries -----------------------------------------------------
+
+    @cached_property
+    def _pairs(self) -> list[list[tuple[int, int, int, int, int] | None]]:
+        """The bracket kernel's index, from _solved: the sum part of pair (i, j) comes from
+        the triple of i+j and its difference part from the triple of the larger of i, j, so
+        no code is looked up.  f_{-x} = -e_x flips N(i,-j) when i - j > 0: the raw N(i,-j)
+        is -sign(i-j) times the stored one."""
+        n, solved = self._n, self._solved
+        rows: list[list] = [[None] * n for _ in range(n)]
+        # zip over one iterator six times reads _solved a triple at a time.
+        for g, a, b, c, _, _ in zip(*[iter(solved)] * 6):
+            rows[a][b], rows[b][a] = (g, c, n, 0, 0), (g, -c, n, 0, 0)
+        for g, a, b, _, p, q in zip(*[iter(solved)] * 6):
+            for i, j, d, x in ((g, a, b, q), (g, b, a, p)):
+                s, nij = rows[i][j][:2] if rows[i][j] else (n, 0)
+                rows[i][j] = (s, nij, d, -x, x)
+                s, nij = rows[j][i][:2] if rows[j][i] else (n, 0)
+                rows[j][i] = (s, nij, d, x, x)
+        return rows
 
     @cached_property
     def n_map(self) -> dict[tuple[Coeffs, Coeffs], int]:

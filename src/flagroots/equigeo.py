@@ -158,15 +158,26 @@ def _vertices(pd: PaintedDiagram, roots: Iterable[Sequence[int]]) -> list[tuple[
     return [(module_of[i], codes[i]) for i in map(index.__getitem__, roots)]
 
 
-def _compatible(code_ids: Container[int], u: tuple[int, int], v: tuple[int, int]) -> bool:
-    """The one compatibility test: vertices u, v share a module, or neither the
-    sum nor the difference of their roots is a root."""
-    return u[0] == v[0] or (u[1] + v[1] not in code_ids and u[1] - v[1] not in code_ids)
+def _clash(code_ids: Container[int], c: int, d: int) -> bool:
+    """The one compatibility rule, on the codes of two roots of different modules:
+    they clash when their sum or their difference is a root."""
+    return c + d in code_ids or c - d in code_ids
 
 
 def _all_compatible(pd: PaintedDiagram, roots: Iterable[Sequence[int]]) -> bool:
-    code_ids = pd.system.code_ids
-    return all(_compatible(code_ids, u, v) for u, v in combinations(_vertices(pd, roots), 2))
+    """Whether no two of the roots clash: their codes are grouped by module, and only
+    pairs from different groups are tested."""
+    groups: dict[int, list[int]] = {}
+    for k, c in _vertices(pd, roots):
+        groups.setdefault(k, []).append(c)
+    code_ids, seen = pd.system.code_ids, []
+    for codes in groups.values():
+        for c in codes:
+            for d in seen:
+                if _clash(code_ids, c, d):
+                    return False
+        seen += codes
+    return True
 
 
 def _is_structural(x: TangentVector) -> bool:
@@ -211,8 +222,8 @@ def compatibility_graph(pd: PaintedDiagram) -> CompatibilityGraph:
                 for r in mod.roots]
     verts, code_ids = _vertices(pd, (r for _, r in vertices)), pd.system.code_ids
     adj = [0] * len(verts)
-    for (i, u), (j, v) in combinations(enumerate(verts), 2):
-        if _compatible(code_ids, u, v):
+    for (i, (ku, cu)), (j, (kv, cv)) in combinations(enumerate(verts), 2):
+        if ku == kv or not _clash(code_ids, cu, cv):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return CompatibilityGraph(pd, tuple(vertices), tuple(adj))

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -66,7 +67,14 @@ def parse_space(spec: str) -> tuple[LieType, tuple[int, ...]]:
 
 
 def space_diagram(spec: str) -> PaintedDiagram:
+    """The painting of a space spec, one per (Lie type, painted nodes) per process, as
+    root_system is shared: "F4_34", "F4:3,4" and "F4:4,3" give the same object."""
     lie_type, painted = parse_space(spec)
+    return _painting(lie_type, tuple(sorted(set(painted))))
+
+
+@lru_cache(maxsize=None)
+def _painting(lie_type: LieType, painted: tuple[int, ...]) -> PaintedDiagram:
     return paint(root_system(lie_type), painted)
 
 

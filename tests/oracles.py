@@ -119,6 +119,19 @@ def maximal_cliques_networkx(roots, painted):
     return {frozenset(c) for c in nx.find_cliques(graph)}
 
 
+def structural_by_pairs(roots, all_roots, painted):
+    """Whether a set of R_M+ roots is structural, pair by pair from root
+    arithmetic alone: two roots whose painted coordinates differ lie in
+    different modules, and then neither their sum nor their difference may
+    be in all_roots (e.g. weyl_closure_roots)."""
+    cols = [i - 1 for i in painted]
+    for u, v in combinations(roots, 2):
+        if any(u[i] != v[i] for i in cols) and (tuple(p + q for p, q in zip(u, v)) in all_roots
+                                                or tuple(p - q for p, q in zip(u, v)) in all_roots):
+            return False
+    return True
+
+
 def residual_vanishes_identically(table, pd, x, points=7):
     """Whether [X, Lambda X]_m = 0 as a polynomial identity in the
     metric parameters, by sampling each parameter on a grid.

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,12 +15,15 @@ from flagroots import (
     LieType,
     MetricVector,
     MixedSystemError,
+    StructuralFamily,
     TangentVector,
     bracket,
     build_constants,
     chevalley,
     equigeodesic_residual,
     is_equigeodesic_all_metrics,
+    is_structural_family,
+    load_fixture,
     paint,
     project_m,
 )
@@ -425,6 +431,82 @@ def test_n_map_built_only_when_read(diagrams):
     assert "n_map" not in table.__dict__
     assert len(table.n_map) == ROOT_SUM_PAIRS[LieType.F4]
     assert "n_map" in table.__dict__
+
+
+def test_pair_entries_built_only_when_read(diagrams):
+    # build_constants solves every triple but leaves the bracket kernel's
+    # index to its first read; a structural family, checked as `check` does,
+    # never reads it, and a bracket, a C_k pass or n_map does.
+    pd, fx = diagrams["E8_12"], load_fixture("E8_12")
+    table = build_constants(pd.system)
+    assert "_pairs" not in table.__dict__
+    for f in fx.families[:5]:
+        roots = fx.family_roots(f)
+        x = TangentVector.from_coefficients(pd, a={r: 1 for r in roots},
+                                            b={r: Fraction(2 * i + 1, 2) for i, r in enumerate(roots)})
+        assert is_structural_family(StructuralFamily.from_roots(pd, roots))
+        assert is_equigeodesic_all_metrics(table, pd, x)
+        assert equigeodesic_residual(table, pd, x, MetricVector((1, 2, 3, 4, 5, 6))).is_zero()
+    assert "_pairs" not in table.__dict__ and table._compiled == {}
+    b1, b2 = pd.r_m_pos[0], pd.r_m_pos[-1]
+    dense = TangentVector.from_coefficients(pd, a={r: 1 for r in pd.r_m_pos})
+    for read in (lambda t: bracket(t, AlgebraElement.basis_a(pd.system, b1), AlgebraElement.basis_b(pd.system, b2)),
+                 lambda t: is_equigeodesic_all_metrics(t, pd, dense),
+                 lambda t: t.n_map):
+        t = build_constants(pd.system)
+        read(t)
+        assert "_pairs" in t.__dict__
+
+
+# sha256 of repr(table._pairs) as the tables filled them at construction,
+# before the entries were built on first read.
+EAGER_PAIR_ENTRIES = {
+    LieType.G2: "463909604e8cb4807285913d36675377f25b1547227f1e64862f64f9d070c1b8",
+    LieType.F4: "ef6f3381ed2515490a3f58843e3f80cbb83b9d284fdc7208fd9be2981990228f",
+    LieType.E6: "2933577710012bf1984782606280bb468e9163680508c1f9891b8ccd4477c889",
+    LieType.E7: "0a154b1f5b43396846142ea606c6d07a51e36a923c761671f4c7074524aa2205",
+    LieType.E8: "4f2797743bf77fb5d543deb08eff8d707e191d4ef8ec8f360b195c037e964c83",
+}
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_lazy_pair_entries_equal_the_eager_ones(systems, lie_type):
+    table = build_constants(systems[lie_type])
+    assert hashlib.sha256(repr(table._pairs).encode()).hexdigest() == EAGER_PAIR_ENTRIES[lie_type]
+    # Field 4 is -sign(i-j) times the stored N(i,-j) of field 3, and both
+    # constants agree with n_map.
+    s = systems[lie_type]
+    roots, n = s.roots, len(s.positive_roots)
+    for i, row in enumerate(table._pairs):
+        for j, e in enumerate(row):
+            if e is not None:
+                assert e[1] == table.n(roots[i], roots[j]) and e[3] == table.n(roots[i], roots[j + n])
+                d = s.index.get(tuple(a - b for a, b in zip(roots[i], roots[j])))
+                assert e[4] == -(0 if d is None else 1 if d < n else -1) * e[3], (i, j)
+
+
+def test_first_read_from_four_threads_at_once(systems):
+    # Four threads that make the first read of a fresh E8 table's pair
+    # entries together, with a short switch interval, all get the eager ones.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            table, barrier, seen = build_constants(systems[LieType.E8]), threading.Barrier(4), []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append(table._pairs)
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads) and len(seen) == 4
+            assert {hashlib.sha256(repr(rows).encode()).hexdigest() for rows in seen} == {
+                EAGER_PAIR_ENTRIES[LieType.E8]}
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("x,y,message", [

@@ -585,7 +585,8 @@ def test_cross_pair_system_holds_the_bracketing_pairs(diagrams, tables, sid):
 def test_structural_supports_build_no_cross_pair_system(diagrams):
     # The non-suspect reference families, as the certify benchmark runs them
     # on fresh tables, and a support inside one module are answered without
-    # compiling a cross-pair system or filling the vector's C_k.
+    # building the table's pair entries, compiling a cross-pair system or
+    # filling the vector's C_k.
     checked = 0
     for sid, pd in diagrams.items():
         table, fx = build_constants(pd.system), load_fixture(sid)
@@ -598,7 +599,7 @@ def test_structural_supports_build_no_cross_pair_system(diagrams):
             assert equigeodesic_residual(table, pd, x, lam).is_zero()
             assert x._brackets == {}
         checked += len(supports)
-        assert table._compiled == {}, sid
+        assert table._compiled == {} and "_pairs" not in table.__dict__, sid
     assert checked == 162
 
 
@@ -895,3 +896,32 @@ def test_module_brackets_against_the_oracle(diagrams, tables, case, lam):
     assert equigeodesic_residual(table, pd, x, MetricVector(lam)) == _oracle_residual(table, pd, x, lam)
     c_zero = all(_oracle_residual(table, pd, x, _unit(6, k)).is_zero() for k in range(1, 7))
     assert is_equigeodesic_all_metrics(table, pd, x) == c_zero
+
+
+@pytest.mark.parametrize("spec", ["G2_12", "F4_34", "E6_36", "E7_56", "E8_12", "F4:1,2", "E6:1", "E8:3,5"])
+def test_grouped_structural_test_matches_the_pairwise_oracle(spec):
+    # Random supports of 1-12 roots, and supports grown root by root while
+    # the oracle keeps them structural, so that both verdicts occur where the
+    # painting has more than one module (E6:1 has one, so every support is
+    # structural).  The family test, the vector's verdict and, on two roots,
+    # pair_compatible all read the grouped test.
+    pd = space_diagram(spec)
+    all_roots, pool = oracles.weyl_closure_roots(pd.system), list(pd.r_m_pos)
+    rng, verdicts = random.Random(f"grouped:{spec}"), Counter()
+    supports = [rng.sample(pool, rng.randint(1, min(12, len(pool)))) for _ in range(150)]
+    for _ in range(50):
+        grown, size = [], rng.randint(1, 12)
+        for r in rng.sample(pool, len(pool)):
+            if len(grown) < size and oracles.structural_by_pairs(grown + [r], all_roots, pd.painted):
+                grown.append(r)
+        supports.append(grown)
+    for roots in supports:
+        want = oracles.structural_by_pairs(roots, all_roots, pd.painted)
+        assert equigeo._all_compatible(pd, roots) is want, roots
+        assert is_structural_family(StructuralFamily.from_roots(pd, roots)) is want, roots
+        assert equigeo._is_structural(TangentVector.from_coefficients(pd, b={r: 1 for r in roots})) is want
+        if len(roots) == 2:
+            assert pair_compatible(pd, *roots) is want
+        verdicts[want] += 1
+    assert verdicts[True] >= 50
+    assert (verdicts[False] == 0) is (len(pd.isotropy_decomposition()) == 1)

@@ -4,12 +4,16 @@ import pytest
 
 from flagroots import (
     FixtureError,
+    PaintedDiagram,
     StructuralFamily,
     is_structural_family,
     load_fixture,
     pair_compatible,
+    paint,
+    root_system,
     space_diagram,
 )
+from flagroots import cli
 from flagroots.fixtures import SPACE_IDS, parse_space
 from flagroots.rootsys import LieType
 
@@ -152,3 +156,27 @@ def test_fixture_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(fxmod.ENV_FIXTURE_DIR, str(tmp_path / "nope"))
     with pytest.raises(FixtureError):
         load_fixture("G2_12")
+
+
+def test_one_painting_per_space(monkeypatch, capsys):
+    # Every spelling of a space gives one shared painting, so loading its
+    # fixture or running a fixture-reading command paints nothing again;
+    # paint() itself still builds a new painting per call.
+    pd = space_diagram("F4_34")
+    assert space_diagram("F4:3,4") is pd and space_diagram("F4:4,3") is pd
+    assert space_diagram("F4:1,2") is not pd
+    assert paint(root_system(LieType.F4), (3, 4)) is not paint(root_system(LieType.F4), (3, 4))
+    built = []
+    init = PaintedDiagram.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(PaintedDiagram, "__init__", counted)
+    load_fixture("F4_34")
+    assert cli.main(["check", "F4:3,4", "b3^3", "b1^1", "b6^1"]) == 0
+    assert cli.main(["table", "troots", "F4_34", "--check"]) == 0
+    capsys.readouterr()
+    assert built == []
+    paint(root_system(LieType.F4), (3, 4))
+    assert len(built) == 1
