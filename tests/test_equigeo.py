@@ -11,10 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from flagroots import (
     AlgebraElement,
+    DimensionMismatchError,
     FlagrootsError,
     LieType,
     MetricVector,
     MixedSystemError,
+    NotComplementaryRootError,
     StructuralFamily,
     SupportError,
     TangentVector,
@@ -925,3 +927,113 @@ def test_grouped_structural_test_matches_the_pairwise_oracle(spec):
         verdicts[want] += 1
     assert verdicts[True] >= 50
     assert (verdicts[False] == 0) is (len(pd.isotropy_decomposition()) == 1)
+
+
+# Error parity of the four entry points that resolve roots, pinned on the
+# implementation that looked every root up once per check: each case names
+# its input, and the exception class (exactly) and message, or the value,
+# must stay as they are.  F4_34 paints nodes 3 and 4: (0,1,0,0), (1,0,0,0)
+# and (1,1,0,0) are its K-roots, (0,1,1,0) and (0,1,1,1) lie in different
+# modules, and (0,1,1,0), (0,0,1,0) in one.
+E6_ROOT = (0, 0, 1, 0, 0, 0)
+NOT_ROOT_OUTCOME = (NotComplementaryRootError, "(1, 0, 0, 1) is not in R_M")
+NOT_R_M_PAIR = (SupportError, "pair_compatible needs roots from R_M+")
+PARITY = {
+    "from_roots": lambda pd, roots: sorted(StructuralFamily.from_roots(pd, roots).members),
+    "from_coefficients": lambda pd, a, b: _parts(TangentVector.from_coefficients(pd, a, b)),
+    "TangentVector": lambda pd, a, b, cartan=(0,) * 4, other=None: _parts(TangentVector(
+        pd, AlgebraElement(other or pd.system, cartan, a, b))),
+    "pair_compatible": pair_compatible,
+}
+PARITY_CASES = [
+    ("from_roots", "K-root", ([(0, 1, 1, 0), (0, 1, 0, 0)],),
+     (NotComplementaryRootError, "(0, 1, 0, 0) is not in R_M")),
+    ("from_roots", "negative root", ([(0, 1, 1, 0), (0, -1, -1, -1)],),
+     (SupportError, "root (0, -1, -1, -1) is not in R_M+ of F4(3,4)")),
+    ("from_roots", "two negative roots", ([(0, -1, -1, 0), (0, -1, -1, -1)],),  # the first in member order
+     (SupportError, "root (0, -1, -1, -1) is not in R_M+ of F4(3,4)")),
+    ("from_roots", "negative root, then a K-root", ([(0, -1, -1, 0), (0, 1, 0, 0)],),
+     (NotComplementaryRootError, "(0, 1, 0, 0) is not in R_M")),
+    ("from_roots", "negative K-root", ([(0, -1, 0, 0)],),
+     (NotComplementaryRootError, "(0, -1, 0, 0) is not in R_M")),
+    ("from_roots", "non-root", ([(1, 0, 0, 1)],), NOT_ROOT_OUTCOME),
+    ("from_roots", "wrong length", ([(0, 1, 1)],), (NotComplementaryRootError, "(0, 1, 1) is not in R_M")),
+    ("from_roots", "empty", ([],), (FlagrootsError, "a structural family must be nonempty")),
+    ("from_roots", "float entries", ([(0, 1.0, 1, 0), (0, 1, 1, 1)],),
+     [(1, (0, 1, 1, 0)), (3, (0, 1, 1, 1))]),
+    ("from_roots", "str", (["0110"],), (NotComplementaryRootError, "('0', '1', '1', '0') is not in R_M")),
+    ("from_roots", "repeated root", ([(0, 1, 1, 0), [0, 1, 1, 0]],), [(1, (0, 1, 1, 0))]),
+    ("from_roots", "other system", ([E6_ROOT],), (NotComplementaryRootError, f"{E6_ROOT} is not in R_M")),
+    ("from_coefficients", "K-root", ({(0, 1, 0, 0): 1}, None),
+     (SupportError, "support leaves R_M+: [(0, 1, 0, 0)]")),
+    ("from_coefficients", "negative root", ({(0, -1, -1, 0): 1}, {(0, -1, -1, 0): 2}),
+     ({(0, 1, 1, 0): 1}, {(0, 1, 1, 0): -2})),
+    ("from_coefficients", "non-root", ({(1, 0, 0, 1): 1}, None), (FlagrootsError, "(1, 0, 0, 1) is not a root of F4")),
+    ("from_coefficients", "non-root with a float coefficient", (None, {(1, 0, 0, 1): 0.5}),
+     (FlagrootsError, "(1, 0, 0, 1) is not a root of F4")),
+    ("from_coefficients", "wrong length", ({(0, 1, 1): 1}, None),
+     (DimensionMismatchError, "expected length 4, got 3")),
+    ("from_coefficients", "empty", (None, {}), ({}, {})),
+    ("from_coefficients", "float coefficient", ({(0, 1, 1, 0): 0.5}, None),
+     (FlagrootsError, "coefficient 0.5 of root (0, 1, 1, 0) is not an int or a Fraction")),
+    ("from_coefficients", "str coefficient", (None, {(0, -1, -1, 0): "1"}),
+     (FlagrootsError, "coefficient '1' of root (0, -1, -1, 0) is not an int or a Fraction")),
+    ("from_coefficients", "K-roots that cancel", ({(0, 1, 0, 0): 1, (0, -1, 0, 0): -1, (0, 1, 1, 0): 2},
+                                                  {(1, 1, 0, 0): Fraction(1, 2), (-1, -1, 0, 0): Fraction(1, 2)}),
+     ({(0, 1, 1, 0): 2}, {})),
+    ("from_coefficients", "an R_M+ root that cancels", ({(0, 1, 1, 0): 1, (0, -1, -1, 0): -1}, {(0, 1, 1, 1): 3}),
+     ({}, {(0, 1, 1, 1): 3})),
+    ("from_coefficients", "K-root with coefficient 0", ({(0, 1, 0, 0): 0, (0, 1, 1, 0): 1}, None),
+     ({(0, 1, 1, 0): 1}, {})),
+    ("from_coefficients", "roots outside R_M+ in both parts",
+     ({(0, 1, 0, 0): 1, (0, 1, 1, 0): 1, (-1, 0, 0, 0): 2}, {(1, 1, 0, 0): 3, (0, -1, 0, 0): 1}),
+     (SupportError, "support leaves R_M+: [(0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)]")),
+    ("from_coefficients", "other system", ({E6_ROOT: 1}, None), (DimensionMismatchError, "expected length 4, got 6")),
+    ("TangentVector", "K-root", ({(0, 1, 0, 0): 1}, {}), (SupportError, "support leaves R_M+: [(0, 1, 0, 0)]")),
+    ("TangentVector", "negative root", ({}, {(0, -1, -1, 0): 1}),
+     (SupportError, "support leaves R_M+: [(0, -1, -1, 0)]")),
+    ("TangentVector", "non-root", ({(1, 0, 0, 1): 1}, {}), (SupportError, "support leaves R_M+: [(1, 0, 0, 1)]")),
+    ("TangentVector", "wrong length", ({(0, 1, 1): 1}, {}), (SupportError, "support leaves R_M+: [(0, 1, 1)]")),
+    ("TangentVector", "empty", ({}, {}), ({}, {})),
+    ("TangentVector", "float coefficient", ({(0, 1, 1, 0): 0.5}, {}), ({(0, 1, 1, 0): 0.5}, {})),
+    ("TangentVector", "str coefficient", ({}, {(0, 1, 1, 0): "1"}), ({}, {(0, 1, 1, 0): "1"})),
+    ("TangentVector", "stored zero coefficient of a K-root", ({(0, 1, 0, 0): 0}, {}),
+     (SupportError, "support leaves R_M+: [(0, 1, 0, 0)]")),
+    ("TangentVector", "roots outside R_M+ in both parts",
+     ({(0, 1, 0, 0): 1, (0, -1, -1, 0): 2, (0, 1, 1, 0): 1}, {(1, 1, 0, 0): 1, (0, 1, 0, 0): 3, (1, 0, 0, 1): 1}),
+     (SupportError, "support leaves R_M+: [(0, -1, -1, 0), (0, 1, 0, 0), (1, 0, 0, 1), (1, 1, 0, 0)]")),
+    ("TangentVector", "Cartan part", ({(0, 1, 1, 0): 1}, {}, (0, 1, 0, 0)),
+     (SupportError, "tangent vectors have no Cartan component")),
+    ("TangentVector", "Cartan part and a K-root", ({(0, 1, 0, 0): 1}, {}, (0, 1, 0, 0)),
+     (SupportError, "tangent vectors have no Cartan component")),
+    ("TangentVector", "other system", ({}, {}, (0,) * 6, "E6"),
+     (SupportError, "element does not match the painted diagram")),
+    ("pair_compatible", "K-root", ((0, 1, 1, 0), (0, 1, 0, 0)), NOT_R_M_PAIR),
+    ("pair_compatible", "negative root", ((0, -1, -1, 0), (0, 1, 1, 1)), NOT_R_M_PAIR),
+    ("pair_compatible", "non-root", ((1, 0, 0, 1), (0, 1, 1, 0)), NOT_R_M_PAIR),
+    ("pair_compatible", "wrong length", ((0, 1, 1, 0), (0, 1, 1)), NOT_R_M_PAIR),
+    ("pair_compatible", "one root twice", ((0, 1, 1, 0), [0, 1, 1, 0]),
+     (FlagrootsError, "pair_compatible needs two distinct roots")),
+    ("pair_compatible", "float entries", ((0, 1.0, 1, 0), (0, 1, 1, 1)), False),
+    ("pair_compatible", "str", ("0110", (0, 1, 1, 1)), NOT_R_M_PAIR),
+    ("pair_compatible", "other system", (E6_ROOT, (0, 1, 1, 0)), NOT_R_M_PAIR),
+]
+
+
+def _parts(x):
+    return x.element.a, x.element.b
+
+
+@pytest.mark.parametrize("entry,case,args,want", PARITY_CASES, ids=[f"{e}-{c}" for e, c, _, _ in PARITY_CASES])
+def test_root_resolution_errors_are_pinned(diagrams, systems, entry, case, args, want):
+    pd = diagrams["F4_34"]
+    if args[-1] == "E6":
+        args = args[:-1] + (systems[LieType.E6],)
+    try:
+        got = PARITY[entry](pd, *args)
+    except Exception as exc:  # noqa: BLE001 - the class itself is pinned
+        got = (type(exc), str(exc))
+    assert got == want
+    if isinstance(want, tuple) and isinstance(want[0], dict):  # values keep their types and key order
+        assert [list(map(type, p.values())) for p in got] == [list(map(type, p.values())) for p in want]
+        assert [list(p) for p in got] == [list(p) for p in want]
