@@ -144,23 +144,24 @@ def cmd_table(args):
     modules = pd.isotropy_decomposition()
     labels = [m.label for m in modules]
     mismatch = False
+    # text is pieces; the bracket table's text and latex rows are built only when read.
     if args.which == "dims":
         dims = [m.dim_real for m in modules]
         headers, rows = ["module"] * len(modules), [labels, dims]
         body = {"dims": dims, "labels": labels}
-        text = "  ".join(f"{m.label}:{m.dim_real}" for m in modules)
+        text = ["  ".join(f"{m.label}:{m.dim_real}" for m in modules)]
     elif args.which == "troots":
         troots = [list(m.troot) for m in modules]
         headers, rows = labels, [[_fmt_root(t) for t in troots]]
         body = {"troots": troots, "type": kind.value}
-        text = f"type {kind.value}  " + " ".join(_fmt_root(t) for t in troots)
+        text = [f"type {kind.value}  " + " ".join(_fmt_root(t) for t in troots)]
     else:
-        got = bracket_inclusion_table(pd)
-        headers = [""] + labels
-        rows = [[labels[i]] + ["{" + ",".join(cell) + "}" for cell in row] for i, row in enumerate(got)]
+        got, size = bracket_inclusion_table(pd), len(labels)
+        cell = lambda hit: "{" + ",".join(hit) + "}"  # noqa: E731
+        headers, rows = [""] + labels, ([labels[i]] + list(map(cell, row)) for i, row in enumerate(got))
         body = {"brackets": got, "labels": labels}
-        text = "\n".join(f"[{labels[i]}, {labels[j]}] -> " + rows[i][j + 1]
-                         for i in range(len(labels)) for j in range(i, len(labels)))
+        text = (("\n" if i or j else "") + f"[{labels[i]}, {labels[j]}] -> " + cell(got[i][j])
+                for i in range(size) for j in range(i, size))
         if args.check:
             if kind is G2Kind.NOT_G2_TYPE:
                 raise NotG2TypeError(f"table brackets --check needs a G2-type painting; {args.space} is not one")
@@ -176,7 +177,7 @@ def cmd_table(args):
         raise FixtureError(f"--check needs a canonical space with fixtures; {args.space} is not one")
     verdict = ("\ncheck: MISMATCH" if mismatch else "\ncheck: MATCH") if args.check else ""
     return (int(mismatch), _doc(args, f"table {args.which}", check=args.check, match=not mismatch, **body),
-            text + verdict, _latex_table(headers, rows))
+            chain(text, (verdict,)), _latex_table(headers, rows))
 
 
 def cmd_check(args):

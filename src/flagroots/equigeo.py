@@ -1,14 +1,14 @@
 """Structural equigeodesic subspaces and exact residual verification.
 
 A cross-module pair of complementary roots a, b is compatible when
-neither a+b nor a-b is a root; same-module pairs are unconditionally
-compatible because Lambda scales a module part X_i by one l_i, so
-[X_i, l_i X_i] = 0 and the equigeodesic system only constrains distinct
-modules (on any painting: [m_i, m_i] need not lie in k).  A set of roots
-all of whose cross-module pairs are compatible spans a subspace
-consisting entirely of equigeodesic vectors, for every invariant
-metric; such sets are exactly the cliques of the compatibility graph.
-Compatibility is read on the root system's linear root codes.
+neither a+b nor a-b is a root; same-module pairs always are, as Lambda
+scales a module part X_i by one l_i and [X_i, l_i X_i] = 0 (on any
+painting: [m_i, m_i] need not lie in k).  A set of roots whose
+cross-module pairs are all compatible spans a subspace of vectors that
+are equigeodesic for every invariant metric; such sets are the cliques
+of the compatibility graph.  The painting's clash table, built on first
+read, holds the pairs that are not compatible, by root id: the family,
+vector and pair tests and compatibility_graph read it.
 
 The residual [X, Lambda X]_m is evaluated with exact rational
 coefficients, so a zero here is an identity, not a tolerance.  Over the
@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Container, Iterable, Sequence
-from itertools import combinations
+from collections.abc import Collection, Iterable, Sequence
+from functools import cached_property, reduce
 from math import lcm
-from operator import mul
+from operator import mul, or_
 
 from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _numerators
 from .flag import PaintedDiagram
@@ -84,7 +84,20 @@ class StructuralFamily:
 
     @classmethod
     def from_roots(cls, space: PaintedDiagram, roots: Iterable[Sequence[int]]) -> "StructuralFamily":
-        return cls(space, frozenset((space.module_index(r), space.system.root(r)) for r in roots))
+        """One index lookup per root, ids kept for the verdict; module_index and cls refuse the rest."""
+        index, module_of = space.system.index, space.module_of
+        ids = [i if (i := index.get(tuple(r))) is not None and module_of[i] else space.module_index(r) for r in roots]
+        members = frozenset((module_of[i], space.system.roots[i]) for i in ids)
+        if not ids or max(ids) >= len(space.system.positive_roots):
+            return cls(space, members)
+        family = object.__new__(cls)  # members checked: no __post_init__
+        family.__dict__.update(space=space, members=members, _ids=ids)
+        return family
+
+    @cached_property
+    def _ids(self) -> Sequence[int]:
+        """Root ids of the members, for the structural test; from_roots fills it in."""
+        return [self.space.system.index[r] for _, r in self.members]
 
     def modules(self) -> set[int]:
         return {k for k, _ in self.members}
@@ -118,12 +131,17 @@ class TangentVector:
             raise SupportError("element does not match the painted diagram")
         if any(element.cartan):
             raise SupportError("tangent vectors have no Cartan component")
-        bad = [r for r in element.support() if pd._m_id(r) is None]
-        if bad:
-            raise SupportError(f"support leaves R_M+: {sorted(bad)}")
-        self.space, self.element = pd, element
+        ids = {r: pd._m_id(r) for r in element.support()}
+        if None in ids.values():
+            raise SupportError(f"support leaves R_M+: {sorted(r for r, i in ids.items() if i is None)}")
+        self._fill(pd, element, ids.values())
+
+    def _fill(self, pd: PaintedDiagram, element: AlgebraElement, ids: Collection[int]) -> "TangentVector":
+        """ids: the support's root ids, for the structural test."""
+        self.space, self.element, self._ids = pd, element, ids
         self._structural: bool | None = None
         self._brackets: dict[StructureConstantTable, tuple[int, tuple, tuple]] = {}
+        return self
 
     @classmethod
     def from_coefficients(
@@ -133,57 +151,40 @@ class TangentVector:
         b: dict[Sequence[int], Scalar] | None = None,
     ) -> "TangentVector":
         """Sum of coeff A_root over a and coeff B_root over b, each coeff an int or a Fraction;
-        a negative root counts as its positive, B with the coefficient negated."""
-        system, parts = pd.system, []
+        a negative root counts as its positive, B with the coefficient negated.  The sums are
+        kept by root id, and the support, after cancellation, is checked on pd.module_of."""
+        system, parts, n = pd.system, [], len(pd.system.positive_roots)
         for coeffs, flip in ((a, 1), (b, -1)):
-            out: dict[Coeffs, Scalar] = {}
+            out: dict[int, Scalar] = {}
             for root, coeff in (coeffs or {}).items():
-                k, sign = system.fold(root)
+                i = system.index.get(tuple(root)) or system.id(root)  # id 0 or a non-root, which id() refuses
                 if not (type(coeff) is int or isinstance(coeff, Fraction)):
                     raise FlagrootsError(f"coefficient {coeff!r} of root {tuple(root)} is not an int or a Fraction")
-                r = system.positive_keys[k]
-                c = coeff if sign > 0 else flip * coeff
-                w = out[r] + c if r in out else c  # a first coefficient as given, not as 0 + c
+                k, c = (i, coeff) if i < n else (i - n, flip * coeff)
+                w = out[k] + c if k in out else c  # a first coefficient as given, not as 0 + c
                 if w:
-                    out[r] = w
+                    out[k] = w
                 else:
-                    out.pop(r, None)
+                    out.pop(k, None)
             parts.append(out)
-        return cls(pd, AlgebraElement(system, (0,) * system.rank, *parts))
+        keys, ids = system.positive_keys, parts[0].keys() | parts[1].keys()
+        if bad := sorted(keys[k] for k in ids if not pd.module_of[k]):
+            raise SupportError(f"support leaves R_M+: {bad}")
+        element = AlgebraElement(system, (0,) * system.rank, *({keys[k]: c for k, c in p.items()} for p in parts))
+        return object.__new__(cls)._fill(pd, element, ids)
 
 
-def _vertices(pd: PaintedDiagram, roots: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
-    """(module index, root code) of each R_M+ root."""
-    index, codes, module_of = pd.system.index, pd.system.codes, pd.module_of
-    return [(module_of[i], codes[i]) for i in map(index.__getitem__, roots)]
-
-
-def _clash(code_ids: Container[int], c: int, d: int) -> bool:
-    """The one compatibility rule, on the codes of two roots of different modules:
-    they clash when their sum or their difference is a root."""
-    return c + d in code_ids or c - d in code_ids
-
-
-def _all_compatible(pd: PaintedDiagram, roots: Iterable[Sequence[int]]) -> bool:
-    """Whether no two of the roots clash: their codes are grouped by module, and only
-    pairs from different groups are tested."""
-    groups: dict[int, list[int]] = {}
-    for k, c in _vertices(pd, roots):
-        groups.setdefault(k, []).append(c)
-    code_ids, seen = pd.system.code_ids, []
-    for codes in groups.values():
-        for c in codes:
-            for d in seen:
-                if _clash(code_ids, c, d):
-                    return False
-        seen += codes
-    return True
+def _all_compatible(pd: PaintedDiagram, ids: Collection[int]) -> bool:
+    """Whether no two of the R_M+ roots of these ids clash: no root's clash mask meets
+    the support's bits."""
+    clash, support = pd.clash, reduce(or_, (1 << i for i in ids), 0)
+    return not any(clash[i] & support for i in ids)
 
 
 def _is_structural(x: TangentVector) -> bool:
     """Whether every cross pair of the support of X is compatible, found once per vector."""
     if x._structural is None:
-        x._structural = _all_compatible(x.space, x.element.support())
+        x._structural = _all_compatible(x.space, x._ids)
     return x._structural
 
 
@@ -194,17 +195,17 @@ def pair_compatible(pd: PaintedDiagram, alpha: Sequence[int], beta: Sequence[int
     may be a root (that forces every relevant structure constant to
     vanish, so all cross brackets are identically zero).
     """
-    a, b = tuple(alpha), tuple(beta)
-    if pd._m_id(a) is None or pd._m_id(b) is None:
+    ids = pd._m_id(alpha), pd._m_id(beta)
+    if None in ids:
         raise SupportError("pair_compatible needs roots from R_M+")
-    if a == b:
+    if ids[0] == ids[1]:
         raise FlagrootsError("pair_compatible needs two distinct roots")
-    return _all_compatible(pd, (a, b))
+    return _all_compatible(pd, ids)
 
 
 def is_structural_family(family: StructuralFamily) -> bool:
     """Every cross-module pair of members must be compatible."""
-    return _all_compatible(family.space, (r for _, r in family.members))
+    return _all_compatible(family.space, family._ids)
 
 
 @dataclass(frozen=True)
@@ -218,14 +219,11 @@ class CompatibilityGraph:
 
 
 def compatibility_graph(pd: PaintedDiagram) -> CompatibilityGraph:
+    """Adjacency off the clash table: every other vertex whose root does not clash."""
     vertices = [(k, r) for k, mod in enumerate(pd.isotropy_decomposition(), start=1)
                 for r in mod.roots]
-    verts, code_ids = _vertices(pd, (r for _, r in vertices)), pd.system.code_ids
-    adj = [0] * len(verts)
-    for (i, (ku, cu)), (j, (kv, cv)) in combinations(enumerate(verts), 2):
-        if ku == kv or not _clash(code_ids, cu, cv):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    ids, clash = [pd.system.index[r] for _, r in vertices], pd.clash
+    adj = [sum(1 << u for u, j in enumerate(ids) if not clash[i] >> j & 1) & ~(1 << v) for v, i in enumerate(ids)]
     return CompatibilityGraph(pd, tuple(vertices), tuple(adj))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations, product
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -89,7 +90,7 @@ class PaintedDiagram:
     Construction computes the t-roots, the G2 type (kind) and the modules
     in one pass.  module_of[i] is the 1-based module index of root id i
     (both signs share it, as a module holds the pair +-r), and 0 for R_K.
-    Immutable after construction.
+    Immutable after construction, but for the clash table, built on first read.
     """
 
     def __init__(self, system: RootSystem, painted: Iterable[int]):
@@ -129,6 +130,18 @@ class PaintedDiagram:
         self.r_k_pos: tuple[Root, ...] = tuple(pos[i] for i in r_k)
         self.r_m_pos: tuple[Root, ...] = tuple(r for r, k in zip(pos, module_of) if k)
 
+    @cached_property
+    def clash(self) -> tuple[int, ...]:
+        """clash[i], i a root id of R_M+: the bitmask of the R_M+ ids j of other modules with i + j or
+        i - j a root, on the root codes; 0 for any other id.  The structural tests and the graph read it."""
+        codes, code_ids, module_of = self.system.codes, self.system.code_ids, self.module_of
+        clash = [0] * len(self.system.positive_roots)
+        for i, j in combinations([i for i, k in enumerate(module_of[:len(clash)]) if k], 2):
+            if module_of[i] != module_of[j] and (codes[i] + codes[j] in code_ids or codes[i] - codes[j] in code_ids):
+                clash[i] |= 1 << j
+                clash[j] |= 1 << i
+        return tuple(clash)
+
     def __repr__(self) -> str:
         nodes = ",".join(str(i) for i in self.painted)
         return f"PaintedDiagram({self.system.lie_type.name}; painted {nodes})"
@@ -154,10 +167,8 @@ class PaintedDiagram:
 
     def _m_id(self, root: Sequence[int]) -> int | None:
         """Root id of a root of R_M+; None for any other vector."""
-        i = self.system.index.get(tuple(root))
-        if i is not None and i < len(self.system.positive_roots) and self.module_of[i]:
-            return i
-        return None
+        i = self.system.index.get(tuple(root), -1)
+        return i if 0 <= i < len(self.system.positive_roots) and self.module_of[i] else None
 
     def to_dict(self) -> dict:
         return {

@@ -1,8 +1,11 @@
 import random
 import re
+import sys
+import threading
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -28,11 +31,12 @@ from flagroots import (
     is_equigeodesic_all_metrics,
     is_structural_family,
     load_fixture,
+    paint,
     pair_compatible,
     project_m,
     space_diagram,
 )
-from flagroots import equigeo
+from flagroots import cli, equigeo, fixtures
 
 # F4 display labels used below (frozen from the fixture label map):
 # b1^1=(0,1,1,0)  b6^1=(1,1,1,0)  b3^3=(0,0,1,1)  b1^3=(0,1,1,1)
@@ -906,7 +910,8 @@ def test_grouped_structural_test_matches_the_pairwise_oracle(spec):
     # the oracle keeps them structural, so that both verdicts occur where the
     # painting has more than one module (E6:1 has one, so every support is
     # structural).  The family test, the vector's verdict and, on two roots,
-    # pair_compatible all read the grouped test.
+    # pair_compatible all read the one test on the clash table, which takes
+    # the roots' ids.
     pd = space_diagram(spec)
     all_roots, pool = oracles.weyl_closure_roots(pd.system), list(pd.r_m_pos)
     rng, verdicts = random.Random(f"grouped:{spec}"), Counter()
@@ -919,7 +924,7 @@ def test_grouped_structural_test_matches_the_pairwise_oracle(spec):
         supports.append(grown)
     for roots in supports:
         want = oracles.structural_by_pairs(roots, all_roots, pd.painted)
-        assert equigeo._all_compatible(pd, roots) is want, roots
+        assert equigeo._all_compatible(pd, [pd.system.index[r] for r in roots]) is want, roots
         assert is_structural_family(StructuralFamily.from_roots(pd, roots)) is want, roots
         assert equigeo._is_structural(TangentVector.from_coefficients(pd, b={r: 1 for r in roots})) is want
         if len(roots) == 2:
@@ -1037,3 +1042,92 @@ def test_root_resolution_errors_are_pinned(diagrams, systems, entry, case, args,
     if isinstance(want, tuple) and isinstance(want[0], dict):  # values keep their types and key order
         assert [list(map(type, p.values())) for p in got] == [list(map(type, p.values())) for p in want]
         assert [list(p) for p in got] == [list(p) for p in want]
+
+
+SMALL_PAINTINGS = [(t, nodes) for t in LieType for k in (1, 2) for nodes in combinations(range(1, t.rank + 1), k)]
+
+
+@pytest.mark.parametrize("lie_type,nodes", SMALL_PAINTINGS,
+                         ids=[f"{t.name}:{','.join(map(str, n))}" for t, n in SMALL_PAINTINGS])
+def test_clash_table_is_the_pairwise_oracle(systems, lie_type, nodes):
+    # Every pair of R_M+ roots of each of the 98 one- and two-node paintings:
+    # the clash table marks the pair exactly when the oracle, which reads only
+    # root tuples, refuses it; the graph is the complement of the table; and
+    # families built without __post_init__, as enumeration builds them, get
+    # the verdict of the checked constructor and of the oracle.
+    pd = paint(systems[lie_type], nodes)
+    all_roots, index, clash = oracles.weyl_closure_roots(pd.system), pd.system.index, pd.clash
+    assert len(clash) == len(pd.system.positive_roots)
+    assert all(not clash[i] for i, r in enumerate(pd.system.positive_roots) if r not in pd.r_m_pos)
+    for a, b in combinations(pd.r_m_pos, 2):
+        refused = not oracles.structural_by_pairs([a, b], all_roots, nodes)
+        assert bool(clash[index[a]] >> index[b] & 1) is bool(clash[index[b]] >> index[a] & 1) is refused, (a, b)
+    graph = compatibility_graph(pd)
+    assert [r for _, r in graph.vertices] == sorted(pd.r_m_pos, key=lambda r: (pd.module_index(r), sum(r), r))
+    ids = [index[r] for _, r in graph.vertices]
+    for v, u in combinations(range(len(ids)), 2):
+        adjacent = not clash[ids[v]] >> ids[u] & 1
+        assert bool(graph.adjacency[v] >> u & 1) is bool(graph.adjacency[u] >> v & 1) is adjacent
+    assert not any(a >> v & 1 for v, a in enumerate(graph.adjacency))
+    rng, subsets = random.Random(f"clash:{lie_type.name}:{nodes}"), []
+    for _ in range(20):
+        subsets.append(tuple(sorted(rng.sample(range(len(ids)), rng.randint(1, min(8, len(ids)))))))
+        grown = 0  # a clique, grown vertex by vertex in random order
+        for v in rng.sample(range(len(ids)), len(ids)):
+            if graph.adjacency[v] & grown == grown:
+                grown |= 1 << v
+        subsets.append(tuple(v for v in range(len(ids)) if grown >> v & 1))
+    verdicts = Counter()
+    for family in equigeo._Families(graph, subsets):
+        want = oracles.structural_by_pairs([r for _, r in family.members], all_roots, nodes)
+        assert is_structural_family(family) is is_structural_family(StructuralFamily(pd, family.members)) is want
+        verdicts[want] += 1
+    assert verdicts[True] >= 20 and (verdicts[False] > 0 or len(pd.isotropy_decomposition()) == 1)
+
+
+def test_clash_table_built_only_when_read(monkeypatch, capsys):
+    # Painting, loading the fixture, `table brackets --check` and building
+    # the constants leave the clash table unbuilt; a structural test, a
+    # residual or the graph builds it once, on a painting of its own here,
+    # and every later read gets that one table.
+    monkeypatch.setattr(fixtures, "_painting", lru_cache(maxsize=None)(fixtures._painting.__wrapped__))
+    pd, fx = space_diagram("E8_12"), load_fixture("E8_12")
+    assert cli.main(["table", "brackets", "E8_12", "--check", "--format", "json"]) == 0
+    capsys.readouterr()
+    table = build_constants(pd.system)
+    assert space_diagram("E8:1,2") is pd and "clash" not in pd.__dict__
+    roots = fx.family_roots(fx.families[0])
+    lam = MetricVector((1, 2, 3, 4, 5, 6))
+    for read in (lambda p: is_structural_family(StructuralFamily.from_roots(p, roots)),
+                 lambda p: equigeodesic_residual(table, p, TangentVector.from_coefficients(p, a={r: 1 for r in roots}),
+                                                 lam),
+                 compatibility_graph):
+        p = paint(pd.system, (1, 2))
+        read(p)
+        clash = p.__dict__["clash"]
+        is_structural_family(StructuralFamily.from_roots(p, roots))
+        compatibility_graph(p)
+        assert p.clash is clash and clash == pd.clash
+
+
+def test_clash_table_first_read_from_four_threads_at_once(systems):
+    # Four threads that make the first read of a fresh E8 painting's clash
+    # table together, with a short switch interval, all get equal tables.
+    want = paint(systems[LieType.E8], (3, 5)).clash
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            pd, barrier, seen = paint(systems[LieType.E8], (3, 5)), threading.Barrier(4), []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append(pd.clash)
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads) and seen == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
