@@ -28,7 +28,7 @@ from bisect import bisect_left
 from contextlib import nullcontext
 from functools import cache
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, islice, product
 from pathlib import Path
 
 from .chevalley import build_constants
@@ -66,9 +66,11 @@ def _latex_table(headers, rows):
 
 
 def _emit(text, out: str | None) -> None:
-    """Write text (or its pieces) and a newline; flush, so a closed stdout raises here."""
+    """Write text (or its pieces, 256 to a write) and a newline; flush, so a closed stdout raises here."""
+    pieces = iter((text,) if isinstance(text, str) else text)
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
-        fh.writelines((text,) if isinstance(text, str) else text)
+        for chunk in iter(lambda: tuple(islice(pieces, 256)), ()):
+            fh.write("".join(chunk))
         fh.write("\n")
         fh.flush()
 
@@ -243,7 +245,7 @@ def cmd_enumerate(args):
             for i, a in enumerate(adj):
                 if a & clique == clique:
                     clique |= 1 << i
-            key = tuple(i for i in range(n) if clique >> i & 1)
+            key = bytes(i for i in range(n) if clique >> i & 1)
             k = bisect_left(cliques, key)
             if not clique >> n and cliques[k:k + 1] == (key,):
                 continue

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Collection, Iterable, Sequence
 from functools import cached_property, reduce
+from itertools import chain
 from math import lcm
 from operator import mul, or_
 
@@ -123,8 +124,13 @@ class StructuralFamily:
         return doc
 
 
+def _check_coeff(root: Sequence[int], coeff: Scalar) -> None:
+    if not (type(coeff) is int or isinstance(coeff, Fraction)):
+        raise FlagrootsError(f"coefficient {coeff!r} of root {tuple(root)} is not an int or a Fraction")
+
+
 class TangentVector:
-    """A tangent-space element, no Cartan part or K-support; immutable, its verdict and C_k memoised."""
+    """A tangent-space element of int or Fraction coefficients, no Cartan part or K-support; verdict, C_k memoised."""
 
     def __init__(self, pd: PaintedDiagram, element: AlgebraElement):
         if element.system is not pd.system:
@@ -134,6 +140,8 @@ class TangentVector:
         ids = {r: pd._m_id(r) for r in element.support()}
         if None in ids.values():
             raise SupportError(f"support leaves R_M+: {sorted(r for r, i in ids.items() if i is None)}")
+        for root, coeff in chain(element.a.items(), element.b.items()):
+            _check_coeff(root, coeff)
         self._fill(pd, element, ids.values())
 
     def _fill(self, pd: PaintedDiagram, element: AlgebraElement, ids: Collection[int]) -> "TangentVector":
@@ -158,8 +166,7 @@ class TangentVector:
             out: dict[int, Scalar] = {}
             for root, coeff in (coeffs or {}).items():
                 i = system.index.get(tuple(root)) or system.id(root)  # id 0 or a non-root, which id() refuses
-                if not (type(coeff) is int or isinstance(coeff, Fraction)):
-                    raise FlagrootsError(f"coefficient {coeff!r} of root {tuple(root)} is not an int or a Fraction")
+                _check_coeff(root, coeff)
                 k, c = (i, coeff) if i < n else (i - n, flip * coeff)
                 w = out[k] + c if k in out else c  # a first coefficient as given, not as 0 + c
                 if w:
@@ -227,16 +234,17 @@ def compatibility_graph(pd: PaintedDiagram) -> CompatibilityGraph:
     return CompatibilityGraph(pd, tuple(vertices), tuple(adj))
 
 
-def _maximal_cliques(adj: Sequence[int], module: Sequence[int], min_modules: int) -> list[tuple[int, ...]]:
-    """Maximal cliques spanning >= min_modules modules, as ascending vertex-index
-    tuples: Tomita-style pivoting that knows each module is a clique.
+def _maximal_cliques(adj: Sequence[int], module: Sequence[int], min_modules: int) -> list[bytes]:
+    """Maximal cliques spanning >= min_modules modules, each as bytes of its ascending
+    vertex indices (a graph has at most 120 vertices, E8's positive roots, so each
+    fits in a byte): Tomita-style pivoting that knows each module is a clique.
 
     R is the clique so far, mods the bitmask of its modules, P the candidates
     and X the excluded vertices.  A branch ends once a vertex of X is adjacent
     to all of P.  When P lies in one module, R + P is the branch's one maximal
     clique.  Cliques over too few modules are dropped where they are found.
     """
-    cliques: list[tuple[int, ...]] = []
+    cliques: list[bytes] = []
     same = [sum(1 << u for u, k in enumerate(module) if k == kv) for kv in module]
 
     def expand(r: tuple[int, ...], mods: int, p: int, x: int) -> None:
@@ -250,7 +258,7 @@ def _maximal_cliques(adj: Sequence[int], module: Sequence[int], min_modules: int
                 while p:
                     r += ((p & -p).bit_length() - 1,)
                     p &= p - 1
-                cliques.append(tuple(sorted(r)))
+                cliques.append(bytes(sorted(r)))
             return
         pivot, best, size = -1, -1, p.bit_count()
         m = p | x
@@ -270,7 +278,7 @@ def _maximal_cliques(adj: Sequence[int], module: Sequence[int], min_modules: int
             if p & a:
                 expand(r + (v,), k, p & a, x & a)
             elif not x & a and k.bit_count() >= min_modules:  # R + v is maximal
-                cliques.append(tuple(sorted(r + (v,))))
+                cliques.append(bytes(sorted(r + (v,))))
             p &= ~bit
             x |= bit
 
@@ -279,10 +287,10 @@ def _maximal_cliques(adj: Sequence[int], module: Sequence[int], min_modules: int
 
 
 class _Families(Sequence[StructuralFamily]):
-    """Families as index tuples into graph.vertices, each built only when read and
-    without __post_init__: enumeration checks the members once per vertex."""
+    """Families as ascending index sequences into graph.vertices (bytes from enumeration), each built only
+    when read and without __post_init__: enumeration checks the members once per vertex."""
 
-    def __init__(self, graph: CompatibilityGraph, cliques: Sequence[tuple[int, ...]]):
+    def __init__(self, graph: CompatibilityGraph, cliques: Sequence[Sequence[int]]):
         self._graph, self._cliques = graph, cliques
 
     def __len__(self) -> int:
@@ -299,10 +307,10 @@ class _Families(Sequence[StructuralFamily]):
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Maximal families as ascending index tuples into graph.vertices."""
+    """Maximal families, each as bytes of its ascending indices into graph.vertices."""
 
     graph: CompatibilityGraph
-    cliques: tuple[tuple[int, ...], ...]
+    cliques: tuple[bytes, ...]
     truncated: bool
     total: int
 
@@ -332,13 +340,14 @@ def enumerate_maximal_families(
         raise FlagrootsError(f"min_modules {min_modules} exceeds the {n_modules} modules of {pd.name}")
     _check_members(pd, graph.vertices)
     module = [k for k, _ in graph.vertices]
-    # Vertices are in sorted_members order, so ascending index tuples sort
-    # the families canonically.
+    # Vertices are in sorted_members order, and bytes compare as tuples of
+    # their indices do, so sorting the cliques sorts the families canonically.
     cliques = _maximal_cliques(graph.adjacency, module, min_modules)
     cliques.sort()
     total = len(cliques)
-    truncated = cap is not None and total > cap
-    return EnumerationResult(graph, tuple(cliques[:cap]), truncated, total)
+    if truncated := cap is not None and total > cap:
+        del cliques[cap:]
+    return EnumerationResult(graph, tuple(cliques), truncated, total)
 
 
 def _cross_pairs(table: StructureConstantTable, pd: PaintedDiagram) -> list[list[tuple[int, ...]]]:

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import sys
@@ -37,6 +38,7 @@ from flagroots import (
     space_diagram,
 )
 from flagroots import cli, equigeo, fixtures
+from flagroots.fixtures import SPACE_IDS
 
 # F4 display labels used below (frozen from the fixture label map):
 # b1^1=(0,1,1,0)  b6^1=(1,1,1,0)  b3^3=(0,0,1,1)  b1^3=(0,1,1,1)
@@ -131,6 +133,27 @@ def test_enumeration_cap_flags_truncation(diagrams):
     assert res.truncated and res.total == 39 and len(res.families) == 10
     res_all = enumerate_maximal_families(diagrams["F4_34"], cap=39)
     assert not res_all.truncated
+
+
+@pytest.mark.parametrize("sid", [*SPACE_IDS, "F4:1,2", "E8:3,5"])
+def test_enumerated_cliques_are_sorted_untracked_bytes(sid):
+    # Each family is kept as bytes of its ascending vertex indices, which the
+    # collector does not track; the cliques are sorted, and every cap takes a
+    # prefix of them.  E8_12's 78,357 families fit in 5 MB (tuples took 8.3).
+    pd = space_diagram(sid)
+    res = enumerate_maximal_families(pd)
+    cliques, n = res.cliques, len(res.graph.vertices)
+    assert type(cliques) is tuple and len(cliques) == res.total and not res.truncated
+    for c in cliques:
+        assert type(c) is bytes and not gc.is_tracked(c)
+        assert c and all(a < b for a, b in zip(c, c[1:])) and c[-1] < n
+    assert list(cliques) == sorted(cliques) == sorted(cliques, key=tuple)
+    for cap in (0, res.total // 2, res.total + 1):
+        capped = enumerate_maximal_families(pd, cap=cap)
+        assert capped.cliques == cliques[:cap] and capped.total == res.total
+        assert capped.truncated is (cap < res.total)
+    if sid == "E8_12":
+        assert sys.getsizeof(cliques) + sum(map(sys.getsizeof, cliques)) < 5_000_000
 
 
 def test_enumeration_min_modules_filter(diagrams):
@@ -236,7 +259,7 @@ def test_bk_random_graphs_against_oracle():
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         cliques = _maximal_cliques(adj, list(range(n)), 1)
-        assert all(list(c) == sorted(set(c)) for c in cliques)
+        assert all(type(c) is bytes and list(c) == sorted(set(c)) for c in cliques)
         assert sorted(sum(1 << i for i in c) for c in cliques) == sorted(
             oracles.maximal_cliques_unpivoted(adj))
 
@@ -266,7 +289,7 @@ def test_module_aware_search_against_oracle():
             want = sorted(mask for mask in oracle
                           if len({module[i] for i in range(n) if mask >> i & 1}) >= min_modules)
             cliques = _maximal_cliques(adj, module, min_modules)
-            assert all(list(c) == sorted(set(c)) for c in cliques)
+            assert all(type(c) is bytes and list(c) == sorted(set(c)) for c in cliques)
             assert sorted(sum(1 << i for i in c) for c in cliques) == want
 
 
@@ -1000,8 +1023,10 @@ PARITY_CASES = [
     ("TangentVector", "non-root", ({(1, 0, 0, 1): 1}, {}), (SupportError, "support leaves R_M+: [(1, 0, 0, 1)]")),
     ("TangentVector", "wrong length", ({(0, 1, 1): 1}, {}), (SupportError, "support leaves R_M+: [(0, 1, 1)]")),
     ("TangentVector", "empty", ({}, {}), ({}, {})),
-    ("TangentVector", "float coefficient", ({(0, 1, 1, 0): 0.5}, {}), ({(0, 1, 1, 0): 0.5}, {})),
-    ("TangentVector", "str coefficient", ({}, {(0, 1, 1, 0): "1"}), ({}, {(0, 1, 1, 0): "1"})),
+    ("TangentVector", "float coefficient", ({(0, 1, 1, 0): 0.5}, {}),
+     (FlagrootsError, "coefficient 0.5 of root (0, 1, 1, 0) is not an int or a Fraction")),
+    ("TangentVector", "str coefficient", ({}, {(0, 1, 1, 0): "1"}),
+     (FlagrootsError, "coefficient '1' of root (0, 1, 1, 0) is not an int or a Fraction")),
     ("TangentVector", "stored zero coefficient of a K-root", ({(0, 1, 0, 0): 0}, {}),
      (SupportError, "support leaves R_M+: [(0, 1, 0, 0)]")),
     ("TangentVector", "roots outside R_M+ in both parts",
