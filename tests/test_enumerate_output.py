@@ -156,6 +156,24 @@ def test_not_g2_type_golden_hash(command, tmp_path):
     assert _sha256(out) == GOLDEN_NOT_G2_TYPE[command]
 
 
+# sha256 of `enumerate <args> --format json --out FILE` on paintings outside
+# the five spaces: E8:3,5 (38,176 families; W_K has 14 vertex orbits of 2 to
+# 18 roots), E8:1,4,5 (32,787 families) and the full flag of F4, whose W_K is
+# trivial.
+GOLDEN_OTHER_PAINTINGS = {
+    ("E8:3,5",): "cfce6f21a5c51743e928ae5b786a17e111304d538e196675eef292d7afe7e31d",
+    ("E8:1,4,5",): "82961a546f4c8bd32f85953a1a073906ef5b5e6fcacc2bf53dd267d5ae2ba6d0",
+    ("F4:1,2,3,4", "--min-modules", "1"): "20b7883b1f9e8d4470b69f7c96ffea44a6a1da0c10f61a7e6e7d45e1898038d5",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_OTHER_PAINTINGS))
+def test_other_painting_enumerate_golden_hash(args, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["enumerate", *args, "--format", "json", "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN_OTHER_PAINTINGS[args]
+
+
 @pytest.mark.parametrize("family", sorted(GOLDEN_CONSTANTS))
 def test_constant_table_golden_hash(family):
     text = build_constants(root_system(LieType[family])).to_json()
