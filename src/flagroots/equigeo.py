@@ -1,14 +1,14 @@
 """Structural equigeodesic subspaces and exact residual verification.
 
-A cross-module pair of complementary roots a, b is compatible when
-neither a+b nor a-b is a root; same-module pairs always are, as Lambda
-scales a module part X_i by one l_i and [X_i, l_i X_i] = 0 (on any
-painting: [m_i, m_i] need not lie in k).  A set of roots whose
-cross-module pairs are all compatible spans a subspace of vectors that
-are equigeodesic for every invariant metric; such sets are the cliques
-of the compatibility graph.  The painting's clash table, built on first
-read, holds the pairs that are not compatible, by root id: the family,
-vector and pair tests and compatibility_graph read it.
+A cross-module pair of complementary roots a, b is compatible when neither a+b nor a-b is a root;
+same-module pairs always are, as Lambda scales a module part X_i by one l_i and [X_i, l_i X_i] = 0
+(on any painting: [m_i, m_i] need not lie in k).  A set of roots whose cross-module pairs are all
+compatible spans a subspace of vectors that are equigeodesic for every invariant metric; such sets
+are the cliques of the compatibility graph.  The painting's clash table, built on first read, holds
+the pairs that are not compatible, by root id: the family, vector and pair tests and the graph read
+it.  W_K, the Weyl group of the unpainted nodes, keeps every module and compatibility, so the clique
+search runs once per W_K vertex orbit and maps what it finds onto the rest of each orbit: the same
+families, each once, as one search over the whole graph.
 
 The residual [X, Lambda X]_m is evaluated with exact rational
 coefficients, so a zero here is an identity, not a tolerance.  Over the
@@ -135,8 +135,8 @@ class TangentVector:
     def __init__(self, pd: PaintedDiagram, element: AlgebraElement):
         if element.system is not pd.system:
             raise SupportError("element does not match the painted diagram")
-        if any(element.cartan):
-            raise SupportError("tangent vectors have no Cartan component")
+        if any(c != 0 or not (type(c) is int or isinstance(c, Fraction)) for c in element.cartan):
+            raise SupportError("tangent vectors have no Cartan component")  # a float or bool 0 too
         ids = {r: pd._m_id(r) for r in element.support()}
         if None in ids.values():
             raise SupportError(f"support leaves R_M+: {sorted(r for r, i in ids.items() if i is None)}")
@@ -234,15 +234,24 @@ def compatibility_graph(pd: PaintedDiagram) -> CompatibilityGraph:
     return CompatibilityGraph(pd, tuple(vertices), tuple(adj))
 
 
-def _maximal_cliques(adj: Sequence[int], module: Sequence[int], min_modules: int) -> list[bytes]:
+def _maximal_cliques(adj: Sequence[int], module: Sequence[int], min_modules: int,
+                     generators: Iterable[Sequence[int]] = ()) -> list[bytes]:
     """Maximal cliques spanning >= min_modules modules, each as bytes of its ascending
     vertex indices (a graph has at most 120 vertices, E8's positive roots, so each
-    fits in a byte): Tomita-style pivoting that knows each module is a clique.
+    fits in a byte): Tomita-style pivoting that knows each module is a clique, once
+    per vertex orbit of the group G of the generators, which keep adjacency and modules.
 
     R is the clique so far, mods the bitmask of its modules, P the candidates
     and X the excluded vertices.  A branch ends once a vertex of X is adjacent
     to all of P.  When P lies in one module, R + P is the branch's one maximal
     clique.  Cliques over too few modules are dropped where they are found.
+
+    A Schreier tree gives each u in an orbit O of least vertex v a g_u in G with g_u(v) = u.  Largest first,
+    each orbit of 2+ vertices is searched for the cliques F through v that avoid E, the orbits before it, and
+    F gives g_u(F), with as many modules, for each u in O with u = min(g_u(F) & O); a last call, E excluded,
+    finds the rest (with no generators, the one call over the graph).  A maximal clique I meeting O and no
+    earlier orbit comes once: for u = min(I & O), F = g_u^-1(I) is found and gives I, and a found F' giving
+    I for u' has u' = u, so F' = F.
     """
     cliques: list[bytes] = []
     same = [sum(1 << u for u, k in enumerate(module) if k == kv) for kv in module]
@@ -282,7 +291,26 @@ def _maximal_cliques(adj: Sequence[int], module: Sequence[int], min_modules: int
             p &= ~bit
             x |= bit
 
-    expand((), 0, (1 << len(adj)) - 1, 0)
+    tables, trees, seen, done, n = [bytes(g) + bytes(range(len(g), 256)) for g in generators], [], 0, 0, len(adj)
+    for v in range(n):
+        if not seen >> v & 1:  # v is the least vertex of its orbit, and tree[u] maps v to u
+            tree = {v: bytes(range(256))}
+            while new := {t[u]: g.translate(t) for u, g in tree.items() for t in tables if t[u] not in tree}:
+                tree |= new
+            trees.append(tree)
+            seen |= sum(1 << u for u in tree)
+    for tree in sorted((t for t in trees if len(t) > 1), key=len, reverse=True):
+        v, orbit, start = min(tree), sum(1 << u for u in tree), len(cliques)
+        later = [sum(1 << u for u, g in tree.items() if g[w] >= u) if w in tree else -1 for w in range(n)]
+        expand((), 0, adj[v] & ~done | 1 << v, adj[v] & done)  # the maximal cliques through v that avoid E
+        for f in cliques[start:]:
+            keep = reduce(int.__and__, map(later.__getitem__, f), orbit ^ 1 << v)
+            while keep:
+                cliques.append(bytes(sorted(f.translate(tree[(keep & -keep).bit_length() - 1]))))
+                keep &= keep - 1
+        done |= orbit
+    if p := (1 << n) - 1 & ~done:
+        expand((), 0, p, done)
     return cliques
 
 
@@ -326,7 +354,7 @@ def enumerate_maximal_families(
 ) -> EnumerationResult:
     """All maximal structural families spanning >= min_modules modules.
 
-    Maximal cliques of the compatibility graph, canonically sorted.
+    Maximal cliques of the compatibility graph, searched once per vertex orbit of W_K, canonically sorted.
     When cap is given, at most cap families are returned and the result
     is flagged truncated; nothing is dropped silently.
     """
@@ -340,9 +368,12 @@ def enumerate_maximal_families(
         raise FlagrootsError(f"min_modules {min_modules} exceeds the {n_modules} modules of {pd.name}")
     _check_members(pd, graph.vertices)
     module = [k for k, _ in graph.vertices]
+    # W_K's generators keep modules (they fix painted coefficients) and compatibility (linear, they permute R).
+    vertex = {pd.system.index[r]: v for v, (_, r) in enumerate(graph.vertices)}
+    generators = [[vertex[s[i]] for i in vertex] for j, s in enumerate(pd.system.reflections) if j not in pd._painted0]
     # Vertices are in sorted_members order, and bytes compare as tuples of
     # their indices do, so sorting the cliques sorts the families canonically.
-    cliques = _maximal_cliques(graph.adjacency, module, min_modules)
+    cliques = _maximal_cliques(graph.adjacency, module, min_modules, generators)
     cliques.sort()
     total = len(cliques)
     if truncated := cap is not None and total > cap:

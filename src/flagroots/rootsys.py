@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 Coeffs = tuple[int, ...]
@@ -218,8 +218,8 @@ class RootSystem:
     codes[i] is the linear code sum c_k 2^(w k) of root id i, and code_ids
     maps a code back to its id: code(x +- y) = code(x) +- code(y), and w
     leaves room for every coefficient of x +- y, so x +- y is a root iff its
-    code is in code_ids.  Immutable after construction and safe to share
-    across threads.
+    code is in code_ids.  Immutable after construction, but for reflections,
+    built on first read, and safe to share across threads.
     """
 
     def __init__(self, lie_type: LieType, cartan: CartanMatrix | None = None):
@@ -281,12 +281,13 @@ class RootSystem:
             raise UndefinedStringError("string through b undefined for b = +-a")
         return _string_p(self, a, b), _string_p(self, (a + n) % (2 * n), b)
 
-    def reflect(self, i: int, coeffs: Sequence[int]) -> Coeffs:
-        """Simple reflection s_i applied to a coefficient vector (0-based i)."""
-        pairing = self.cartan.coroot_pairing(coeffs)
-        out = list(coeffs)
-        out[i] -= pairing[i]
-        return tuple(out)
+    @cached_property
+    def reflections(self) -> tuple[tuple[int, ...], ...]:
+        """reflections[i][r]: the id of s_i(r) = r - <r, a_i^> a_i for root id r, 0-based i, at code(r) -
+        <r, a_i^> code(a_i) in code_ids; each a permutation of the 2n ids, built on first read."""
+        simple = [self.codes[self.index[tuple(int(j == i) for j in range(self.rank))]] for i in range(self.rank)]
+        pair = [self.cartan.coroot_pairing(r) for r in self.roots]
+        return tuple(tuple(self.code_ids[c - p[i] * a] for c, p in zip(self.codes, pair)) for i, a in enumerate(simple))
 
     def to_dict(self) -> dict:
         return {

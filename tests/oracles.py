@@ -14,9 +14,16 @@ from itertools import combinations
 import numpy as np
 
 
+def reflect(entries, i, v):
+    """Simple reflection s_i of a coefficient vector, from the Cartan matrix
+    rows A[i][j] = <a_j, a_i^>: v - <v, a_i^> a_i."""
+    pairing = sum(a * c for a, c in zip(entries[i], v))
+    return tuple(c - pairing if j == i else c for j, c in enumerate(v))
+
+
 def weyl_closure_roots(system):
     """All roots as the closure of the simple roots under reflections."""
-    rank = system.rank
+    rank, entries = system.rank, system.cartan.entries
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen = set(simple)
     frontier = list(simple)
@@ -24,7 +31,7 @@ def weyl_closure_roots(system):
         nxt = []
         for v in frontier:
             for i in range(rank):
-                w = system.reflect(i, v)
+                w = reflect(entries, i, v)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)

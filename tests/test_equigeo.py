@@ -35,6 +35,7 @@ from flagroots import (
     paint,
     pair_compatible,
     project_m,
+    RootSystem,
     space_diagram,
 )
 from flagroots import cli, equigeo, fixtures
@@ -291,6 +292,104 @@ def test_module_aware_search_against_oracle():
             cliques = _maximal_cliques(adj, module, min_modules)
             assert all(type(c) is bytes and list(c) == sorted(set(c)) for c in cliques)
             assert sorted(sum(1 << i for i in c) for c in cliques) == want
+
+
+def _planted_symmetric_graph(rng):
+    # A random graph over a random module partition, each module a clique,
+    # closed under 1-3 planted permutations that keep every module: each acts
+    # on each module's members, in a fixed random order, by the identity, a
+    # rotation or a reflection, so one permutation moves several modules at
+    # once.  The edges between modules come in whole orbits.
+    n = rng.randint(1, 14)
+    parts = rng.randint(1, max(1, n // 2))
+    labels = rng.sample(range(1, 20), parts)
+    module = labels + [rng.choice(labels) for _ in range(n - parts)]
+    rng.shuffle(module)
+    members = {k: rng.sample([v for v in range(n) if module[v] == k], module.count(k)) for k in labels}
+    generators = []
+    for _ in range(rng.randint(1, 3)):
+        g = list(range(n))
+        for ms in members.values():
+            shift, flip = rng.randrange(len(ms)), rng.random() < 0.3
+            if flip or rng.random() < 0.7:
+                for i, v in enumerate(ms):
+                    g[v] = ms[(shift - i if flip else shift + i) % len(ms)]
+        generators.append(g)
+    density, edges = rng.choice((0.0, 0.2, 0.45, 0.7)), set()
+    for i, j in combinations(range(n), 2):
+        if frozenset((i, j)) in edges:
+            continue
+        if module[i] == module[j] or rng.random() < density:
+            orbit = [frozenset((i, j))]
+            for e in orbit:
+                for g in generators:
+                    image = frozenset(g[v] for v in e)
+                    if image not in orbit:
+                        orbit.append(image)
+            edges.update(orbit)
+    adj = [sum(1 << u for u in range(n) if frozenset((u, v)) in edges) for v in range(n)]
+    return adj, module, parts, generators
+
+
+def test_orbit_search_on_planted_symmetric_graphs_against_oracle():
+    # The search run once per vertex orbit of a planted group, under every
+    # module bound, against the unpivoted oracle, filtered here; orbits of
+    # one vertex, isolated vertices and trivial generators included.
+    from flagroots.equigeo import _maximal_cliques
+
+    rng, orbit_runs = random.Random(29), 0
+    for _ in range(150):
+        adj, module, parts, generators = _planted_symmetric_graph(rng)
+        n = len(adj)
+        for g in generators:
+            assert [module[v] for v in g] == module
+            assert [sum(1 << g[u] for u in range(n) if a >> u & 1) for a in adj] == [adj[v] for v in g]
+        orbit_runs += any(g != list(range(n)) for g in generators)
+        oracle = oracles.maximal_cliques_unpivoted(adj)
+        for min_modules in range(1, parts + 1):
+            want = sorted(mask for mask in oracle
+                          if len({module[i] for i in range(n) if mask >> i & 1}) >= min_modules)
+            cliques = _maximal_cliques(adj, module, min_modules, generators)
+            assert all(type(c) is bytes and list(c) == sorted(set(c)) for c in cliques)
+            assert sorted(sum(1 << i for i in c) for c in cliques) == want
+    assert orbit_runs > 120, orbit_runs
+
+
+ALL_PAINTINGS = [(t, nodes) for t in (LieType.G2, LieType.F4, LieType.E6, LieType.E7)
+                 for k in range(1, t.rank + 1) for nodes in combinations(range(1, t.rank + 1), k)]
+
+
+@pytest.mark.parametrize("lie_type,nodes", ALL_PAINTINGS + [(LieType.E8, (1, 2)), (LieType.E8, (3, 5)),
+                                                            (LieType.E8, (1, 4, 5))],
+                         ids=[f"{t.name}:{','.join(map(str, n))}" for t, n in ALL_PAINTINGS]
+                         + ["E8:1,2", "E8:3,5", "E8:1,4,5"])
+def test_weyl_k_generators_are_graph_automorphisms(systems, monkeypatch, lie_type, nodes):
+    # The vertex permutations that enumeration passes to the search are the
+    # reflections in the unpainted nodes, as the oracle's reflection moves
+    # the roots; each keeps every module and the adjacency of the graph.
+    # Up to E7 the orbit search also equals the search with no generators.
+    seen = []
+
+    def record(adj, module, min_modules, generators=()):
+        seen.append((adj, module, generators))
+        return []
+    monkeypatch.setattr(equigeo, "_maximal_cliques", record)
+    pd = paint(systems[lie_type], nodes)
+    enumerate_maximal_families(pd, min_modules=1)
+    [(adj, module, generators)] = seen
+    graph, entries, n = compatibility_graph(pd), pd.system.cartan.entries, len(adj)
+    assert adj == graph.adjacency and module == [k for k, _ in graph.vertices]
+    unpainted = [i for i in range(pd.system.rank) if i + 1 not in nodes]
+    assert len(generators) == len(unpainted)
+    roots = [tuple(r) for _, r in graph.vertices]
+    for i, g in zip(unpainted, generators):
+        assert [roots[u] for u in g] == [oracles.reflect(entries, i, r) for r in roots]
+        assert [module[u] for u in g] == module
+        assert [sum(1 << g[u] for u in range(n) if a >> u & 1) for a in adj] == [adj[u] for u in g]
+    monkeypatch.undo()
+    if lie_type is not LieType.E8:
+        assert sorted(equigeo._maximal_cliques(adj, module, 1, generators)) == sorted(
+            equigeo._maximal_cliques(adj, module, 1))
 
 
 def test_min_modules_above_the_module_count_is_rejected(diagrams):
@@ -1036,6 +1135,12 @@ PARITY_CASES = [
      (SupportError, "tangent vectors have no Cartan component")),
     ("TangentVector", "Cartan part and a K-root", ({(0, 1, 0, 0): 1}, {}, (0, 1, 0, 0)),
      (SupportError, "tangent vectors have no Cartan component")),
+    ("TangentVector", "float zero in the Cartan part", ({(0, 1, 1, 0): 1}, {(0, 1, 1, 1): 1}, (0.0, 0, 0, 0)),
+     (SupportError, "tangent vectors have no Cartan component")),
+    ("TangentVector", "bool zero in the Cartan part", ({(0, 1, 1, 0): 1}, {}, (0, False, 0, 0)),
+     (SupportError, "tangent vectors have no Cartan component")),
+    ("TangentVector", "Fraction zero in the Cartan part", ({(0, 1, 1, 0): 1}, {}, (0, 0, Fraction(0), 0)),
+     ({(0, 1, 1, 0): 1}, {})),
     ("TangentVector", "other system", ({}, {}, (0,) * 6, "E6"),
      (SupportError, "element does not match the painted diagram")),
     ("pair_compatible", "K-root", ((0, 1, 1, 0), (0, 1, 0, 0)), NOT_R_M_PAIR),
@@ -1133,6 +1238,30 @@ def test_clash_table_built_only_when_read(monkeypatch, capsys):
         is_structural_family(StructuralFamily.from_roots(p, roots))
         compatibility_graph(p)
         assert p.clash is clash and clash == pd.clash
+
+
+def test_reflections_read_only_by_enumeration(monkeypatch, capsys, diagrams, tables):
+    # `table brackets --check` and the family checks of every space, a dense
+    # E8_12 residual and the all-metrics test never read a root system's
+    # reflections; enumeration reads them once.
+    reads, cached = [], RootSystem.__dict__["reflections"]
+    monkeypatch.setattr(RootSystem, "reflections", property(lambda s: reads.append(s) or cached.__get__(s)))
+    for sid in SPACE_IDS:
+        assert cli.main(["table", "brackets", sid, "--check", "--format", "json"]) == 0
+        pd, fx = space_diagram(sid), load_fixture(sid)
+        table = build_constants(pd.system)
+        for roots in map(fx.family_roots, fx.families):
+            x = TangentVector.from_coefficients(pd, a={r: 1 for r in roots}, b={roots[0]: 2})
+            is_structural_family(StructuralFamily.from_roots(pd, roots))
+            is_equigeodesic_all_metrics(table, pd, x)
+    capsys.readouterr()
+    pd = diagrams["E8_12"]
+    x = TangentVector.from_coefficients(pd, a={r: 1 for r in pd.r_m_pos}, b={r: 2 for r in pd.r_m_pos})
+    equigeodesic_residual(tables[LieType.E8], pd, x, MetricVector((1, 2, 3, 4, 5, 6)))
+    assert not is_equigeodesic_all_metrics(tables[LieType.E8], pd, x)
+    assert reads == []
+    enumerate_maximal_families(diagrams["F4_34"])
+    assert reads == [diagrams["F4_34"].system]
 
 
 def test_clash_table_first_read_from_four_threads_at_once(systems):

@@ -214,6 +214,32 @@ def test_root_ids_cover_both_signs(systems, lie_type):
 
 
 @pytest.mark.parametrize("lie_type", list(LieType))
+def test_simple_reflections_permute_the_root_ids(systems, lie_type):
+    # Each s_i is an involution of the 2n ids that sends a_i to -a_i, commutes
+    # with negation (id i -> (i + n) % 2n) and moves every root as the oracle's
+    # reflection, written from the Cartan rows, moves its coefficients.
+    s = systems[lie_type]
+    n, entries = len(s.positive_roots), s.cartan.entries
+    assert len(s.reflections) == s.rank
+    for i, perm in enumerate(s.reflections):
+        assert sorted(perm) == list(range(2 * n))
+        assert all(perm[perm[r]] == r for r in range(2 * n))
+        simple = s.index[tuple(int(j == i) for j in range(s.rank))]
+        assert perm[simple] == simple + n
+        assert all(perm[(r + n) % (2 * n)] == (perm[r] + n) % (2 * n) for r in range(2 * n))
+        assert [s.roots[j] for j in perm] == [oracles.reflect(entries, i, r) for r in s.roots]
+
+
+def test_reflections_built_only_when_read():
+    # A fresh system has no reflection table until the first read, which
+    # builds it once; later reads get the same object.
+    s = RootSystem(LieType.E8)
+    assert "reflections" not in s.__dict__
+    table = s.reflections
+    assert s.__dict__["reflections"] is table is s.reflections
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
 def test_root_strings_of_either_sign_match_scan_oracle(systems, lie_type):
     s = systems[lie_type]
     rng = random.Random(f"signed-strings:{lie_type.name}")
