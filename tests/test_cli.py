@@ -367,18 +367,29 @@ def test_closed_stdout_exits_1_quietly(tmp_path, monkeypatch):
     assert err.getvalue() == ""
 
 
-def test_closed_pipe_exits_1_without_traceback():
-    # `flagroots enumerate E7_56 --format latex | head -1`: 216 kB, more than
-    # a pipe holds, so the writer sees the closed pipe.
+def _close_pipe_after(fmt: str, first: bytes) -> None:
+    # `flagroots enumerate E7_56 --format <fmt> | head -c <len(first)>`: over
+    # 190 kB in each format, more than a pipe holds, so the writer sees the
+    # closed pipe; it must exit 1 and print nothing to stderr.
     env = {**os.environ, "PYTHONPATH": str(Path(flagroots.__file__).parents[1])}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "flagroots.cli", "enumerate", "E7_56", "--format", "latex"],
+        [sys.executable, "-m", "flagroots.cli", "enumerate", "E7_56", "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"\\begin{tabular}{c}\n"
+    assert proc.stdout.read(len(first)) == first
     proc.stdout.close()
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    _close_pipe_after("latex", b"\\begin{tabular}{c}\n")
+
+
+@pytest.mark.parametrize("fmt,first", [("json", b'{"cap":null,"command":"enumerate","families":[{"members":[{'),
+                                       ("text", b"1713 maximal structural families (min modules 2)\n  m1:(")])
+def test_closed_pipe_exits_1_without_traceback_in_json_and_text(fmt, first):
+    _close_pipe_after(fmt, first)
 
 
 def test_out_directory_exits_2_naming_it(capsys, tmp_path):

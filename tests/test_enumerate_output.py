@@ -12,14 +12,16 @@ import hashlib
 import json
 import random
 from collections import Counter
+from functools import cache
 
 import pytest
 
-from flagroots import LieType, build_constants, root_system, space_diagram
+from flagroots import LieType, build_constants, enumerate_maximal_families, root_system, space_diagram
 from flagroots.cli import main
 from flagroots.equigeo import StructuralFamily
 from flagroots.fixtures import SPACE_IDS
 from flagroots.flag import PaintedDiagram
+from flagroots.rootsys import SCHEMA_VERSION
 
 # sha256 of `enumerate <space> --verify-fixtures --format <fmt> --out FILE`.
 GOLDEN = {
@@ -86,6 +88,42 @@ def test_enumerate_builds_no_family(fmt, tmp_path, monkeypatch):
     assert main(["enumerate", "E7_56", "--verify-fixtures", "--format", fmt, "--out", str(out)]) == 0
     assert calls == Counter()
     assert _sha256(out) == GOLDEN["E7_56", fmt]
+
+
+# `enumerate E8_12 --cap N` on either side of the 256-family pieces the CLI
+# writes, against an assembly that shares no code with its serializer: json
+# from StructuralFamily.to_dict(), text and latex from sorted_members().
+PIECE_CAPS = (0, 1, 255, 256, 257, 512, 513)
+
+
+@cache
+def _e8_12_enumeration():
+    return enumerate_maximal_families(space_diagram("E8_12"))
+
+
+def _expected_enumerate(cap: int, fmt: str) -> str:
+    result = _e8_12_enumeration()
+    families = result.families[:cap]
+    if fmt == "json":
+        return json.dumps({"schema_version": SCHEMA_VERSION, "command": "enumerate", "space": "E8_12",
+                           "seed": 0, "min_modules": 2, "cap": cap, "total": result.total,
+                           "truncated": cap < result.total, "families": [f.to_dict() for f in families]},
+                          sort_keys=True, separators=(",", ":")) + "\n"
+    form = "m{}:({})" if fmt == "text" else "b({};({}))"
+    rows = [" ".join(form.format(k, ",".join(str(c) for c in r)) for k, r in f.sorted_members()) for f in families]
+    if fmt == "text":
+        head = f"{result.total} maximal structural families (min modules 2) [truncated]"
+        return "\n  ".join([head, *rows]) + "\n"
+    return "\n".join(["\\begin{tabular}{c}", "\\hline", "maximal structural families \\\\", "\\hline",
+                      *(row + " \\\\" for row in rows), "\\hline", "\\end{tabular}"]) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+@pytest.mark.parametrize("cap", PIECE_CAPS)
+def test_enumerate_piece_boundaries(cap, fmt, tmp_path):
+    out = tmp_path / "out"
+    assert main(["enumerate", "E8_12", "--cap", str(cap), "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text() == _expected_enumerate(cap, fmt)
 
 
 # sha256 of `table brackets <space> --check --format json --out FILE`.
