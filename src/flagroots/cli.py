@@ -28,7 +28,7 @@ from bisect import bisect_left
 from contextlib import nullcontext
 from functools import cache
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, product
 from pathlib import Path
 
 from .chevalley import build_constants
@@ -66,11 +66,9 @@ def _latex_table(headers, rows):
 
 
 def _emit(text, out: str | None) -> None:
-    """Write text (or its pieces, 256 to a write) and a newline; flush, so a closed stdout raises here."""
-    pieces = iter((text,) if isinstance(text, str) else text)
+    """Write text (or its pieces, each as given) and a newline; flush, so a closed stdout raises here."""
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
-        for chunk in iter(lambda: tuple(islice(pieces, 256)), ()):
-            fh.write("".join(chunk))
+        fh.writelines((text,) if isinstance(text, str) else text)
         fh.write("\n")
         fh.flush()
 
@@ -260,30 +258,31 @@ def cmd_enumerate(args):
             "missed": [[list(m) for m in f.members] for f in missed],
         }}
 
-    def rows(form, sep):
-        # One string per vertex (for json, a member of StructuralFamily.to_dict);
-        # each family is its members' strings joined.  Built only when read.
+    def pieces(form, sep, cut):
+        # One string per vertex (for json, a member of StructuralFamily.to_dict); each family is
+        # its members' strings joined, and each piece 256 families joined by cut.  Built when read.
         member = [form.format(k, ",".join(map(str, r))) for k, r in vertices]
-        for c in result.cliques:
-            yield sep.join(map(member.__getitem__, c))
+        cliques = result.cliques
+        for i in range(0, len(cliques), 256):
+            yield cut.join([sep.join(map(member.__getitem__, c)) for c in cliques[i:i + 256]])
 
     # Only "cap" and "command" sort before "families".
     head, key, tail = _doc(args, "enumerate", min_modules=args.min_modules, cap=args.cap,
                            total=result.total, truncated=result.truncated, families=[],
                            **fixture_fields).partition('"families":[]')
-    family_tail = "]," + _json_dump({"schema_version": SCHEMA_VERSION, "space": pd.name})[1:]
-    families = ((',{"members":[' if n else '{"members":[') + row + family_tail
-                for n, row in enumerate(rows('{{"module":{},"root_coeffs":[{}]}}', ",")))
+    family_tail, opener = "]," + _json_dump({"schema_version": SCHEMA_VERSION, "space": pd.name})[1:], '{"members":['
+    json_out = chain.from_iterable(("," + opener if i else opener, piece, family_tail) for i, piece in enumerate(
+        pieces('{{"module":{},"root_coeffs":[{}]}}', ",", family_tail + "," + opener)))
+    text_out = chain.from_iterable(("\n  ", piece) for piece in pieces("m{}:({})", " ", "\n  "))
+    latex_rows = ([piece] for piece in pieces("b({};({}))", " ", " \\\\\n"))
     text_head = (f"{result.total} maximal structural families (min modules {args.min_modules})"
                  + (" [truncated]" if result.truncated else ""))
     report = fixture_fields.get("fixture_check")
     foot = [] if report is None else [
         f"\nfixture check: {'ok' if fixture_ok else 'FAILED'} "
         f"({report['checked']} checked, {report['skipped_suspect']} suspect skipped)"]
-    return (0 if fixture_ok else 1,
-            chain((head, key[:-1]), families, ("]", tail)),
-            chain((text_head,), ("\n  " + row for row in rows("m{}:({})", " ")), foot),
-            _latex_table(["maximal structural families"], ([row] for row in rows("b({};({}))", " "))))
+    return (0 if fixture_ok else 1, chain((head, key[:-1]), json_out, ("]", tail)),
+            chain((text_head,), text_out, foot), _latex_table(["maximal structural families"], latex_rows))
 
 
 def _load_vector(pd, fixture, path: str) -> TangentVector:
