@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 from .rootsys import (
     Coeffs,
     FlagrootsError,
-    LieType,
     Root,
     RootSystem,
     SCHEMA_VERSION,
@@ -229,12 +228,3 @@ def bracket_inclusion_table(pd: PaintedDiagram) -> list[list[list[str]]]:
                         hit.add(labels[module_of[k]])
             out[i][j] = out[j][i] = sorted(hit)
     return out
-
-
-def g2_type_paintings(lie_type: LieType) -> list[tuple[int, int]]:
-    """All two-node paintings of a system that come out G2-type."""
-    from .rootsys import root_system
-
-    system = root_system(lie_type)
-    return [nodes for nodes in combinations(range(1, system.rank + 1), 2)
-            if PaintedDiagram(system, nodes).kind is not G2Kind.NOT_G2_TYPE]

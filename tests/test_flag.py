@@ -12,7 +12,6 @@ from flagroots import (
     NotComplementaryRootError,
     bracket,
     bracket_inclusion_table,
-    g2_type_paintings,
     paint,
     space_diagram,
 )
@@ -102,7 +101,7 @@ def test_single_painted_node_not_g2_type(systems):
     assert [tuple(m.troot) for m in mods] == [(1,)]
 
 
-def test_exhaustive_two_node_scan():
+def test_exhaustive_two_node_scan(systems):
     # G2-type paintings are exactly the five known ones.
     expected = {
         LieType.G2: [(1, 2)],
@@ -112,7 +111,9 @@ def test_exhaustive_two_node_scan():
         LieType.E8: [(1, 2)],
     }
     for t, want in expected.items():
-        assert g2_type_paintings(t) == want
+        s = systems[t]
+        assert [nodes for nodes in combinations(range(1, s.rank + 1), 2)
+                if paint(s, nodes).kind is not G2Kind.NOT_G2_TYPE] == want
 
 
 def test_painting_input_validation(systems):
