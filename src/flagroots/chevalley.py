@@ -84,7 +84,7 @@ class StructureConstantTable:
 
     def __init__(self, system: RootSystem):
         self.system = system
-        pos = self._roots = system.positive_keys
+        pos = system.positive_roots
         n = self._n = len(pos)
         sym = system.cartan.symmetrizer
         codes, get = system.codes, system.code_ids.get
@@ -226,13 +226,13 @@ class AlgebraElement:
 
     @classmethod
     def basis_a(cls, system: RootSystem, root: Sequence[int], coeff: Scalar = 1) -> "AlgebraElement":
-        r = system.positive_keys[system.fold(root)[0]]
+        r = system.positive_roots[system.fold(root)[0]]
         return cls(system, (0,) * system.rank, a={r: coeff} if coeff else {})
 
     @classmethod
     def basis_b(cls, system: RootSystem, root: Sequence[int], coeff: Scalar = 1) -> "AlgebraElement":
         k, sign = system.fold(root)
-        r = system.positive_keys[k]
+        r = system.positive_roots[k]
         return cls(system, (0,) * system.rank, b={r: sign * coeff} if coeff else {})
 
     @classmethod
@@ -345,7 +345,7 @@ def bracket(table: StructureConstantTable, x: AlgebraElement, y: AlgebraElement)
         for j, cj in b.items() if hs else ():
             out_a[j] -= sign * cj * sum(h * table._pairings[j][k] for k, h in hs.items())
 
-    pos, den = table._roots, dx * dy
+    pos, den = system.positive_roots, dx * dy
     scalar = int if den == 1 else lambda v: Fraction(v, den)
     return AlgebraElement(system, tuple(map(scalar, out_h)) if any(out_h) else (0,) * len(out_h),
                           {pos[k]: scalar(v) for k, v in out_a.items() if v},

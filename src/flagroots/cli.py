@@ -188,14 +188,14 @@ def cmd_check(args):
     seen: dict = {}
     for tok, r in zip(args.members, roots):
         if r in seen:
-            raise FlagrootsError(f"member {tok!r} repeats {seen[r]!r}: root {tuple(r)}")
+            raise FlagrootsError(f"member {tok!r} repeats {seen[r]!r}: root {r}")
         seen[r] = tok
     family = StructuralFamily.from_roots(pd, roots)
     structural = is_structural_family(family)
     x = TangentVector.from_coefficients(
         pd,
-        a={tuple(r): 1 for r in roots},
-        b={tuple(r): Fraction(2 * i + 1, 2) for i, r in enumerate(roots)},
+        a={r: 1 for r in roots},
+        b={r: Fraction(2 * i + 1, 2) for i, r in enumerate(roots)},
     )
     equi = is_equigeodesic_all_metrics(table, pd, x)
     rng = random.Random(args.seed)
@@ -312,11 +312,11 @@ def _load_vector(pd, fixture, path: str) -> TangentVector:
                     raise FlagrootsError("needs a 'label' string or a 'root' list of integers")
                 module = pd.module_index(root)  # refuses a root of R_K
                 if "module" in item and (type(item["module"]) is not int or item["module"] != module):
-                    raise FlagrootsError(f"root {tuple(root)} is not in module {item['module']!r}")
+                    raise FlagrootsError(f"root {root} is not in module {item['module']!r}")
                 coeff = _parse_fraction(item["coeff"])
             except FlagrootsError as exc:
                 raise FlagrootsError(f"{path}: entry {item} in '{part}': {exc}") from None
-            store[tuple(root)] = store.get(tuple(root), 0) + coeff
+            store[root] = store.get(root, 0) + coeff
     return TangentVector.from_coefficients(pd, a=a, b=b)
 
 

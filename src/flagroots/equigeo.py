@@ -34,7 +34,7 @@ from operator import mul, or_
 
 from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _numerators
 from .flag import PaintedDiagram
-from .rootsys import Coeffs, FlagrootsError, Root, SCHEMA_VERSION
+from .rootsys import Coeffs, FlagrootsError, SCHEMA_VERSION
 
 
 class SupportError(FlagrootsError):
@@ -56,12 +56,8 @@ class MetricVector:
         if any(v <= 0 for v in self.lambdas):
             raise FlagrootsError("metric parameters must be strictly positive")
 
-    def __getitem__(self, module_index: int) -> Fraction:
-        """Parameter of a 1-based module index."""
-        return self.lambdas[module_index - 1]
 
-
-def _check_members(space: PaintedDiagram, members: Iterable[tuple[int, Root]]) -> None:
+def _check_members(space: PaintedDiagram, members: Iterable[tuple[int, Coeffs]]) -> None:
     """Each member is (k, r), r in R_M+ and in module k: no root occurs twice."""
     for k, r in members:
         i = space._m_id(r)
@@ -76,7 +72,7 @@ class StructuralFamily:
     """Candidate family: a set of (module index, root) members."""
 
     space: PaintedDiagram
-    members: frozenset[tuple[int, Root]]
+    members: frozenset[tuple[int, Coeffs]]
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -103,11 +99,11 @@ class StructuralFamily:
     def modules(self) -> set[int]:
         return {k for k, _ in self.members}
 
-    def sorted_members(self) -> list[tuple[int, Root]]:
-        return sorted(self.members, key=lambda kr: (kr[0], sum(kr[1]), tuple(kr[1])))
+    def sorted_members(self) -> list[tuple[int, Coeffs]]:
+        return sorted(self.members, key=lambda kr: (kr[0], sum(kr[1]), kr[1]))
 
     def root_set(self) -> frozenset[Coeffs]:
-        return frozenset(tuple(r) for _, r in self.members)
+        return frozenset(r for _, r in self.members)
 
     def to_dict(self, structural: bool | None = None, maximal: bool | None = None) -> dict:
         doc = {
@@ -174,7 +170,7 @@ class TangentVector:
                 else:
                     out.pop(k, None)
             parts.append(out)
-        keys, ids = system.positive_keys, parts[0].keys() | parts[1].keys()
+        keys, ids = system.positive_roots, parts[0].keys() | parts[1].keys()
         if bad := sorted(keys[k] for k in ids if not pd.module_of[k]):
             raise SupportError(f"support leaves R_M+: {bad}")
         element = AlgebraElement(system, (0,) * system.rank, *({keys[k]: c for k, c in p.items()} for p in parts))
@@ -221,7 +217,7 @@ class CompatibilityGraph:
     adjacency is pair compatibility, kept as per-vertex bitmasks."""
 
     space: PaintedDiagram
-    vertices: tuple[tuple[int, Root], ...]
+    vertices: tuple[tuple[int, Coeffs], ...]
     adjacency: tuple[int, ...]
 
 
@@ -401,8 +397,8 @@ def _module_brackets(table: StructureConstantTable, x: TangentVector) -> tuple[i
     times N(x,y) and -sign(x-y) N(x,-y), by the real-form formulas."""
     memo = x._brackets.get(table)
     if memo is None:
-        pd = x.space
-        pairs, module_of, n = _cross_pairs(table, pd), pd.module_of, len(table._roots)
+        pd, pos = x.space, x.space.system.positive_roots
+        pairs, module_of, n = _cross_pairs(table, pd), pd.module_of, len(pos)
         den, a, b, _ = _numerators(pd.system.index, x.element)
         xa, xb = ([p.get(i, 0) for i in range(n)] for p in (a, b))
         cols_a, cols_b = ([[0] * n for _ in range(len(pd.isotropy_decomposition()) + 1)] for _ in "ab")
@@ -424,7 +420,7 @@ def _module_brackets(table: StructureConstantTable, x: TangentVector) -> tuple[i
                         ca_i[d] -= t
                         cb_k[d] += w
                         cb_i[d] -= w
-        rows = (tuple((r, cs) for r, cs in zip(table._roots, zip(*cols[1:])) if any(cs)) for cols in (cols_a, cols_b))
+        rows = (tuple((r, cs) for r, cs in zip(pos, zip(*cols[1:])) if any(cs)) for cols in (cols_a, cols_b))
         memo = x._brackets[table] = (den * den, *rows)
     return memo
 

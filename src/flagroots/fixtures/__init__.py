@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 
 from ..flag import PaintedDiagram, paint
-from ..rootsys import FlagrootsError, LieType, Root, root_system
+from ..rootsys import Coeffs, FlagrootsError, LieType, root_system
 
 ENV_FIXTURE_DIR = "FLAGROOTS_FIXTURES"
 
@@ -102,20 +102,19 @@ class FixtureFamily:
 @dataclass(frozen=True)
 class FixtureSet:
     space_id: str
-    label_map: dict[int, tuple[Root, ...]]
+    label_map: dict[int, tuple[Coeffs, ...]]
     pair_lists: tuple[PairList, ...]
     families: tuple[FixtureFamily, ...]
     notes: tuple[str, ...] = ()
 
-    def root_of_label(self, module: int, index: int) -> Root:
-        """The root behind display label b<index>^<module> (1-based)."""
-        try:
-            return self.label_map[module][index - 1]
-        except (KeyError, IndexError) as exc:
-            raise FixtureError(
-                f"no label b{index}^{module} in {self.space_id}") from exc
+    def root_of_label(self, module: int, index: int) -> Coeffs:
+        """The root behind display label b<index>^<module> (1-based: no index below 1)."""
+        roots = self.label_map.get(module, ())
+        if not 1 <= index <= len(roots):
+            raise FixtureError(f"no label b{index}^{module} in {self.space_id}")
+        return roots[index - 1]
 
-    def family_roots(self, family: FixtureFamily) -> list[Root]:
+    def family_roots(self, family: FixtureFamily) -> list[Coeffs]:
         return [self.root_of_label(m, i) for m, i in family.members]
 
 
@@ -158,7 +157,7 @@ def _parse_fixture(space_id: str, doc) -> FixtureSet:
         raise FixtureError(f"fixture space mismatch: {doc.get('space')!r}")
     pd = space_diagram(space_id)
     system = pd.system
-    label_map: dict[int, tuple[Root, ...]] = {}
+    label_map: dict[int, tuple[Coeffs, ...]] = {}
     for key, roots in doc["label_map"].items():
         label_map[int(key)] = tuple(system.root(r) for r in roots)
     modules = pd.isotropy_decomposition()

@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 from .rootsys import (
     Coeffs,
     FlagrootsError,
-    Root,
     RootSystem,
     SCHEMA_VERSION,
     canonical_key,
@@ -75,7 +74,7 @@ class IsotropyModule:
     """One irreducible summand: the fiber of a positive t-root."""
 
     troot: Coeffs
-    roots: tuple[Root, ...]
+    roots: tuple[Coeffs, ...]
     label: str
 
     @property
@@ -126,8 +125,8 @@ class PaintedDiagram:
             modules.append(IsotropyModule(t, tuple(pos[i] for i in fibers[t]), label))
         self._modules: tuple[IsotropyModule, ...] = tuple(modules)
         self.module_of: tuple[int, ...] = tuple(module_of)
-        self.r_k_pos: tuple[Root, ...] = tuple(pos[i] for i in r_k)
-        self.r_m_pos: tuple[Root, ...] = tuple(r for r, k in zip(pos, module_of) if k)
+        self.r_k_pos: tuple[Coeffs, ...] = tuple(pos[i] for i in r_k)
+        self.r_m_pos: tuple[Coeffs, ...] = tuple(r for r, k in zip(pos, module_of) if k)
 
     @cached_property
     def clash(self) -> tuple[int, ...]:

@@ -1,6 +1,9 @@
 """Exact root systems for the exceptional Lie types G2, F4, E6, E7, E8.
 
-Roots are integer coefficient vectors over a fixed base of simple roots.
+Roots are integer coefficient vectors over a fixed base of simple roots,
+kept as plain tuples of ints.  Each RootSystem stores every root once, in
+roots; its lookups return those tuples, and the roots of the other modules
+and the keys of AlgebraElement are the same objects.
 The node numbering follows the diagram convention in which the highest
 root of F4 is 2a1+4a2+3a3+2a4 and that of E8 is 2a1+3a2+4a3+5a4+6a5+4a6+
 2a7+3a8 (this is *not* the Bourbaki numbering for F4/E6/E7/E8).
@@ -56,22 +59,6 @@ class LieType(Enum):
     @property
     def rank(self) -> int:
         return self.value
-
-
-class Root(tuple):
-    """A root as an integer coefficient vector over the simple roots.
-
-    Instances compare and hash like plain tuples.  Each RootSystem stores
-    one instance per root, and :meth:`RootSystem.root` looks it up.
-    """
-
-    __slots__ = ()
-
-    def __neg__(self) -> "Root":
-        return Root(-c for c in self)
-
-    def __repr__(self) -> str:
-        return f"Root({tuple(self)})"
 
 
 @dataclass(frozen=True)
@@ -165,7 +152,7 @@ def canonical_key(coeffs: Sequence[int]) -> tuple[int, Coeffs]:
     return (sum(coeffs), tuple(coeffs))
 
 
-def generate_positive_roots(cartan: CartanMatrix) -> list[Root]:
+def generate_positive_roots(cartan: CartanMatrix) -> list[Coeffs]:
     """All positive roots of a finite-type Cartan matrix, canonically ordered.
 
     Height-by-height closure: a root b extends to b + a_i exactly when
@@ -196,7 +183,7 @@ def generate_positive_roots(cartan: CartanMatrix) -> list[Root]:
                 "positive-root closure exceeded the finite-type bound; "
                 "matrix is not of supported finite type")
         level = nxt
-    return [Root(c) for c in sorted(found, key=canonical_key)]
+    return sorted(found, key=canonical_key)
 
 
 def _string_p(system: "RootSystem", a: int, b: int) -> int:
@@ -228,13 +215,11 @@ class RootSystem:
         self.cartan = cartan if cartan is not None else cartan_matrix(lie_type)
         if self.cartan.rank != self.rank:
             raise InvalidCartanError("matrix rank does not match Lie type")
-        self.positive_roots: tuple[Root, ...] = tuple(generate_positive_roots(self.cartan))
-        self.roots: tuple[Root, ...] = self.positive_roots + tuple(-r for r in self.positive_roots)
-        # The positive roots as plain tuples: the keys of AlgebraElement's a and b.
-        self.positive_keys: tuple[Coeffs, ...] = tuple(map(tuple, self.positive_roots))
+        self.positive_roots: tuple[Coeffs, ...] = tuple(generate_positive_roots(self.cartan))
+        self.roots: tuple[Coeffs, ...] = self.positive_roots + tuple(tuple(-c for c in r) for r in self.positive_roots)
         self.index: dict[Coeffs, int] = {r: i for i, r in enumerate(self.roots)}
-        self.highest_root: Root = self.positive_roots[-1]
-        self.marks: Coeffs = tuple(self.highest_root)
+        self.highest_root: Coeffs = self.positive_roots[-1]
+        self.marks: Coeffs = self.highest_root
         w = (2 * max(map(max, self.positive_roots))).bit_length() + 1
         self.codes: tuple[int, ...] = tuple(sum(c << (w * k) for k, c in enumerate(r))
                                             for r in self.roots)
@@ -253,7 +238,7 @@ class RootSystem:
             raise FlagrootsError(f"{v} is not a root of {self.lie_type.name}")
         return i
 
-    def root(self, coeffs: Sequence[int]) -> Root:
+    def root(self, coeffs: Sequence[int]) -> Coeffs:
         """Checked lookup: the stored root with these coefficients."""
         return self.roots[self.id(coeffs)]
 
@@ -316,7 +301,7 @@ def root_system_from_json(text: str) -> RootSystem:
     )
     system = RootSystem(lie_type, cartan)
     listed = [tuple(r) for r in doc["positive_roots"]]
-    if listed != [tuple(r) for r in system.positive_roots]:
+    if listed != list(system.positive_roots):
         raise FlagrootsError("serialized positive roots disagree with generation")
     return system
 

@@ -311,6 +311,21 @@ def test_malformed_fixture_exits_2_naming_the_file(capsys, tmp_path, monkeypatch
         assert err.startswith(f"error: {path}: ") and words in err, argv
 
 
+@pytest.mark.parametrize("label", ["b0^1", "b-1^1", "b-1^3"])
+def test_check_refuses_a_label_index_below_1(capsys, label):
+    # Label indices are 1-based: b0^1 and b-1^1 once answered for b6^1 and b5^1.
+    code, out, err = run(capsys, "check", "F4_34", label)
+    assert (code, out, err) == (2, "", f"error: no label {label} in F4_34\n")
+
+
+def test_verify_refuses_a_label_entry_with_index_0(capsys, tmp_path):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"a": [{"label": "b0^1", "coeff": 1}]}))
+    code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,2,3,4,5,6")
+    assert code == 2 and out == "" and err.startswith(f"error: {vec}: entry ")
+    assert err.endswith("in 'a': no label b0^1 in F4_34\n")
+
+
 def test_check_rejects_repeated_member(capsys):
     code, out, err = run(capsys, "check", "F4_34", "b1^1", "b1^1")
     assert code == 2 and out == "" and "'b1^1'" in err and "repeats" in err

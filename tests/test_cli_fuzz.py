@@ -8,10 +8,12 @@ every run checks the same inputs."""
 import contextlib
 import io
 import json
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from flagroots import load_fixture
 from flagroots.cli import main
 
 FUZZ = settings(derandomize=True, database=None, max_examples=50, deadline=None)
@@ -61,10 +63,25 @@ def run(*argv):
     return code
 
 
+def _missing_label(space, member):
+    """Whether member is a label b<i>^<j> that the space's fixture lacks: i below 1,
+    j outside 1..6, or i past the size of module j."""
+    label = re.fullmatch(r"b(-?\d+)\^(-?\d+)", member)
+    if label is None:
+        return False
+    index, module = map(int, label.groups())
+    sizes = {k: len(roots) for k, roots in load_fixture(space).label_map.items()}
+    return not (1 <= module <= 6 and 1 <= index <= sizes[module])
+
+
 @FUZZ
 @given(space=SPACES, members=st.lists(MEMBER, min_size=1, max_size=4))
+@example(space="F4_34", members=["b0^1"])
+@example(space="F4_34", members=["b-1^3"])
 def test_fuzzed_members(space, members):
-    run("check", space, "--", *members)
+    code = run("check", space, "--", *members)
+    if any(_missing_label(space, m) for m in members):
+        assert code == 2, (space, members)
 
 
 @FUZZ

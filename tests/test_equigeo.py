@@ -474,7 +474,7 @@ def test_metric_validation():
     with pytest.raises(Exception):
         MetricVector((1, 2, 3, 4, 5, Fraction(-1, 2)))
     m = MetricVector((1, 2, 3, 4, 5, Fraction(7, 2)))
-    assert m[6] == Fraction(7, 2)
+    assert m.lambdas[5] == Fraction(7, 2)
 
 
 @pytest.mark.parametrize("value", [0.1, 2.0, "1/2", Decimal("0.5"), True])
@@ -483,6 +483,38 @@ def test_metric_refuses_non_rational_parameters(value):
     # int and Fraction parameters are exact rationals of the engine.
     with pytest.raises(FlagrootsError, match=re.escape(f"metric parameter 2, {value!r}, is not an int")):
         MetricVector([1, value, 3, 4, 5, 6])
+
+
+@pytest.mark.parametrize("sid", SPACE_IDS)
+def test_every_root_handed_out_is_the_stored_plain_tuple(diagrams, tables, sid):
+    # One root type: each root the package hands out is a tuple of ints, and
+    # the very object that RootSystem.roots holds for its id, whatever
+    # sequence or sign the caller looked it up by.
+    pd, table = diagrams[sid], tables[diagrams[sid].system.lie_type]
+    system, fx = pd.system, load_fixture(sid)
+
+    def stored(roots):
+        for r in roots:
+            assert type(r) is tuple and all(type(c) is int for c in r), r
+            assert system.roots[system.index[r]] is r, r
+
+    neg = lambda r: tuple(-c for c in r)  # noqa: E731
+    stored(system.roots)
+    stored(system.positive_roots)
+    stored([system.highest_root])
+    stored(system.root(list(r)) for r in system.roots)
+    stored(r for mod in pd.isotropy_decomposition() for r in mod.roots)
+    stored(r for roots in fx.label_map.values() for r in roots)
+    stored(fx.root_of_label(k, i) for k, roots in fx.label_map.items() for i in range(1, len(roots) + 1))
+    m = pd.r_m_pos
+    x = TangentVector.from_coefficients(pd, a={tuple(list(r)): 1 for r in m},
+                                        b={neg(r): Fraction(k + 1, 2) for k, r in enumerate(m)})
+    y = AlgebraElement.basis_a(system, list(m[0])) + AlgebraElement.basis_b(system, neg(m[-1]), 3)
+    for elem in (x.element, y, bracket(table, x.element, y), bracket(table, x.element, x.element * 2)):
+        stored(elem.a)
+        stored(elem.b)
+    assert set(x.element.a) == set(x.element.b) == set(m)
+    assert y.a.keys() == {m[0]} and y.b.keys() == {m[-1]}
 
 
 def test_tangent_vector_support_validation(diagrams):
@@ -698,7 +730,7 @@ def test_cross_pair_system_holds_the_bracketing_pairs(diagrams, tables, sid):
         y = system.roots[y_id]
         diff = tuple(p - q for p, q in zip(x, y))
         assert k == pd.module_index(y) > pd.module_index(x)
-        assert (ns, nd) == (table.n(x, y), table.n(x, -y))
+        assert (ns, nd) == (table.n(x, y), table.n(x, tuple(-c for c in y)))
         assert s == system.index.get(tuple(p + q for p, q in zip(x, y)), n)
         assert d == (n if nd == 0 else system.fold(diff)[0])
         assert nb == (-nd if nd and system.fold(diff)[1] > 0 else nd)

@@ -130,8 +130,9 @@ def test_label_lookup_round_trip():
     assert len(labels) == sum(map(len, fx.label_map.values()))  # one label per root
     for r, (module, i) in labels.items():
         assert tuple(fx.root_of_label(module, i)) == r
-    with pytest.raises(FixtureError):
-        fx.root_of_label(2, 5)
+    for module, index in ((2, 5), (2, 0), (2, -1), (7, 1)):  # index 0 and -1 must not wrap around
+        with pytest.raises(FixtureError, match=rf"^no label b{index}\^{module} in E6_36$"):
+            fx.root_of_label(module, index)
 
 
 def test_parse_space_forms():
@@ -156,6 +157,26 @@ def test_fixture_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(fxmod.ENV_FIXTURE_DIR, str(tmp_path / "nope"))
     with pytest.raises(FixtureError):
         load_fixture("G2_12")
+
+
+def test_family_member_index_0_is_refused_naming_the_file(tmp_path, monkeypatch, capsys):
+    # Label indices are 1-based: a member (1, 0) once read as b6^1 and the
+    # fixture loaded, so enumerate --verify-fixtures matched it.
+    from importlib import resources
+
+    import flagroots.fixtures as fxmod
+
+    doc = json.loads((resources.files("flagroots") / "fixtures" / "f4_34.json").read_text())
+    doc["families"][0]["members"].append([1, 0])
+    path = tmp_path / "f4_34.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv(fxmod.ENV_FIXTURE_DIR, str(tmp_path))
+    with pytest.raises(FixtureError) as exc:
+        load_fixture("F4_34")
+    assert str(exc.value) == f"{path}: no label b0^1 in F4_34"
+    assert cli.main(["enumerate", "F4_34", "--verify-fixtures", "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {path}: no label b0^1 in F4_34\n"
 
 
 def test_one_painting_per_space(monkeypatch, capsys):
