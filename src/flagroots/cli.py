@@ -23,8 +23,8 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
-from bisect import bisect_left
 from contextlib import nullcontext
 from functools import cache
 from fractions import Fraction
@@ -85,11 +85,11 @@ def _parse_member(pd, fixture, token: str):
     of a root in R_M+."""
     token = token.strip()
     try:
-        if token.startswith("b") and "^" in token:
+        # Plain ASCII numbers only: int() would also take "+1", " 1", "01", "1_0" and other scripts' digits.
+        if label := re.fullmatch(r"b(0|-?[1-9][0-9]*)\^(0|-?[1-9][0-9]*)", token):
             if fixture is None:
                 raise FixtureError("label members need a canonical space with fixtures")
-            idx, _, mod = token[1:].partition("^")
-            return fixture.root_of_label(int(mod), int(idx))
+            return fixture.root_of_label(int(label[2]), int(label[1]))
         coeffs = tuple(int(x) for x in token.split(","))
     except ValueError:
         raise FlagrootsError(f"member {token!r} is not a label b<i>^<j> or a vector of integers") from None
@@ -225,12 +225,11 @@ def cmd_enumerate(args):
         fixture = _space_fixture(pd)
         if fixture is None:
             raise FixtureError(f"--verify-fixtures needs a canonical space with fixtures; {args.space} is not one")
-        # Label module j is computed module j (load_fixture checks the
-        # fibers), so each member is the vertex of its (module, root) pair;
-        # a member that is no vertex gets bit n, which no clique has.  A
-        # family extended greedily to a maximal clique is looked up among
-        # the cliques; only a family that lookup misses is scanned for.
-        adj, cliques, n = result.graph.adjacency, result.cliques, len(vertices)
+        # Label module j is computed module j (load_fixture checks the fibers), so each member is
+        # the vertex of its (module, root) pair.  A member that is no vertex, or two non-adjacent
+        # members, make no clique.  A clique over min_modules modules or more lies in a maximal one
+        # over as many, listed unless the list is truncated; only other cliques are scanned for.
+        adj, n = result.graph.adjacency, len(vertices)
         vertex_bit = {v: 1 << i for i, v in enumerate(vertices)}
         masks = None
         checked = [f for f in fixture.families if not f.suspect]
@@ -239,18 +238,13 @@ def cmd_enumerate(args):
             want = 0
             for v in zip((m for m, _ in fam.members), fixture.family_roots(fam)):
                 want |= vertex_bit.get(v, 1 << n)
-            clique = want
-            for i, a in enumerate(adj):
-                if a & clique == clique:
-                    clique |= 1 << i
-            key = bytes(i for i in range(n) if clique >> i & 1)
-            k = bisect_left(cliques, key)
-            if not clique >> n and cliques[k:k + 1] == (key,):
-                continue
-            if masks is None:
-                masks = [sum(1 << i for i in c) for c in cliques]
-            if not any(mask & want == want for mask in masks):
+            if want >> n or any(want & ~adj[i] != 1 << i for i in range(n) if want >> i & 1):
                 missed.append(fam)
+            elif result.truncated or len({m for m, _ in fam.members}) < args.min_modules:
+                if masks is None:
+                    masks = [sum(1 << i for i in c) for c in result.cliques]
+                if not any(mask & want == want for mask in masks):
+                    missed.append(fam)
         fixture_ok = not missed and not result.truncated
         fixture_fields = {"fixture_match": fixture_ok, "fixture_check": {
             "checked": len(checked),

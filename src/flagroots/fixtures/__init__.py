@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -150,6 +151,13 @@ def load_fixture(space_id: str) -> FixtureSet:
         raise FixtureError(f"{path}: malformed fixture ({type(exc).__name__}: {exc})") from exc
 
 
+def _ints(value, what: str) -> tuple[int, ...]:
+    """A JSON list of plain integers as a tuple; true and false are no integers here."""
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise FixtureError(f"{what} {value!r} is not a list of integers")
+    return tuple(value)
+
+
 def _parse_fixture(space_id: str, doc) -> FixtureSet:
     if not isinstance(doc, dict) or not isinstance(doc.get("label_map"), dict):
         raise FixtureError("the document must be an object with a 'label_map' object")
@@ -159,6 +167,8 @@ def _parse_fixture(space_id: str, doc) -> FixtureSet:
     system = pd.system
     label_map: dict[int, tuple[Coeffs, ...]] = {}
     for key, roots in doc["label_map"].items():
+        if not re.fullmatch("[1-9][0-9]*", key):
+            raise FixtureError(f"label map key {key!r} is not a module number")
         label_map[int(key)] = tuple(system.root(r) for r in roots)
     modules = pd.isotropy_decomposition()
     if sorted(label_map) != list(range(1, len(modules) + 1)):
@@ -170,8 +180,8 @@ def _parse_fixture(space_id: str, doc) -> FixtureSet:
             raise FixtureError(f"label map fiber {k} lists a root twice")
     pair_lists = tuple(
         PairList(
-            modules=tuple(p["modules"]),
-            pairs=tuple(tuple(x) for x in p["pairs"]),
+            modules=_ints(p["modules"], "pair list modules"),
+            pairs=tuple(_ints(x, "pair list entry") for x in p["pairs"]),
             complete=p["complete"],
             suspect=p.get("suspect", False),
             note=p.get("note"),
@@ -180,7 +190,7 @@ def _parse_fixture(space_id: str, doc) -> FixtureSet:
     )
     families = tuple(
         FixtureFamily(
-            members=tuple(tuple(m) for m in f["members"]),
+            members=tuple(_ints(m, "family member") for m in f["members"]),
             suspect=f.get("suspect", False),
             note=f.get("note"),
             source=f.get("source"),

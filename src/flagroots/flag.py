@@ -11,6 +11,10 @@ Two-node paintings whose six positive t-roots form the pattern
 {x, y, x+y, x+2y, x+3y, 2x+3y} is Type II.  The type, PaintedDiagram.kind,
 fixes only the order and labels of the modules and which reference bracket
 table applies; the rest works on any painting.
+
+The bracket inclusion table is t-root arithmetic, by the lemma [M_a, M_b] =
+M_(a+b) for t-roots a, b, a+b (Alekseevsky-Perelomov, Funct. Anal. Appl. 20,
+1986); a test checks it against a root-pair scan on all 463 paintings of G2-E8.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -196,34 +200,16 @@ def paint(system: RootSystem, painted: Iterable[int]) -> PaintedDiagram:
 def bracket_inclusion_table(pd: PaintedDiagram) -> list[list[list[str]]]:
     """m x m table, m modules: which modules (or k) each [m_i, m_j] actually hits.
 
-    Entry (i, j) lists, sorted, the labels of modules receiving a nonzero
-    component of some basis-pair bracket, with "k" when the isotropy
-    subalgebra receives one.  For x in m_i and y in m_j, the brackets of
-    A_x, B_x with A_y, B_y reach x+y and +-(x-y) where these are roots,
-    as a Chevalley constant on a root sum is never 0, and the Cartan part
-    when x = y; so the table is root arithmetic on the root codes.  As
-    x+y and x-y have t-roots t_i+t_j and t_i-t_j, a cell holds at most
-    the modules of t_i+t_j and +-(t_i-t_j), and k when i = j; the scan of
-    a cell stops once it has them all.
+    Entry (i, j) lists, sorted, the labels of the modules whose t-root is
+    t_i + t_j, t_i - t_j or t_j - t_i: the t-roots of x+y and x-y for x in m_i
+    and y in m_j, each reached by the lemma above.  "k" is added when i = j,
+    for the Cartan part of [A_x, B_x] (and x - y lies in R_K only then).
     """
-    modules, system, module_of = pd.isotropy_decomposition(), pd.system, pd.module_of
-    codes, get = system.codes, system.code_ids.get
-    labels = ["k"] + [mod.label for mod in modules]
-    by_troot = {mod.troot: mod.label for mod in modules}
-    ids = [[system.index[r] for r in mod.roots] for mod in modules]
-    size = len(modules)
-    out: list[list[list[str]]] = [[[] for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            hit = {"k"} if i == j else set()
-            ti, tj = modules[i].troot, modules[j].troot
-            bound = len(hit | {by_troot[t] for t in (tuple(map(add, ti, tj)), tuple(map(sub, ti, tj)),
-                                                     tuple(map(sub, tj, ti))) if t in by_troot})
-            for x, y in product(ids[i], ids[j]):
-                if len(hit) == bound:
-                    break
-                for c in (codes[x] + codes[y], codes[x] - codes[y]):
-                    if (k := get(c)) is not None:
-                        hit.add(labels[module_of[k]])
-            out[i][j] = out[j][i] = sorted(hit)
+    label = {mod.troot: mod.label for mod in pd.isotropy_decomposition()}
+    troots = list(label)
+    out = [[None] * len(troots) for _ in troots]
+    for i, a in enumerate(troots):
+        for j, b in enumerate(troots[i:], start=i):
+            ends = (tuple(map(add, a, b)), tuple(map(sub, a, b)), tuple(map(sub, b, a)))
+            out[i][j] = out[j][i] = sorted({label[t] for t in ends if t in label} | ({"k"} if i == j else set()))
     return out

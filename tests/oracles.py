@@ -248,32 +248,52 @@ def reference_bracket(table, x, y):
                           {r: c for r, c in a.items() if c}, {r: c for r, c in b.items() if c})
 
 
+_ROOT_PAIRS = {}
+
+
+def _root_pairs(system):
+    """Each pair x, y of positive roots, x before y, whose sum or difference
+    is a root, with those roots, all as positions in system.roots; by
+    is_root membership, once per Lie type."""
+    if system.lie_type not in _ROOT_PAIRS:
+        position = {r: k for k, r in enumerate(system.roots)}
+        pos = system.positive_roots
+        pairs = []
+        for a, x in enumerate(pos):
+            for y in pos[a + 1:]:
+                hits = [position[v] for v in (tuple(p + q for p, q in zip(x, y)), tuple(p - q for p, q in zip(x, y)))
+                        if system.is_root(v)]
+                if hits:
+                    pairs.append((position[x], position[y], hits))
+        _ROOT_PAIRS[system.lie_type] = pairs
+    return _ROOT_PAIRS[system.lie_type]
+
+
 def bracket_inclusion_by_scan(pd):
     """The bracket inclusion table by scanning every pair x, y of R_M+ roots
-    in every module pair: x+y and x-y, where they are roots, land in the
-    module whose t-root is theirs up to sign, or in k when that t-root is 0;
-    x = y adds k for the Cartan part.  Reads only the painting's modules."""
-    system, modules = pd.system, pd.isotropy_decomposition()
-    label = {m.troot: m.label for m in modules}
+    whose sum or difference is a root: x+y and x-y, where they are roots,
+    land in the module whose t-root is theirs up to sign, or in k when that
+    t-root is 0; x = y adds k for the Cartan part.  Reads only the
+    painting's modules and painted nodes."""
+    modules = pd.isotropy_decomposition()
+    position = {m.troot: k for k, m in enumerate(modules)}
     nodes = [i - 1 for i in pd.painted]
 
-    def where(v):
+    def where(v):  # position of a root's module, its t-root taken up to sign; -1 for k
         t = tuple(v[i] for i in nodes)
-        if not any(t):
-            return "k"
-        return label[t] if t in label else label[tuple(-c for c in t)]
+        return position.get(t, position.get(tuple(-c for c in t), -1))
 
+    at = [where(v) for v in pd.system.roots]
+    names = [m.label for m in modules] + ["k"]  # names[-1] is k
     size = len(modules)
+    hit = [[{"k"} if i == j else set() for j in range(size)] for i in range(size)]
+    for x, y, roots in _root_pairs(pd.system):
+        i, j = sorted((at[x], at[y]))
+        if i >= 0:
+            for v in roots:
+                hit[i][j].add(names[at[v]])
     out = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            hit = set()
-            for x in modules[i].roots:
-                for y in modules[j].roots:
-                    if x == y:
-                        hit.add("k")
-                    for v in (tuple(a + b for a, b in zip(x, y)), tuple(a - b for a, b in zip(x, y))):
-                        if system.is_root(v):
-                            hit.add(where(v))
-            out[i][j] = out[j][i] = sorted(hit)
+            out[i][j] = out[j][i] = sorted(hit[i][j])
     return out

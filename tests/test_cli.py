@@ -152,6 +152,21 @@ def test_enumerate_verify_misses_a_family_with_one_member_off_the_graph(capsys, 
     assert len(doc["fixture_check"]["missed"]) == doc["fixture_check"]["checked"] == 39
 
 
+def test_enumerate_verify_misses_a_family_of_two_clashing_members(capsys, monkeypatch):
+    # b1^1 and b1^3 are a non-structural pair, so no clique holds them, though
+    # they span the two modules that --min-modules asks for.
+    import flagroots.cli as cli
+    from flagroots.fixtures import FixtureFamily
+
+    fixture = cli._space_fixture(cli.space_diagram("F4_34"))
+    monkeypatch.setattr(cli, "_space_fixture", lambda pd: replace(fixture, families=(
+        FixtureFamily(((1, 1), (3, 1))), fixture.families[0])))
+    code, out, _ = run(capsys, "enumerate", "F4_34", "--verify-fixtures", "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["fixture_match"] is False
+    assert doc["fixture_check"] == {"checked": 2, "skipped_suspect": 0, "missed": [[[1, 1], [3, 1]]]}
+
+
 def test_table_brackets_check_reads_reference(capsys, monkeypatch):
     # [m_1, m_3] reaches m_2 and m_4 in F4_34; a reference without m_4 fails
     from flagroots.flag import REFERENCE_BRACKETS, G2Kind
@@ -279,6 +294,24 @@ def _repeated_root(doc):
     doc["label_map"]["1"].append(doc["label_map"]["1"][0])
 
 
+def _bool_member(doc):
+    doc["families"][0]["members"][0] = [True, True]
+
+
+def _bool_pair_module(doc):
+    doc["pair_lists"][0]["modules"][0] = True
+
+
+def _bool_pair_entry(doc):
+    doc["pair_lists"][0]["pairs"][0] = [1, True]
+
+
+def _key(text):
+    def edit(doc):
+        doc["label_map"] = {text if key == "1" else key: roots for key, roots in doc["label_map"].items()}
+    return edit
+
+
 @pytest.mark.parametrize("space,edit,words", [
     ("F4_34", _drop_label_map, "'label_map' object"),
     ("G2_12", _label_map_as_list, "'label_map' object"),
@@ -286,7 +319,16 @@ def _repeated_root(doc):
     ("E7_56", _short_member, "malformed fixture (ValueError"),
     ("E8_12", _non_root_label, "is not a root of E8"),
     ("F4_34", _repeated_root, "label map fiber 1 lists a root twice"),
-], ids=["no-label-map", "label-map-list", "invalid-json", "short-member", "non-root", "repeated-root"])
+    # JSON true once loaded as 1, so a member [true, true] read as b1^1, and
+    # int() took the label map keys "+1", " 1" and "01" for module 1.
+    ("F4_34", _bool_member, "family member [True, True] is not a list of integers"),
+    ("E6_36", _bool_pair_module, "pair list modules [True, 3] is not a list of integers"),
+    ("E7_56", _bool_pair_entry, "pair list entry [1, True] is not a list of integers"),
+    ("E8_12", _key("+1"), "label map key '+1' is not a module number"),
+    ("F4_34", _key(" 1"), "label map key ' 1' is not a module number"),
+    ("E6_36", _key("01"), "label map key '01' is not a module number"),
+], ids=["no-label-map", "label-map-list", "invalid-json", "short-member", "non-root", "repeated-root",
+        "bool-member", "bool-pair-module", "bool-pair-entry", "plus-key", "space-key", "zero-key"])
 def test_malformed_fixture_exits_2_naming_the_file(capsys, tmp_path, monkeypatch, space, edit, words):
     # Every command that reads the fixture reports the fault, naming the
     # file; none exits with a traceback or reads past the fault.
@@ -344,7 +386,11 @@ def test_check_rejects_member_outside_r_m(capsys):
         assert code == 2 and out == "" and f"error: member '{token}'" in err
 
 
-@pytest.mark.parametrize("token", ["0,x,1,0", "b1^x", "bx^1", "0,,1,0"])
+# int() once read the last eight as b1^1 (b1_0^1 as b10^1, b1^1_0 as b1^10,
+# b-01^1 as b-1^1): label indices are plain ASCII numbers, with no plus sign,
+# space, underscore or leading zero.
+@pytest.mark.parametrize("token", ["0,x,1,0", "b1^x", "bx^1", "0,,1,0", "b+1^1", "b 1^1", "b1^+1",
+                                   "b\u0661^1", "b1_0^1", "b1^1_0", "b01^1", "b-01^1"])
 def test_check_names_a_malformed_member(capsys, token):
     code, out, err = run(capsys, "check", "F4_34", "b1^1", token)
     assert code == 2 and out == ""
@@ -489,6 +535,7 @@ def test_verify_metric_rejected_by_token(capsys, tmp_path, token):
     ({"root": [0, 1, 1, 0, 0, 0], "coeff": 1}, "expected length 4, got 6"),
     ({"root": [1, 1, 1, 5], "coeff": 1}, "(1, 1, 1, 5) is not a root of F4"),
     ({"root": [0, 1, 0, 0], "coeff": 1}, "(0, 1, 0, 0) is not in R_M"),
+    ({"label": "b+1^1", "coeff": 1}, "member 'b+1^1' is not a label"),
 ])
 def test_verify_vector_entry_rejected_by_entry(capsys, tmp_path, entry, words):
     # JSON booleans are not integers, coefficients follow the metric's rules,

@@ -224,8 +224,13 @@ SMALL_PAINTINGS = [(t, nodes) for t in LieType for k in (1, 2)
                    for nodes in combinations(range(1, t.rank + 1), k)]
 
 
+ALL_PAINTINGS = [(t, nodes) for t in LieType for k in range(1, t.rank + 1)
+                 for nodes in combinations(range(1, t.rank + 1), k)]
+
+
 def test_small_painting_count():
     assert len(SMALL_PAINTINGS) == 98
+    assert len(ALL_PAINTINGS) == 463
 
 
 @pytest.mark.parametrize("lie_type,nodes", SMALL_PAINTINGS,
@@ -263,10 +268,10 @@ def test_module_index_is_the_troot_position(systems, lie_type, nodes):
             pd.t_root(not_a_root)
 
 
-@pytest.mark.parametrize("lie_type,nodes", SMALL_PAINTINGS,
-                         ids=[f"{t.name}:{','.join(map(str, n))}" for t, n in SMALL_PAINTINGS])
+@pytest.mark.parametrize("lie_type,nodes", ALL_PAINTINGS,
+                         ids=[f"{t.name}:{','.join(map(str, n))}" for t, n in ALL_PAINTINGS])
 def test_bracket_inclusion_matches_exhaustive_scan(systems, lie_type, nodes):
-    # The table stops scanning a cell once it holds every label its t-roots
-    # allow; the oracle scans every root pair of every cell.
+    # The table is t-root arithmetic and reads no root pair; the oracle scans
+    # every root pair whose sum or difference is a root, on every painting.
     pd = paint(systems[lie_type], nodes)
     assert bracket_inclusion_table(pd) == oracles.bracket_inclusion_by_scan(pd)
