@@ -273,16 +273,6 @@ class AlgebraElement:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return (
-            self.system is other.system
-            and self.a == other.a
-            and self.b == other.b
-            and tuple(self.cartan) == tuple(other.cartan)
-        )
-
     def _check(self, other: "AlgebraElement") -> None:
         if self.system is not other.system:
             raise MixedSystemError("elements live over different root systems")

@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Collection, Iterable, Sequence
-from functools import cached_property, reduce
-from itertools import chain
+from functools import reduce
 from math import lcm
 from operator import mul, or_
 
@@ -57,44 +56,27 @@ class MetricVector:
             raise FlagrootsError("metric parameters must be strictly positive")
 
 
-def _check_members(space: PaintedDiagram, members: Iterable[tuple[int, Coeffs]]) -> None:
-    """Each member is (k, r), r in R_M+ and in module k: no root occurs twice."""
-    for k, r in members:
-        i = space._m_id(r)
-        if i is None:
-            raise SupportError(f"root {tuple(r)} is not in R_M+ of {space.name}")
-        if space.module_of[i] != k:
-            raise FlagrootsError(f"root {tuple(r)} is not in module {k}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StructuralFamily:
-    """Candidate family: a set of (module index, root) members."""
+    """A nonempty set of (module index, root) members, each root in R_M+ once.  Built only by from_roots
+    and by an enumeration result's families, each with _ids, the members' root ids."""
 
     space: PaintedDiagram
     members: frozenset[tuple[int, Coeffs]]
 
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise FlagrootsError("a structural family must be nonempty")
-        _check_members(self.space, self.members)
-
     @classmethod
     def from_roots(cls, space: PaintedDiagram, roots: Iterable[Sequence[int]]) -> "StructuralFamily":
-        """One index lookup per root, ids kept for the verdict; module_index and cls refuse the rest."""
+        """One index lookup per root; module_index refuses a K-root or a non-root, and a negative root
+        is refused here."""
         index, module_of = space.system.index, space.module_of
         ids = [i if (i := index.get(tuple(r))) is not None and module_of[i] else space.module_index(r) for r in roots]
+        if not ids:
+            raise FlagrootsError("a structural family must be nonempty")
         members = frozenset((module_of[i], space.system.roots[i]) for i in ids)
-        if not ids or max(ids) >= len(space.system.positive_roots):
-            return cls(space, members)
-        family = object.__new__(cls)  # members checked: no __post_init__
-        family.__dict__.update(space=space, members=members, _ids=ids)
-        return family
-
-    @cached_property
-    def _ids(self) -> Sequence[int]:
-        """Root ids of the members, for the structural test; from_roots fills it in."""
-        return [self.space.system.index[r] for _, r in self.members]
+        if max(ids) >= (n := len(space.system.positive_roots)):
+            root = next(r for _, r in members if index[r] >= n)
+            raise SupportError(f"root {root} is not in R_M+ of {space.name}")
+        return _family(space, members, ids)
 
     def modules(self) -> set[int]:
         return {k for k, _ in self.members}
@@ -105,47 +87,32 @@ class StructuralFamily:
     def root_set(self) -> frozenset[Coeffs]:
         return frozenset(r for _, r in self.members)
 
-    def to_dict(self, structural: bool | None = None, maximal: bool | None = None) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "schema_version": SCHEMA_VERSION,
             "space": self.space.name,
             "members": [
                 {"module": k, "root_coeffs": list(r)} for k, r in self.sorted_members()
             ],
         }
-        if structural is not None:
-            doc["structural"] = structural
-        if maximal is not None:
-            doc["maximal"] = maximal
-        return doc
 
 
-def _check_coeff(root: Sequence[int], coeff: Scalar) -> None:
-    if not (type(coeff) is int or isinstance(coeff, Fraction)):
-        raise FlagrootsError(f"coefficient {coeff!r} of root {tuple(root)} is not an int or a Fraction")
+def _family(space: PaintedDiagram, members: frozenset[tuple[int, Coeffs]], ids: Sequence[int]) -> StructuralFamily:
+    """A family of members already checked, and their root ids for the structural test."""
+    family = object.__new__(StructuralFamily)
+    family.__dict__.update(space=space, members=members, _ids=ids)
+    return family
 
 
 class TangentVector:
-    """A tangent-space element of int or Fraction coefficients, no Cartan part or K-support; verdict, C_k memoised."""
+    """A tangent-space element of int or Fraction coefficients, no Cartan part or K-support; verdict, C_k memoised.
+    from_coefficients builds it."""
 
-    def __init__(self, pd: PaintedDiagram, element: AlgebraElement):
-        if element.system is not pd.system:
-            raise SupportError("element does not match the painted diagram")
-        if any(c != 0 or not (type(c) is int or isinstance(c, Fraction)) for c in element.cartan):
-            raise SupportError("tangent vectors have no Cartan component")  # a float or bool 0 too
-        ids = {r: pd._m_id(r) for r in element.support()}
-        if None in ids.values():
-            raise SupportError(f"support leaves R_M+: {sorted(r for r, i in ids.items() if i is None)}")
-        for root, coeff in chain(element.a.items(), element.b.items()):
-            _check_coeff(root, coeff)
-        self._fill(pd, element, ids.values())
-
-    def _fill(self, pd: PaintedDiagram, element: AlgebraElement, ids: Collection[int]) -> "TangentVector":
-        """ids: the support's root ids, for the structural test."""
-        self.space, self.element, self._ids = pd, element, ids
-        self._structural: bool | None = None
-        self._brackets: dict[StructureConstantTable, tuple[int, tuple, tuple]] = {}
-        return self
+    space: PaintedDiagram
+    element: AlgebraElement
+    _ids: Collection[int]  # the support's root ids, for the structural test
+    _structural: bool | None
+    _brackets: dict[StructureConstantTable, tuple[int, tuple, tuple]]
 
     @classmethod
     def from_coefficients(
@@ -162,7 +129,8 @@ class TangentVector:
             out: dict[int, Scalar] = {}
             for root, coeff in (coeffs or {}).items():
                 i = system.index.get(tuple(root)) or system.id(root)  # id 0 or a non-root, which id() refuses
-                _check_coeff(root, coeff)
+                if not (type(coeff) is int or isinstance(coeff, Fraction)):
+                    raise FlagrootsError(f"coefficient {coeff!r} of root {tuple(root)} is not an int or a Fraction")
                 k, c = (i, coeff) if i < n else (i - n, flip * coeff)
                 w = out[k] + c if k in out else c  # a first coefficient as given, not as 0 + c
                 if w:
@@ -173,8 +141,10 @@ class TangentVector:
         keys, ids = system.positive_roots, parts[0].keys() | parts[1].keys()
         if bad := sorted(keys[k] for k in ids if not pd.module_of[k]):
             raise SupportError(f"support leaves R_M+: {bad}")
-        element = AlgebraElement(system, (0,) * system.rank, *({keys[k]: c for k, c in p.items()} for p in parts))
-        return object.__new__(cls)._fill(pd, element, ids)
+        x = object.__new__(cls)
+        x.space, x._ids, x._structural, x._brackets = pd, ids, None, {}
+        x.element = AlgebraElement(system, (0,) * system.rank, *({keys[k]: c for k, c in p.items()} for p in parts))
+        return x
 
 
 def _all_compatible(pd: PaintedDiagram, ids: Collection[int]) -> bool:
@@ -312,7 +282,7 @@ def _maximal_cliques(adj: Sequence[int], module: Sequence[int], min_modules: int
 
 class _Families(Sequence[StructuralFamily]):
     """Families as ascending index sequences into graph.vertices (bytes from enumeration), each built only
-    when read and without __post_init__: enumeration checks the members once per vertex."""
+    when read; the vertices are the painting's R_M+ roots."""
 
     def __init__(self, graph: CompatibilityGraph, cliques: Sequence[Sequence[int]]):
         self._graph, self._cliques = graph, cliques
@@ -323,10 +293,8 @@ class _Families(Sequence[StructuralFamily]):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(_Families(self._graph, self._cliques[i]))
-        family = object.__new__(StructuralFamily)
-        object.__setattr__(family, "space", self._graph.space)
-        object.__setattr__(family, "members", frozenset(map(self._graph.vertices.__getitem__, self._cliques[i])))
-        return family
+        members = frozenset(map(self._graph.vertices.__getitem__, self._cliques[i]))
+        return _family(self._graph.space, members, [self._graph.space.system.index[r] for _, r in members])
 
 
 @dataclass(frozen=True)
@@ -362,7 +330,6 @@ def enumerate_maximal_families(
     n_modules = len(pd.isotropy_decomposition())
     if min_modules > n_modules:
         raise FlagrootsError(f"min_modules {min_modules} exceeds the {n_modules} modules of {pd.name}")
-    _check_members(pd, graph.vertices)
     module = [k for k, _ in graph.vertices]
     # W_K's generators keep modules (they fix painted coefficients) and compatibility (linear, they permute R).
     vertex = {pd.system.index[r]: v for v, (_, r) in enumerate(graph.vertices)}

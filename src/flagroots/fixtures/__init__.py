@@ -50,19 +50,20 @@ class FixtureError(FlagrootsError):
 
 
 def parse_space(spec: str) -> tuple[LieType, tuple[int, ...]]:
-    """Resolve a space spec: canonical id ("F4_34") or "F4:3,4" form."""
+    """Resolve a space spec: canonical id ("F4_34") or "F4:3,4" form, the nodes comma-separated
+    ASCII numbers from 1 to the rank, with no sign, space or leading zero."""
     if spec in _SPACE_DEFS:
         return _SPACE_DEFS[spec]
     if ":" in spec:
         fam, _, nodes = spec.partition(":")
-        try:
-            lie_type = LieType[fam.strip()]
-            painted = tuple(int(x) for x in nodes.split(",") if x.strip())
-        except (KeyError, ValueError) as exc:
-            raise FixtureError(f"bad space spec {spec!r}") from exc
-        if not painted:
+        if fam not in LieType.__members__ or nodes and not re.fullmatch("[1-9][0-9]*(,[1-9][0-9]*)*", nodes):
+            raise FixtureError(f"bad space spec {spec!r}")
+        if not nodes:
             raise FixtureError(f"bad space spec {spec!r}: no painted nodes")
-        return lie_type, painted
+        lie_type, painted = LieType[fam], nodes.split(",")
+        if any(len(x) > 1 or int(x) > lie_type.rank for x in painted):  # every rank is one digit
+            raise FixtureError(f"bad space spec {spec!r}: painted nodes out of range 1..{lie_type.rank}")
+        return lie_type, tuple(map(int, painted))
     raise FixtureError(
         f"unknown space {spec!r}; use one of {', '.join(SPACE_IDS)} or FAMILY:n1,n2")
 
@@ -158,6 +159,13 @@ def _ints(value, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _flag(value, what: str) -> bool:
+    """A JSON boolean; a string such as "false" or a number is no flag here."""
+    if type(value) is not bool:
+        raise FixtureError(f"{what} {value!r} is not true or false")
+    return value
+
+
 def _parse_fixture(space_id: str, doc) -> FixtureSet:
     if not isinstance(doc, dict) or not isinstance(doc.get("label_map"), dict):
         raise FixtureError("the document must be an object with a 'label_map' object")
@@ -182,8 +190,8 @@ def _parse_fixture(space_id: str, doc) -> FixtureSet:
         PairList(
             modules=_ints(p["modules"], "pair list modules"),
             pairs=tuple(_ints(x, "pair list entry") for x in p["pairs"]),
-            complete=p["complete"],
-            suspect=p.get("suspect", False),
+            complete=_flag(p["complete"], "pair list complete"),
+            suspect=_flag(p.get("suspect", False), "pair list suspect"),
             note=p.get("note"),
         )
         for p in doc.get("pair_lists", [])
@@ -191,7 +199,7 @@ def _parse_fixture(space_id: str, doc) -> FixtureSet:
     families = tuple(
         FixtureFamily(
             members=tuple(_ints(m, "family member") for m in f["members"]),
-            suspect=f.get("suspect", False),
+            suspect=_flag(f.get("suspect", False), "family suspect"),
             note=f.get("note"),
             source=f.get("source"),
         )

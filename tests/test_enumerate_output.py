@@ -16,7 +16,7 @@ from functools import cache
 
 import pytest
 
-from flagroots import LieType, build_constants, enumerate_maximal_families, root_system, space_diagram
+from flagroots import LieType, build_constants, enumerate_maximal_families, equigeo, root_system, space_diagram
 from flagroots.cli import main
 from flagroots.equigeo import StructuralFamily
 from flagroots.fixtures import SPACE_IDS
@@ -77,7 +77,7 @@ def test_enumerate_fixture_check_golden_hash(space, option, tmp_path):
 def test_enumerate_builds_no_family(fmt, tmp_path, monkeypatch):
     # Output is joined from per-vertex strings: no family object, no dict.
     calls = Counter()
-    for cls, name in ((StructuralFamily, "to_dict"), (StructuralFamily, "__post_init__"),
+    for cls, name in ((StructuralFamily, "to_dict"), (equigeo._Families, "__getitem__"),
                       (PaintedDiagram, "to_dict")):
         def counted(self, *args, _orig=getattr(cls, name), _key=f"{cls.__name__}.{name}", **kwargs):
             calls[_key] += 1

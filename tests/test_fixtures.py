@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -142,6 +143,58 @@ def test_parse_space_forms():
         parse_space("Q9_11")
     with pytest.raises(FixtureError):
         parse_space("E6:")
+
+
+@pytest.mark.parametrize("spec", ["F4:+3,4", "F4:\uff13,4", "F4: 3 , 4", "F4:3,,4", "F4:3,4,", "F4:03,4",
+                                  "F4:3,4\n", " F4:3,4", "F4 :3,4", "F4:3_0", "E8:0"])
+def test_space_spec_nodes_are_ascii_numbers(spec, capsys):
+    # A sign, a full-width digit, spaces or an empty item once ran as F4_34,
+    # and 3_0 read as node 30: only comma-separated ASCII numbers are nodes.
+    with pytest.raises(FixtureError, match=rf"^bad space spec {re.escape(repr(spec))}$"):
+        parse_space(spec)
+    assert cli.main(["table", "troots", spec, "--check"]) == 2
+    assert capsys.readouterr().err == f"error: bad space spec {spec!r}\n"
+
+
+@pytest.mark.parametrize("spec,rank", [("F4:5", 4), ("F4:3,30", 4), ("G2:1,3", 2), ("E8:9", 8),
+                                       pytest.param("E6:1" + "0" * 5000, 6, id="E6:1e5000")])
+def test_space_spec_out_of_range_names_the_spec(spec, rank, capsys):
+    # "painted nodes out of range 1..4" did not say which spec was meant.
+    want = f"bad space spec {spec!r}: painted nodes out of range 1..{rank}"
+    with pytest.raises(FixtureError) as exc:
+        parse_space(spec)
+    assert str(exc.value) == want
+    assert cli.main(["enumerate", spec]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+FLAG_EDITS = [("families", "suspect", "false"), ("families", "suspect", 0), ("families", "suspect", None),
+              ("pair_lists", "complete", "no"), ("pair_lists", "complete", 1), ("pair_lists", "suspect", "true")]
+
+
+@pytest.mark.parametrize("part,key,value", FLAG_EDITS)
+def test_fixture_flags_are_json_booleans(part, key, value, tmp_path, monkeypatch, capsys):
+    # The clashing pair b1^1, b1^3 marked "suspect": "false" was skipped as
+    # suspect, and a pair list "complete": "no" loaded as complete.
+    from importlib import resources
+
+    import flagroots.fixtures as fxmod
+
+    doc = json.loads((resources.files("flagroots") / "fixtures" / "f4_34.json").read_text())
+    if part == "families":
+        doc["families"].append({"members": [[1, 1], [3, 1]], "suspect": value})
+    else:
+        doc["pair_lists"][0][key] = value
+    path = tmp_path / "f4_34.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv(fxmod.ENV_FIXTURE_DIR, str(tmp_path))
+    want = f"{path}: {'family' if part == 'families' else 'pair list'} {key} {value!r} is not true or false"
+    with pytest.raises(FixtureError) as exc:
+        load_fixture("F4_34")
+    assert str(exc.value) == want
+    assert cli.main(["enumerate", "F4_34", "--verify-fixtures", "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {want}\n"
 
 
 def test_fixture_env_override(tmp_path, monkeypatch):
