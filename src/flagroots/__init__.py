@@ -13,7 +13,6 @@ from .rootsys import (
     cartan_matrix,
     generate_positive_roots,
     root_system,
-    root_system_from_json,
 )
 from .chevalley import (
     AlgebraElement,
@@ -90,6 +89,5 @@ __all__ = [
     "parse_space",
     "project_m",
     "root_system",
-    "root_system_from_json",
     "space_diagram",
 ]

@@ -258,9 +258,6 @@ class AlgebraElement:
         cartan = tuple(x + y for x, y in zip(self.cartan, other.cartan))
         return AlgebraElement(self.system, cartan, *parts)
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (other * -1)
-
     def __mul__(self, scalar: Scalar) -> "AlgebraElement":
         if not scalar:
             return AlgebraElement.zero(self.system)

@@ -84,12 +84,15 @@ def _parse_member(pd, fixture, token: str):
     """A member is a label b<i>^<j> or a raw coefficient vector c1,..,cl
     of a root in R_M+."""
     token = token.strip()
+    # Plain ASCII numbers only: int() would also take "+1", " 1", "01", "1_0" and other scripts' digits.
+    num = "(0|-?[1-9][0-9]*)"
     try:
-        # Plain ASCII numbers only: int() would also take "+1", " 1", "01", "1_0" and other scripts' digits.
-        if label := re.fullmatch(r"b(0|-?[1-9][0-9]*)\^(0|-?[1-9][0-9]*)", token):
+        if label := re.fullmatch(rf"b{num}\^{num}", token):
             if fixture is None:
                 raise FixtureError("label members need a canonical space with fixtures")
             return fixture.root_of_label(int(label[2]), int(label[1]))
+        if not re.fullmatch(rf"{num}(,{num})*", token):
+            raise ValueError
         coeffs = tuple(int(x) for x in token.split(","))
     except ValueError:
         raise FlagrootsError(f"member {token!r} is not a label b<i>^<j> or a vector of integers") from None

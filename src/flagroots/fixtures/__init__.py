@@ -51,16 +51,18 @@ class FixtureError(FlagrootsError):
 
 def parse_space(spec: str) -> tuple[LieType, tuple[int, ...]]:
     """Resolve a space spec: canonical id ("F4_34") or "F4:3,4" form, the nodes comma-separated
-    ASCII numbers from 1 to the rank, with no sign, space or leading zero."""
+    distinct ASCII numbers from 1 to the rank, with no sign, space or leading zero."""
     if spec in _SPACE_DEFS:
         return _SPACE_DEFS[spec]
     if ":" in spec:
         fam, _, nodes = spec.partition(":")
-        if fam not in LieType.__members__ or nodes and not re.fullmatch("[1-9][0-9]*(,[1-9][0-9]*)*", nodes):
+        painted = nodes.split(",")
+        if (fam not in LieType.__members__ or len(set(painted)) < len(painted)
+                or nodes and not re.fullmatch("[1-9][0-9]*(,[1-9][0-9]*)*", nodes)):
             raise FixtureError(f"bad space spec {spec!r}")
         if not nodes:
             raise FixtureError(f"bad space spec {spec!r}: no painted nodes")
-        lie_type, painted = LieType[fam], nodes.split(",")
+        lie_type = LieType[fam]
         if any(len(x) > 1 or int(x) > lie_type.rank for x in painted):  # every rank is one digit
             raise FixtureError(f"bad space spec {spec!r}: painted nodes out of range 1..{lie_type.rank}")
         return lie_type, tuple(map(int, painted))
@@ -72,7 +74,7 @@ def space_diagram(spec: str) -> PaintedDiagram:
     """The painting of a space spec, one per (Lie type, painted nodes) per process, as
     root_system is shared: "F4_34", "F4:3,4" and "F4:4,3" give the same object."""
     lie_type, painted = parse_space(spec)
-    return _painting(lie_type, tuple(sorted(set(painted))))
+    return _painting(lie_type, tuple(sorted(painted)))
 
 
 @lru_cache(maxsize=None)

@@ -105,14 +105,6 @@ class CartanMatrix:
                 f"expected length {self.rank}, got {len(coeffs)}")
         return tuple(sum(a * c for a, c in zip(row, coeffs)) for row in self.entries)
 
-    def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """Inner product (x, y) = sum_i d_i x_i <y, a_i^>, normalized so short
-        roots have norm 2."""
-        return sum(d * c * p for d, c, p in zip(self.symmetrizer, x, self.coroot_pairing(y)))
-
-    def normsq(self, x: Sequence[int]) -> int:
-        return self.inner(x, x)
-
 
 # Cartan data in the diagram orderings used throughout this package.
 # Edge lists give the chain; F4/G2 carry the non-simply-laced entries
@@ -196,7 +188,7 @@ def _string_p(system: "RootSystem", a: int, b: int) -> int:
 
 
 class RootSystem:
-    """An indexed root system: roots by id, marks, codes.
+    """An indexed root system: roots by id, the highest root, codes.
 
     Root ids number the positive roots in canonical order, 0..n-1, and
     their negatives n..2n-1: roots[i] is the root of id i, the negative of
@@ -209,17 +201,14 @@ class RootSystem:
     built on first read, and safe to share across threads.
     """
 
-    def __init__(self, lie_type: LieType, cartan: CartanMatrix | None = None):
+    def __init__(self, lie_type: LieType):
         self.lie_type = lie_type
         self.rank: int = lie_type.rank
-        self.cartan = cartan if cartan is not None else cartan_matrix(lie_type)
-        if self.cartan.rank != self.rank:
-            raise InvalidCartanError("matrix rank does not match Lie type")
+        self.cartan = cartan_matrix(lie_type)
         self.positive_roots: tuple[Coeffs, ...] = tuple(generate_positive_roots(self.cartan))
         self.roots: tuple[Coeffs, ...] = self.positive_roots + tuple(tuple(-c for c in r) for r in self.positive_roots)
         self.index: dict[Coeffs, int] = {r: i for i, r in enumerate(self.roots)}
         self.highest_root: Coeffs = self.positive_roots[-1]
-        self.marks: Coeffs = self.highest_root
         w = (2 * max(map(max, self.positive_roots))).bit_length() + 1
         self.codes: tuple[int, ...] = tuple(sum(c << (w * k) for k, c in enumerate(r))
                                             for r in self.roots)
@@ -289,21 +278,6 @@ class RootSystem:
     def to_json(self) -> str:
         """Byte-stable JSON serialization (canonical root order)."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def root_system_from_json(text: str) -> RootSystem:
-    """Rebuild a RootSystem from its JSON document, verifying the root list."""
-    doc = json.loads(text)
-    lie_type = LieType[doc["family"]]
-    cartan = CartanMatrix(
-        tuple(tuple(row) for row in doc["cartan"]["entries"]),
-        tuple(doc["cartan"]["symmetrizer"]),
-    )
-    system = RootSystem(lie_type, cartan)
-    listed = [tuple(r) for r in doc["positive_roots"]]
-    if listed != list(system.positive_roots):
-        raise FlagrootsError("serialized positive roots disagree with generation")
-    return system
 
 
 @lru_cache(maxsize=None)

@@ -39,6 +39,13 @@ def weyl_closure_roots(system):
     return seen
 
 
+def normsq(system, x):
+    """|x|^2 = sum_ij d_i A[i][j] x_i x_j from the Cartan entries A and the symmetrizer d,
+    normalized so short roots have norm 2."""
+    c = system.cartan
+    return sum(d * a * xi * xj for d, row, xi in zip(c.symmetrizer, c.entries, x) for a, xj in zip(row, x))
+
+
 def string_by_scan(system, alpha, beta):
     """(p, q) by raw membership walks, no string arithmetic."""
     a, b = tuple(alpha), tuple(beta)

@@ -370,7 +370,7 @@ def test_magnitude_and_three_root_identity_exhaustive(systems, tables, lie_type)
     # x+y+z = 0, over every pair with a root sum.
     s, t = systems[lie_type], tables[lie_type]
     roots = oracles.weyl_closure_roots(s)
-    norm = {r: s.cartan.normsq(r) for r in roots}
+    norm = {r: oracles.normsq(s, r) for r in roots}
     pairs = [(x, y) for x in roots for y in roots if tuple(a + b for a, b in zip(x, y)) in roots]
     assert len(pairs) == len(t.n_map) == ROOT_SUM_PAIRS[lie_type]
     for x, y in pairs:
@@ -391,7 +391,7 @@ def test_four_root_identity_exhaustive(systems, tables, lie_type):
     roots = sorted(oracles.weyl_closure_roots(s))
     at = {r: i for i, r in enumerate(roots)}
     neg = [at[_neg(r)] for r in roots]
-    norm = [s.cartan.normsq(r) for r in roots]
+    norm = [oracles.normsq(s, r) for r in roots]
     # add[i][j]: index of roots[i] + roots[j], or -1; nn[i][j]: N and its norm.
     add = [[at.get(tuple(a + b for a, b in zip(x, y)), -1) for y in roots] for x in roots]
     nn = [[(t.n(x, y), norm[k]) if k >= 0 else (0, 1) for y, k in zip(roots, row)]

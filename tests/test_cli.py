@@ -306,6 +306,24 @@ def _bool_pair_entry(doc):
     doc["pair_lists"][0]["pairs"][0] = [1, True]
 
 
+def _other_space(doc):
+    doc["space"] = "E6_36"
+
+
+def _drop_module_6(doc):
+    del doc["label_map"]["6"]
+
+
+def _swap_fibers(doc):
+    lm = doc["label_map"]
+    lm["1"][0], lm["3"][0] = lm["3"][0], lm["1"][0]
+
+
+def _pair_out_of_range(doc):
+    first = doc["pair_lists"][0]
+    first["pairs"][0] = [len(doc["label_map"][str(first["modules"][0])]) + 1, 1]
+
+
 def _key(text):
     def edit(doc):
         doc["label_map"] = {text if key == "1" else key: roots for key, roots in doc["label_map"].items()}
@@ -327,8 +345,13 @@ def _key(text):
     ("E8_12", _key("+1"), "label map key '+1' is not a module number"),
     ("F4_34", _key(" 1"), "label map key ' 1' is not a module number"),
     ("E6_36", _key("01"), "label map key '01' is not a module number"),
+    ("F4_34", _other_space, "fixture space mismatch: 'E6_36'"),
+    ("E7_56", _drop_module_6, "label map does not cover the modules"),
+    ("E8_12", _swap_fibers, "label map fiber 1 disagrees with the computed fiber"),
+    ("F4_34", _pair_out_of_range, "pair (7,1) out of range for modules (1, 3)"),
 ], ids=["no-label-map", "label-map-list", "invalid-json", "short-member", "non-root", "repeated-root",
-        "bool-member", "bool-pair-module", "bool-pair-entry", "plus-key", "space-key", "zero-key"])
+        "bool-member", "bool-pair-module", "bool-pair-entry", "plus-key", "space-key", "zero-key",
+        "space-mismatch", "missing-module", "fiber-mismatch", "pair-out-of-range"])
 def test_malformed_fixture_exits_2_naming_the_file(capsys, tmp_path, monkeypatch, space, edit, words):
     # Every command that reads the fixture reports the fault, naming the
     # file; none exits with a traceback or reads past the fault.
@@ -386,11 +409,13 @@ def test_check_rejects_member_outside_r_m(capsys):
         assert code == 2 and out == "" and f"error: member '{token}'" in err
 
 
-# int() once read the last eight as b1^1 (b1_0^1 as b10^1, b1^1_0 as b1^10,
-# b-01^1 as b-1^1): label indices are plain ASCII numbers, with no plus sign,
-# space, underscore or leading zero.
+# int() once read the eight labels after bx^1 as b1^1 (b1_0^1 as b10^1, b1^1_0
+# as b1^10, b-01^1 as b-1^1) and the last five vectors as the root (0,1,1,0)
+# or (0,10,0,0): label indices and vector coordinates are plain ASCII numbers,
+# with no plus sign, space, underscore or leading zero.
 @pytest.mark.parametrize("token", ["0,x,1,0", "b1^x", "bx^1", "0,,1,0", "b+1^1", "b 1^1", "b1^+1",
-                                   "b\u0661^1", "b1_0^1", "b1^1_0", "b01^1", "b-01^1"])
+                                   "b\u0661^1", "b1_0^1", "b1^1_0", "b01^1", "b-01^1",
+                                   "+0,1,1,0", "\uff10,1,1,0", "0, 1,1,0", "0,01,1,0", "0,1_0,0,0"])
 def test_check_names_a_malformed_member(capsys, token):
     code, out, err = run(capsys, "check", "F4_34", "b1^1", token)
     assert code == 2 and out == ""

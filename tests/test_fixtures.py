@@ -146,10 +146,12 @@ def test_parse_space_forms():
 
 
 @pytest.mark.parametrize("spec", ["F4:+3,4", "F4:\uff13,4", "F4: 3 , 4", "F4:3,,4", "F4:3,4,", "F4:03,4",
-                                  "F4:3,4\n", " F4:3,4", "F4 :3,4", "F4:3_0", "E8:0"])
+                                  "F4:3,4\n", " F4:3,4", "F4 :3,4", "F4:3_0", "E8:0", "F4:3,3,4", "F4:3,3",
+                                  "E8:1,1"])
 def test_space_spec_nodes_are_ascii_numbers(spec, capsys):
-    # A sign, a full-width digit, spaces or an empty item once ran as F4_34,
-    # and 3_0 read as node 30: only comma-separated ASCII numbers are nodes.
+    # A sign, a full-width digit, spaces, an empty item or a repeated node once
+    # ran as F4_34 (F4:3,3 as F4:3), and 3_0 read as node 30: only distinct
+    # comma-separated ASCII numbers are nodes.
     with pytest.raises(FixtureError, match=rf"^bad space spec {re.escape(repr(spec))}$"):
         parse_space(spec)
     assert cli.main(["table", "troots", spec, "--check"]) == 2
