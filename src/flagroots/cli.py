@@ -103,10 +103,10 @@ def _parse_member(pd, fixture, token: str):
 
 
 def _parse_fraction(x) -> Fraction:
-    """An int, or a string such as 3, -2/5 or 1.5.  Exponent notation is
-    refused: 1e10000000 would build a ten-million-digit integer."""
-    if not (type(x) is int or isinstance(x, str) and "e" not in x.lower()):
-        raise FlagrootsError(f"expected an integer or a rational string without exponent, got {x!r}")
+    """An int, or a plain ASCII string such as 3, -2/5 or 1.5: Fraction() would also take 1_0, +3, " 3" and
+    other scripts' digits, and exponent notation, where 1e10000000 builds a ten-million-digit integer."""
+    if not (type(x) is int or isinstance(x, str) and re.fullmatch(r"-?[0-9]+([./][0-9]+)?", x)):
+        raise FlagrootsError(f"expected an integer or a rational such as 3, -2/5 or 1.5 (no exponent), got {x!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError as exc:

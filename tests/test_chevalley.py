@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import itertools
 import json
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from flagroots import (
     LieType,
     MetricVector,
     MixedSystemError,
+    RootSystem,
+    StructureConstantTable,
     StructuralFamily,
     TangentVector,
     bracket,
@@ -26,6 +30,7 @@ from flagroots import (
     load_fixture,
     paint,
     project_m,
+    root_system,
 )
 
 
@@ -518,13 +523,66 @@ def test_first_read_from_four_threads_at_once(systems):
     # extraspecial short + short = long (3,1): N = 4 makes N|a|^2/|g|^2 = 8/6
     ((1, 0), (2, 1), "non-integral structure constant reduction"),
 ])
-def test_consistency_checks_catch_a_wrong_string_length(systems, monkeypatch, x, y, message):
-    s = systems[LieType.G2]
+def test_consistency_checks_catch_a_wrong_string_length(monkeypatch, x, y, message):
+    # A fresh system: the shared one is solved already, so its builds never
+    # reach _string_p.  A failed solve keeps nothing, so a second build on
+    # the same system runs the recursion again and raises again.
+    s = RootSystem(LieType.G2)
     target, string_p = (s.index[x], s.index[y]), chevalley._string_p
     monkeypatch.setattr(chevalley, "_string_p",
                         lambda system, a, b: string_p(system, a, b) + ((a, b) == target))
-    with pytest.raises(FlagrootsError, match=message):
-        build_constants(s)
+    for _ in range(2):
+        with pytest.raises(FlagrootsError, match=message):
+            build_constants(s)
+    assert s not in chevalley._SOLVED
+
+
+def test_each_system_is_solved_once(monkeypatch):
+    # The first build of a fresh E8 system evaluates one string length per
+    # triple, 1,120 of them; a second build evaluates none, and is a new table
+    # with its own lazy parts over the same solved data.
+    calls, string_p = [], chevalley._string_p
+    monkeypatch.setattr(chevalley, "_string_p", lambda system, a, b: calls.append((a, b)) or string_p(system, a, b))
+    s = RootSystem(LieType.E8)
+    first = build_constants(s)
+    assert len(calls) == 1120 == len(set(calls))
+    second = StructureConstantTable(s)
+    assert len(calls) == 1120
+    assert first is not second and first._compiled is not second._compiled
+    assert first._pairs and "_pairs" not in second.__dict__
+    assert first.to_json().encode() == second.to_json().encode()
+
+
+def test_solved_data_does_not_keep_its_system_alive():
+    s = RootSystem(LieType.G2)
+    build_constants(s)
+    assert s in chevalley._SOLVED
+    ref = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref() is None
+
+
+def test_first_build_from_four_threads_at_once():
+    # Four threads that make the first build of a fresh E8 system together,
+    # with a short switch interval, all get equal tables.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        s, barrier, seen = RootSystem(LieType.E8), threading.Barrier(4), []
+
+        def build():
+            barrier.wait(timeout=10)
+            seen.append(build_constants(s).to_json())
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads) and len(seen) == 4
+        assert len(set(seen)) == 1 and seen[0] == build_constants(root_system(LieType.E8)).to_json()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("lie_type", list(LieType))

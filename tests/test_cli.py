@@ -537,9 +537,16 @@ def test_latex_rejected_on_check_and_verify(capsys, argv):
     assert "invalid choice: 'latex'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("token", ["1e100000", "1E5", "1e10000000", "2.5e-3", "1" * 5000],
+# Numbers are plain ASCII: Fraction() reads each of these as a number (1_0 as
+# 10, 1/2_0 as 1/20, the others as 3, 1 or 1/2), and the CLI refuses them.
+LOOSE_NUMBERS = ["1_0", "1/2_0", "\uff13", "\u0663", "+3", " 3", "3 ", ".5", "1."]
+LOOSE_IDS = ["underscore", "underscore-denominator", "full-width", "arabic-indic", "plus", "leading-space",
+             "trailing-space", "bare-fraction", "bare-point"]
+
+
+@pytest.mark.parametrize("token", ["1e100000", "1E5", "1e10000000", "2.5e-3", "1" * 5000] + LOOSE_NUMBERS,
                          ids=["exponent", "upper-exponent", "huge-exponent", "decimal-exponent",
-                              "5000-digits"])
+                              "5000-digits"] + LOOSE_IDS)
 def test_verify_metric_rejected_by_token(capsys, tmp_path, token):
     # exponent notation never reaches Fraction, and an integer string past
     # Python's digit limit is reported by its token
@@ -561,7 +568,7 @@ def test_verify_metric_rejected_by_token(capsys, tmp_path, token):
     ({"root": [1, 1, 1, 5], "coeff": 1}, "(1, 1, 1, 5) is not a root of F4"),
     ({"root": [0, 1, 0, 0], "coeff": 1}, "(0, 1, 0, 0) is not in R_M"),
     ({"label": "b+1^1", "coeff": 1}, "member 'b+1^1' is not a label"),
-])
+] + [({"root": [0, 1, 1, 0], "coeff": tok}, f"got {tok!r}") for tok in LOOSE_NUMBERS])
 def test_verify_vector_entry_rejected_by_entry(capsys, tmp_path, entry, words):
     # JSON booleans are not integers, coefficients follow the metric's rules,
     # and each entry's root must be a root of R_M, by label or by coefficients
@@ -570,6 +577,30 @@ def test_verify_vector_entry_rejected_by_entry(capsys, tmp_path, entry, words):
     code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1")
     assert code == 2 and out == "" and err.startswith("error:")
     assert str(vec) in err and "entry" in err and words in err
+
+
+def test_verify_metric_first_token_rejected(capsys, tmp_path):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"a": [{"root": [0, 1, 1, 0], "coeff": 1}]}))
+    code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1_0,2,3,4,5,6")
+    assert code == 2 and out == "" and err.startswith("error:") and "'1_0'" in err
+
+
+def test_verify_reads_the_documented_number_forms(capsys, tmp_path):
+    # 3, -2/5 and 1.5, in a metric and as coefficients, are read exactly.
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({"a": [{"root": [0, 1, 1, 0], "coeff": "-2/5"},
+                                     {"root": [0, 1, 1, 1], "coeff": "1.5"}],
+                               "b": [{"root": [0, 1, 1, 0], "coeff": "3"}]}))
+    exact = tmp_path / "exact.json"
+    exact.write_text(json.dumps({"a": [{"root": [0, 1, 1, 0], "coeff": "-4/10"},
+                                       {"root": [0, 1, 1, 1], "coeff": "3/2"}],
+                                 "b": [{"root": [0, 1, 1, 0], "coeff": 3}]}))
+    code, out, _ = run(capsys, "verify", "F4_34", str(vec), "--metric", "3,1.5,2/5,1,1,1", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["metric"] == ["3", "3/2", "2/5", "1", "1", "1"] and doc["zero"] is False
+    code, out, _ = run(capsys, "verify", "F4_34", str(exact), "--metric", "3,3/2,0.4,1,1,1", "--format", "json")
+    assert code == 0 and json.loads(out)["residual_by_module"] == doc["residual_by_module"]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
