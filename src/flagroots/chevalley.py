@@ -35,8 +35,8 @@ from itertools import chain
 from fractions import Fraction
 from math import lcm
 from operator import add
+from threading import Lock
 from typing import Sequence
-from weakref import WeakKeyDictionary
 
 from .rootsys import (
     Coeffs,
@@ -48,8 +48,7 @@ from .rootsys import (
 )
 
 Scalar = int | Fraction
-# Per root system, held weakly: its StructureConstantTable._solve output, read-only, shared by its tables.
-_SOLVED: WeakKeyDictionary[RootSystem, tuple] = WeakKeyDictionary()
+_FIRST_BUILD = Lock()  # so that threads making a system's first build at once all get one table
 
 
 class MixedSystemError(FlagrootsError):
@@ -71,31 +70,22 @@ class StructureConstantTable:
     pairings, <g, .> = <a, .> + <b, .>; only a simple root, which has no
     triple, reads them from the Cartan matrix.
 
-    The first build per root system runs the recursion and the coroot check, so all
-    four consistency errors raise there, and keeps the pairings, the coroots and
-    _solved: per triple, g, a, b, N(a,b), N(b,-g), N(a,-g) in the raw convention; a
-    failed solve keeps nothing.  Later builds are new tables over that read-only
-    data.  Each table builds the rest on first read, so it costs its bracket
-    kernel's index only when something brackets: _pairs, where entry (i, j) over
-    positive-root ids is (s, N(i,j), d, N(i,-j), -sign(i-j) N(i,-j)) with s the id
-    of i+j and d that of +-(i-j), or None when neither is a root (an absent one has
-    constant 0 and the spare id n); n_map, keyed by root pairs, from _pairs; and
-    each painting's cross-pair system, which equigeo caches in _compiled under the
-    painted nodes.  Solved data is never dropped, so two threads that make a first
-    build or read at once compute equal copies.  Bracket evaluation is pure.
+    Construction runs the recursion and the coroot check, so all four consistency errors raise
+    there, and keeps the pairings, the coroots and _solved: per triple, g, a, b, N(a,b), N(b,-g),
+    N(a,-g) in the raw convention; build_constants gives each root system one table.  The rest
+    is built from _solved on first read, so a table costs its bracket kernel's index only when
+    something brackets: _pairs, where entry (i, j) over positive-root ids is (s, N(i,j), d,
+    N(i,-j), -sign(i-j) N(i,-j)) with s the id of i+j and d that of +-(i-j), or None when neither
+    is a root (an absent one has constant 0 and the spare id n); n_map, keyed by root pairs, from
+    _pairs; and each painting's cross-pair system, which equigeo caches in _compiled under the
+    painted nodes.  _solved is never dropped, so two threads that make the first read at once
+    build equal copies.  Bracket evaluation is pure.
     """
 
     def __init__(self, system: RootSystem):
         self.system = system
-        solved = _SOLVED.get(system) or _SOLVED.setdefault(system, self._solve(system))
-        self._n, self._pairings, self._solved, self._coroots = solved
-        self._compiled: dict[tuple[int, ...], list] = {}
-
-    @staticmethod
-    def _solve(system: RootSystem) -> tuple[int, list, list, list]:
-        """n, the pairings, _solved and the coroots: the recursion and its four consistency checks."""
         pos = system.positive_roots
-        n = len(pos)
+        n = self._n = len(pos)
         sym = system.cartan.symmetrizer
         codes, get = system.codes, system.code_ids.get
         # triples[g]: the pairs a < b of positive ids with a + b = g.
@@ -107,7 +97,7 @@ class StructureConstantTable:
                 if g is not None:
                     triples[g].append((a, b))
         # <g, .> = <a, .> + <b, .> for g's first triple (a, b); a simple root has none.
-        pairings = []
+        pairings = self._pairings = []
         for r, pairs in zip(pos, triples):
             pairings.append(tuple(map(add, pairings[pairs[0][0]], pairings[pairs[0][1]])) if pairs
                             else system.cartan.coroot_pairing(r))
@@ -117,7 +107,7 @@ class StructureConstantTable:
         raw = [[0] * (2 * n) for _ in range(n)]
         # solved: g, a, b, N(a,b), N(b,-g), N(a,-g) per triple, all the pair entries
         # need, in one flat list of small ints, so no per-triple object stays alive.
-        solved = []
+        solved = self._solved = []
         for g, pairs in enumerate(triples):
             for k, (a, b) in enumerate(pairs):
                 c = _string_p(system, a, b) + 1
@@ -148,7 +138,8 @@ class StructureConstantTable:
         # h_x = sum_i x_i d_i / (|x|^2/2) h_i over the simple coroots.
         if any(m * d % (k // 2) for r, k in zip(pos, norm) for m, d in zip(r, sym)):
             raise FlagrootsError("non-integral coroot coefficient")
-        return n, pairings, solved, [tuple(m * d // (k // 2) for m, d in zip(r, sym)) for r, k in zip(pos, norm)]
+        self._coroots = [tuple(m * d // (k // 2) for m, d in zip(r, sym)) for r, k in zip(pos, norm)]
+        self._compiled: dict[tuple[int, ...], list] = {}
 
     # -- queries -----------------------------------------------------
 
@@ -211,8 +202,12 @@ class StructureConstantTable:
 
 
 def build_constants(system: RootSystem) -> StructureConstantTable:
-    """Structure constants of a root system, deterministic signs."""
-    return StructureConstantTable(system)
+    """The system's one table of structure constants, deterministic signs, kept on it as _constants by setattr
+    (a read of system.__dict__ slows its attribute reads on CPython 3.11); a failed build keeps none."""
+    with _FIRST_BUILD:
+        if not hasattr(system, "_constants"):
+            system._constants = StructureConstantTable(system)
+    return system._constants
 
 
 @dataclass

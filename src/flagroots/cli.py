@@ -289,8 +289,10 @@ def _load_vector(pd, fixture, path: str) -> TangentVector:
         raise FlagrootsError(f"{path}: cannot read the vector file: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
         raise FlagrootsError(f"{path}: not a JSON document: {exc}") from exc
-    if not isinstance(doc, dict):
+    if not isinstance(doc, dict) or not doc:
         raise FlagrootsError(f"{path}: the top level must be an object with 'a'/'b' lists")
+    if unknown := sorted(doc.keys() - {"a", "b"}):
+        raise FlagrootsError(f"{path}: unknown top-level key {unknown[0]!r}; a vector file has 'a'/'b' lists only")
     a: dict = {}
     b: dict = {}
     for part, store in (("a", a), ("b", b)):
@@ -301,6 +303,10 @@ def _load_vector(pd, fixture, path: str) -> TangentVector:
             try:
                 if "coeff" not in item:
                     raise FlagrootsError("no 'coeff'")
+                if "label" in item and "root" in item:
+                    raise FlagrootsError("has both a 'label' and a 'root'; give one")
+                if unknown := sorted(item.keys() - {"label", "root", "module", "coeff"}):
+                    raise FlagrootsError(f"unknown key {unknown[0]!r}")
                 if isinstance(item.get("label"), str):
                     root = _parse_member(pd, fixture, item["label"])
                 elif isinstance(item.get("root"), list) and all(type(c) is int for c in item["root"]):

@@ -112,7 +112,7 @@ class TangentVector:
     element: AlgebraElement
     _ids: Collection[int]  # the support's root ids, for the structural test
     _structural: bool | None
-    _brackets: dict[StructureConstantTable, tuple[int, tuple, tuple]]
+    _brackets: tuple[int, tuple, tuple] | None  # the C_k, equal under every table of the system
 
     @classmethod
     def from_coefficients(
@@ -142,7 +142,7 @@ class TangentVector:
         if bad := sorted(keys[k] for k in ids if not pd.module_of[k]):
             raise SupportError(f"support leaves R_M+: {bad}")
         x = object.__new__(cls)
-        x.space, x._ids, x._structural, x._brackets = pd, ids, None, {}
+        x.space, x._ids, x._structural, x._brackets = pd, ids, None, None
         x.element = AlgebraElement(system, (0,) * system.rank, *({keys[k]: c for k, c in p.items()} for p in parts))
         return x
 
@@ -356,14 +356,13 @@ def _cross_pairs(table: StructureConstantTable, pd: PaintedDiagram) -> list[list
 
 
 def _module_brackets(table: StructureConstantTable, x: TangentVector) -> tuple[int, tuple, tuple]:
-    """All C_k = [X, X_k]_m in one integer pass over the cross-pair system, memoised on X by table:
+    """All C_k = [X, X_k]_m in one integer pass over the cross-pair system, memoised on X:
     (D^2, A rows, B rows), a row (root, (c_1, .., c_m)) for each root, in id order, where some C_k
     is nonzero, with int numerators over D^2, D the common denominator of X.  A pair x in m_i,
     y in m_j, i < j, is weighed by l_j - l_i, so its term is added to C_j and subtracted from C_i:
     (a_x a_y -+ b_x b_y) N(x,+-y) on A_{x+-y}, and (a_x b_y +- b_x a_y) on B_{x+y} and B_{+-(x-y)},
     times N(x,y) and -sign(x-y) N(x,-y), by the real-form formulas."""
-    memo = x._brackets.get(table)
-    if memo is None:
+    if x._brackets is None:
         pd, pos = x.space, x.space.system.positive_roots
         pairs, module_of, n = _cross_pairs(table, pd), pd.module_of, len(pos)
         den, a, b, _ = _numerators(pd.system.index, x.element)
@@ -388,8 +387,8 @@ def _module_brackets(table: StructureConstantTable, x: TangentVector) -> tuple[i
                         cb_k[d] += w
                         cb_i[d] -= w
         rows = (tuple((r, cs) for r, cs in zip(pos, zip(*cols[1:])) if any(cs)) for cols in (cols_a, cols_b))
-        memo = x._brackets[table] = (den * den, *rows)
-    return memo
+        x._brackets = (den * den, *rows)
+    return x._brackets
 
 
 def _check_operands(table: StructureConstantTable, pd: PaintedDiagram, x: TangentVector) -> None:

@@ -34,8 +34,6 @@ from ..rootsys import Coeffs, FlagrootsError, LieType, root_system
 
 ENV_FIXTURE_DIR = "FLAGROOTS_FIXTURES"
 
-SPACE_IDS = ("G2_12", "F4_34", "E6_36", "E7_56", "E8_12")
-
 _SPACE_DEFS: dict[str, tuple[LieType, tuple[int, int]]] = {
     "G2_12": (LieType.G2, (1, 2)),
     "F4_34": (LieType.F4, (3, 4)),
@@ -43,6 +41,7 @@ _SPACE_DEFS: dict[str, tuple[LieType, tuple[int, int]]] = {
     "E7_56": (LieType.E7, (5, 6)),
     "E8_12": (LieType.E8, (1, 2)),
 }
+SPACE_IDS = tuple(_SPACE_DEFS)
 
 
 class FixtureError(FlagrootsError):

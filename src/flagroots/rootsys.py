@@ -197,8 +197,8 @@ class RootSystem:
     codes[i] is the linear code sum c_k 2^(w k) of root id i, and code_ids
     maps a code back to its id: code(x +- y) = code(x) +- code(y), and w
     leaves room for every coefficient of x +- y, so x +- y is a root iff its
-    code is in code_ids.  Immutable after construction, but for reflections,
-    built on first read, and safe to share across threads.
+    code is in code_ids.  Immutable after construction, but for reflections and
+    _constants, build_constants' one table, each made on first read; safe to share across threads.
     """
 
     def __init__(self, lie_type: LieType):

@@ -1,14 +1,7 @@
 import pytest
 
 from flagroots import LieType, build_constants, paint, root_system
-
-SPACES = {
-    "G2_12": (LieType.G2, (1, 2)),
-    "F4_34": (LieType.F4, (3, 4)),
-    "E6_36": (LieType.E6, (3, 6)),
-    "E7_56": (LieType.E7, (5, 6)),
-    "E8_12": (LieType.E8, (1, 2)),
-}
+from flagroots.fixtures import _SPACE_DEFS as SPACES
 
 
 @pytest.fixture(scope="session")

@@ -32,9 +32,8 @@ from flagroots import (
     pair_compatible,
     space_diagram,
 )
+from flagroots.fixtures import SPACE_IDS
 from flagroots.flag import REFERENCE_BRACKETS
-
-SPACE_IDS = ("G2_12", "F4_34", "E6_36", "E7_56", "E8_12")
 
 
 def report(n, elapsed, budget, detail=""):

@@ -326,10 +326,9 @@ def test_table_json_dump_stable(systems, tables):
     doc = json.loads(t.to_json())
     assert doc["schema_version"] == 1
     assert len(doc["pairs"]) == len(t.n_map)
-    from flagroots import build_constants
-
-    again = build_constants(systems[LieType.G2])
-    assert again.to_json() == t.to_json()
+    # build_constants returns this very table, so solve the system again.
+    again = StructureConstantTable(systems[LieType.G2])
+    assert again is not t and again.to_json() == t.to_json()
 
 
 @pytest.mark.parametrize("lie_type", [LieType.G2, LieType.F4, LieType.E6])
@@ -421,10 +420,11 @@ def test_four_root_identity_exhaustive(systems, tables, lie_type):
     assert count == FOUR_ROOT_INSTANCES[lie_type]
 
 
-def test_n_map_built_only_when_read(diagrams):
+def test_n_map_built_only_when_read():
     # The bracket, and the residual and the all-metrics test with the cross-pair
-    # system they compile, read the table's pair entries, never n_map.
-    pd = diagrams["F4_34"]
+    # system they compile, read the table's pair entries, never n_map.  A fresh
+    # system: the shared one's table is the one other tests read.
+    pd = paint(RootSystem(LieType.F4), (3, 4))
     table = build_constants(pd.system)
     x = AlgebraElement.basis_a(pd.system, (0, 1, 1, 0))
     bracket(table, x, AlgebraElement.basis_b(pd.system, (0, 0, 1, 1)))
@@ -438,11 +438,13 @@ def test_n_map_built_only_when_read(diagrams):
     assert "n_map" in table.__dict__
 
 
-def test_pair_entries_built_only_when_read(diagrams):
+def test_pair_entries_built_only_when_read():
     # build_constants solves every triple but leaves the bracket kernel's
     # index to its first read; a structural family, checked as `check` does,
-    # never reads it, and a bracket, a C_k pass or n_map does.
-    pd, fx = diagrams["E8_12"], load_fixture("E8_12")
+    # never reads it, and a bracket, a C_k pass or n_map does, each on the
+    # table of a fresh system, the one table every build of it returns.
+    fx = load_fixture("E8_12")
+    pd = paint(RootSystem(LieType.E8), (1, 2))
     table = build_constants(pd.system)
     assert "_pairs" not in table.__dict__
     for f in fx.families[:5]:
@@ -454,12 +456,14 @@ def test_pair_entries_built_only_when_read(diagrams):
         assert equigeodesic_residual(table, pd, x, MetricVector((1, 2, 3, 4, 5, 6))).is_zero()
     assert "_pairs" not in table.__dict__ and table._compiled == {}
     b1, b2 = pd.r_m_pos[0], pd.r_m_pos[-1]
-    dense = TangentVector.from_coefficients(pd, a={r: 1 for r in pd.r_m_pos})
-    for read in (lambda t: bracket(t, AlgebraElement.basis_a(pd.system, b1), AlgebraElement.basis_b(pd.system, b2)),
-                 lambda t: is_equigeodesic_all_metrics(t, pd, dense),
-                 lambda t: t.n_map):
+    dense = lambda pd: TangentVector.from_coefficients(pd, a={r: 1 for r in pd.r_m_pos})  # noqa: E731
+    for read in (lambda t, pd: bracket(t, AlgebraElement.basis_a(pd.system, b1), AlgebraElement.basis_b(pd.system, b2)),
+                 lambda t, pd: is_equigeodesic_all_metrics(t, pd, dense(pd)),
+                 lambda t, pd: t.n_map):
+        pd = paint(RootSystem(LieType.E8), (1, 2))
         t = build_constants(pd.system)
-        read(t)
+        assert "_pairs" not in t.__dict__
+        read(t, pd)
         assert "_pairs" in t.__dict__
 
 
@@ -490,14 +494,15 @@ def test_lazy_pair_entries_equal_the_eager_ones(systems, lie_type):
                 assert e[4] == -(0 if d is None else 1 if d < n else -1) * e[3], (i, j)
 
 
-def test_first_read_from_four_threads_at_once(systems):
+def test_first_read_from_four_threads_at_once():
     # Four threads that make the first read of a fresh E8 table's pair
     # entries together, with a short switch interval, all get the eager ones.
+    # A fresh system each time: the shared system's one table is read already.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            table, barrier, seen = build_constants(systems[LieType.E8]), threading.Barrier(4), []
+            table, barrier, seen = build_constants(RootSystem(LieType.E8)), threading.Barrier(4), []
 
             def read():
                 barrier.wait(timeout=10)
@@ -524,9 +529,9 @@ def test_first_read_from_four_threads_at_once(systems):
     ((1, 0), (2, 1), "non-integral structure constant reduction"),
 ])
 def test_consistency_checks_catch_a_wrong_string_length(monkeypatch, x, y, message):
-    # A fresh system: the shared one is solved already, so its builds never
-    # reach _string_p.  A failed solve keeps nothing, so a second build on
-    # the same system runs the recursion again and raises again.
+    # A fresh system: the shared one has its table already, so its builds
+    # never reach _string_p.  A failed build keeps no table on the system, so
+    # a second build runs the recursion again and raises again.
     s = RootSystem(LieType.G2)
     target, string_p = (s.index[x], s.index[y]), chevalley._string_p
     monkeypatch.setattr(chevalley, "_string_p",
@@ -534,38 +539,40 @@ def test_consistency_checks_catch_a_wrong_string_length(monkeypatch, x, y, messa
     for _ in range(2):
         with pytest.raises(FlagrootsError, match=message):
             build_constants(s)
-    assert s not in chevalley._SOLVED
+        assert "_constants" not in vars(s)
 
 
 def test_each_system_is_solved_once(monkeypatch):
     # The first build of a fresh E8 system evaluates one string length per
-    # triple, 1,120 of them; a second build evaluates none, and is a new table
-    # with its own lazy parts over the same solved data.
+    # triple, 1,120 of them; a second build evaluates none and returns the
+    # same table, lazy parts and all.
     calls, string_p = [], chevalley._string_p
     monkeypatch.setattr(chevalley, "_string_p", lambda system, a, b: calls.append((a, b)) or string_p(system, a, b))
     s = RootSystem(LieType.E8)
     first = build_constants(s)
     assert len(calls) == 1120 == len(set(calls))
-    second = StructureConstantTable(s)
+    assert first._pairs
+    assert build_constants(s) is first is vars(s)["_constants"]
     assert len(calls) == 1120
-    assert first is not second and first._compiled is not second._compiled
-    assert first._pairs and "_pairs" not in second.__dict__
-    assert first.to_json().encode() == second.to_json().encode()
+    for lie_type in LieType:
+        assert build_constants(root_system(lie_type)) is build_constants(root_system(lie_type)), lie_type
 
 
 def test_solved_data_does_not_keep_its_system_alive():
+    # The table lives on its system, and the two form a cycle that the
+    # collector frees once nothing else holds either.
     s = RootSystem(LieType.G2)
-    build_constants(s)
-    assert s in chevalley._SOLVED
-    ref = weakref.ref(s)
-    del s
+    table = build_constants(s)
+    assert vars(s)["_constants"] is table and table.system is s
+    refs = weakref.ref(s), weakref.ref(table)
+    del s, table
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_first_build_from_four_threads_at_once():
     # Four threads that make the first build of a fresh E8 system together,
-    # with a short switch interval, all get equal tables.
+    # with a short switch interval, all get the one table kept on the system.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -573,14 +580,15 @@ def test_first_build_from_four_threads_at_once():
 
         def build():
             barrier.wait(timeout=10)
-            seen.append(build_constants(s).to_json())
+            seen.append(build_constants(s))
         threads = [threading.Thread(target=build) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads) and len(seen) == 4
-        assert len(set(seen)) == 1 and seen[0] == build_constants(root_system(LieType.E8)).to_json()
+        assert all(t is build_constants(s) for t in seen)
+        assert seen[0].to_json() == build_constants(root_system(LieType.E8)).to_json()
     finally:
         sys.setswitchinterval(interval)
 

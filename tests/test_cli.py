@@ -503,13 +503,39 @@ def test_out_file(capsys, tmp_path):
 @pytest.mark.parametrize("entry,words", [
     ({"root": [0, 1, 1, 0]}, "no 'coeff'"),
     ({"root": 5, "coeff": 1}, "'root' list of integers"),
+    # An entry names its root once, so a 'root' beside a label is refused,
+    # also one that is no root of F4; so is a key the entry format lacks.
+    ({"label": "b1^1", "root": [9], "coeff": 1}, "both a 'label' and a 'root'"),
+    ({"label": "b1^1", "root": [0, 1, 1, 0], "coeff": 1}, "both a 'label' and a 'root'"),
+    ({"root": [0, 1, 1, 0], "coeff": 1, "modul": 3}, "unknown key 'modul'"),
 ])
 def test_verify_malformed_entry_exit_2(capsys, tmp_path, entry, words):
     vec = tmp_path / "vec.json"
     vec.write_text(json.dumps({"a": [entry]}))
     code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1")
     assert code == 2 and out == "" and err.startswith("error:")
-    assert str(vec) in err and words in err
+    assert str(vec) in err and words in err and f"entry {entry} in 'a'" in err
+
+
+@pytest.mark.parametrize("doc,words", [
+    # README's names for the basis vectors are not the file's keys, and a
+    # file with no key is no vector: none of these is the zero vector.
+    ({"A": [{"label": "b1^1", "coeff": 1}], "B": []}, "unknown top-level key 'A'"),
+    ({"a": [{"label": "b1^1", "coeff": 1}], "c": []}, "unknown top-level key 'c'"),
+    ({}, "the top level must be an object with 'a'/'b' lists"),
+])
+def test_verify_vector_file_keys_exit_2(capsys, tmp_path, doc, words):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1")
+    assert code == 2 and out == "" and err.startswith(f"error: {vec}: {words}")
+
+
+@pytest.mark.parametrize("doc", [{"a": []}, {"b": []}, {"a": [], "b": []}])
+def test_verify_empty_lists_are_the_zero_vector(capsys, tmp_path, doc):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps(doc))
+    assert run(capsys, "verify", "F4_34", str(vec), "--metric", "1,1,1,1,1,1") == (0, "zero\n", "")
 
 
 def test_verify_directory_as_vector_exit_2(capsys, tmp_path):

@@ -21,6 +21,7 @@ from flagroots import (
     MetricVector,
     MixedSystemError,
     NotComplementaryRootError,
+    StructureConstantTable,
     StructuralFamily,
     SupportError,
     TangentVector,
@@ -738,14 +739,15 @@ def test_cross_pair_system_holds_the_bracketing_pairs(diagrams, tables, sid):
         assert not got.is_zero()
 
 
-def test_structural_supports_build_no_cross_pair_system(diagrams):
-    # The non-suspect reference families, as the certify benchmark runs them
-    # on fresh tables, and a support inside one module are answered without
-    # building the table's pair entries, compiling a cross-pair system or
-    # filling the vector's C_k.
+def test_structural_supports_build_no_cross_pair_system():
+    # The non-suspect reference families, as the certify benchmark runs them,
+    # and a support inside one module are answered without building the
+    # table's pair entries, compiling a cross-pair system or filling the
+    # vector's C_k.  Fresh systems: the shared ones' tables are read already.
     checked = 0
-    for sid, pd in diagrams.items():
-        table, fx = build_constants(pd.system), load_fixture(sid)
+    for sid, (lie_type, nodes) in fixtures._SPACE_DEFS.items():
+        pd, fx = paint(RootSystem(lie_type), nodes), load_fixture(sid)
+        table = build_constants(pd.system)
         lam = MetricVector(tuple(range(1, len(pd.isotropy_decomposition()) + 1)))
         supports = [fx.family_roots(f) for f in fx.families if not f.suspect]
         for roots in supports + [pd.isotropy_decomposition()[0].roots]:
@@ -753,14 +755,15 @@ def test_structural_supports_build_no_cross_pair_system(diagrams):
                                                 b={r: -i - 1 for i, r in enumerate(roots)})
             assert is_equigeodesic_all_metrics(table, pd, x)
             assert equigeodesic_residual(table, pd, x, lam).is_zero()
-            assert x._brackets == {}
+            assert x._brackets is None
         checked += len(supports)
         assert table._compiled == {} and "_pairs" not in table.__dict__, sid
     assert checked == 162
 
 
-def test_cross_pair_system_is_compiled_once(diagrams):
-    pd = diagrams["E6_36"]
+def test_cross_pair_system_is_compiled_once():
+    # A fresh system, so that its table holds no other painting's system.
+    pd = paint(RootSystem(LieType.E6), (3, 6))
     table = build_constants(pd.system)
     rng = random.Random(97)
     x, lam = _dense_vector(pd, rng), MetricVector(_metric(rng, 6))
@@ -783,20 +786,21 @@ def _counting(monkeypatch, calls, *names):
 
 
 def test_module_brackets_are_computed_once_per_vector(diagrams, monkeypatch):
-    # One numerator pass and one pass over the cross-pair system per vector
-    # and table: later residuals and the all-metrics test read the memo.
+    # One numerator pass and one pass over the cross-pair system per vector:
+    # later residuals and the all-metrics test read its one memo slot.
     pd = diagrams["E6_36"]
     table, calls = build_constants(pd.system), Counter()
     _counting(monkeypatch, calls, "_numerators", "_cross_pairs")
     rng = random.Random(103)
     x, metrics = _dense_vector(pd, rng), [MetricVector(_metric(rng, 6)) for _ in range(3)]
     first = equigeodesic_residual(table, pd, x, metrics[0])
-    assert calls == {"_numerators": 1, "_cross_pairs": 1}
+    memo = x._brackets
+    assert calls == {"_numerators": 1, "_cross_pairs": 1} and type(memo) is tuple and len(memo) == 3
     again = [equigeodesic_residual(table, pd, x, lam) for lam in metrics]
     assert not is_equigeodesic_all_metrics(table, pd, x)
     assert calls == {"_numerators": 1, "_cross_pairs": 1}
     assert again[0] == first == _oracle_residual(table, pd, x, metrics[0].lambdas)
-    assert list(x._brackets) == [table]
+    assert x._brackets is memo
     y = _dense_vector(pd, rng)
     assert not is_equigeodesic_all_metrics(table, pd, y)
     assert calls == {"_numerators": 2, "_cross_pairs": 2}
@@ -815,7 +819,7 @@ def test_structural_verdict_is_found_once_per_vector(diagrams, monkeypatch):
         assert is_equigeodesic_all_metrics(table, pd, x) is structural
         assert calls == {"_all_compatible": 1}
         assert all(r.is_zero() for r in residuals) is structural
-        assert (x._brackets == {}) is structural
+        assert (x._brackets is None) is structural
 
 
 def test_memoised_residuals_do_not_depend_on_the_order(diagrams, tables):
@@ -836,15 +840,20 @@ def test_memoised_residuals_do_not_depend_on_the_order(diagrams, tables):
 
 
 def test_one_vector_under_two_tables_of_its_system(diagrams, tables):
+    # A table made by hand and build_constants' one table of the system give
+    # equal residuals, each on a vector of its own, so neither reads the
+    # other's memo.
     pd = diagrams["F4_34"]
-    first, second = build_constants(pd.system), build_constants(pd.system)
+    first, second = build_constants(pd.system), StructureConstantTable(pd.system)
+    assert first is not second and first.to_json() == second.to_json()
     rng = random.Random(109)
-    x, lam = _dense_vector(pd, rng), MetricVector(_metric(rng, 6))
+    a, b = ({r: _p_over_q(rng) for r in pd.r_m_pos} for _ in "ab")
+    x, y = (TangentVector.from_coefficients(pd, a=a, b=b) for _ in "xy")
+    lam = MetricVector(_metric(rng, 6))
     want = _oracle_residual(first, pd, x, lam.lambdas)
-    assert equigeodesic_residual(first, pd, x, lam) == want
-    assert equigeodesic_residual(second, pd, x, lam) == want
-    assert not is_equigeodesic_all_metrics(second, pd, x)
-    assert set(x._brackets) == {first, second}
+    assert equigeodesic_residual(first, pd, x, lam) == want == equigeodesic_residual(second, pd, y, lam)
+    assert not is_equigeodesic_all_metrics(second, pd, y)
+    assert x._brackets == y._brackets
 
 
 def test_operand_checks_come_before_the_memo(diagrams, tables):
@@ -854,7 +863,8 @@ def test_operand_checks_come_before_the_memo(diagrams, tables):
     rng = random.Random(113)
     x, lam = _dense_vector(pd, rng), MetricVector(_metric(rng, 6))
     assert not equigeodesic_residual(table, pd, x, lam).is_zero()
-    assert x._brackets
+    memo = x._brackets
+    assert memo is not None
     with pytest.raises(MixedSystemError):
         equigeodesic_residual(tables[LieType.E6], pd, x, lam)
     with pytest.raises(MixedSystemError):
@@ -863,14 +873,16 @@ def test_operand_checks_come_before_the_memo(diagrams, tables):
         is_equigeodesic_all_metrics(table, space_diagram("F4:1"), x)
     with pytest.raises(FlagrootsError, match="metric has 2 parameters"):
         equigeodesic_residual(table, pd, x, MetricVector((1, 2)))
-    assert list(x._brackets) == [table]
+    assert x._brackets is memo
 
 
-def test_one_table_keeps_the_paintings_apart(diagrams):
+def test_one_table_keeps_the_paintings_apart():
     # F4_34 and the custom painting F4:1 share one root system and one table,
-    # which holds a cross-pair system for each, under its painted nodes.
-    pd, custom = diagrams["F4_34"], space_diagram("F4:1")
-    assert custom.system is pd.system and len(custom.isotropy_decomposition()) == 2
+    # which holds a cross-pair system for each, under its painted nodes.  A
+    # fresh system, so that its table holds no other painting's system.
+    system = RootSystem(LieType.F4)
+    pd, custom = paint(system, (3, 4)), paint(system, (1,))
+    assert len(custom.isotropy_decomposition()) == 2
     table = build_constants(pd.system)
     rng = random.Random(101)
     for space in (pd, custom, pd):
