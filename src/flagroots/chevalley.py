@@ -30,10 +30,9 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from threading import Lock
 from typing import Sequence
@@ -43,6 +42,7 @@ from .rootsys import (
     FlagrootsError,
     RootSystem,
     SCHEMA_VERSION,
+    _lazy,
     _string_p,
     canonical_key,
 )
@@ -143,7 +143,7 @@ class StructureConstantTable:
 
     # -- queries -----------------------------------------------------
 
-    @cached_property
+    @_lazy
     def _pairs(self) -> list[list[tuple[int, int, int, int, int] | None]]:
         """The bracket kernel's index, from _solved: the sum part of pair (i, j) comes from
         the triple of i+j and its difference part from the triple of the larger of i, j, so
@@ -162,7 +162,7 @@ class StructureConstantTable:
                 rows[j][i] = (s, nij, d, x, x)
         return rows
 
-    @cached_property
+    @_lazy
     def n_map(self) -> dict[tuple[Coeffs, Coeffs], int]:
         """N(x,y) keyed by root tuples over every pair with a root sum, from
         N(-x,-y) = N(x,y) and N(-x,y) = N(x,-y)."""
@@ -202,8 +202,7 @@ class StructureConstantTable:
 
 
 def build_constants(system: RootSystem) -> StructureConstantTable:
-    """The system's one table of structure constants, deterministic signs, kept on it as _constants by setattr
-    (a read of system.__dict__ slows its attribute reads on CPython 3.11); a failed build keeps none."""
+    """The system's one table of structure constants, deterministic signs, set on it as _constants; none on failure."""
     with _FIRST_BUILD:
         if not hasattr(system, "_constants"):
             system._constants = StructureConstantTable(system)
@@ -248,7 +247,8 @@ class AlgebraElement:
         return not self.a and not self.b and not any(self.cartan)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
+        if self.system is not other.system:
+            raise MixedSystemError("elements live over different root systems")
         parts = []
         for mine, theirs in ((self.a, other.a), (self.b, other.b)):
             out = dict(mine)
@@ -274,10 +274,6 @@ class AlgebraElement:
 
     __rmul__ = __mul__
 
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.system is not other.system:
-            raise MixedSystemError("elements live over different root systems")
-
     def support(self) -> set[Coeffs]:
         return set(self.a) | set(self.b)
 
@@ -297,11 +293,19 @@ def _numerators(index: dict[Coeffs, int], elem: AlgebraElement):
     return den, a, b, {k: num(c) for k, c in enumerate(elem.cartan) if c} if any(elem.cartan) else {}
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for den > 0, in value, type, str and hash, with one gcd: the reduced pair is set
+    in the two slots of a bare Fraction, as CPython 3.12's Fraction._from_coprime_ints does."""
+    g, f = gcd(num, den), object.__new__(Fraction)
+    f._numerator, f._denominator = num // g, den // g
+    return f
+
+
 def bracket(table: StructureConstantTable, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Lie bracket of two real-form elements, exact coefficients: int numerators
     keyed by positive-root id, one lookup in the table's pair entries per pair of
     basis terms, and only the result made of Fractions over the product D of the
-    operands' denominators (ints when D = 1)."""
+    operands' denominators, each built reduced by _fraction (ints when D = 1)."""
     system, rows = table.system, table._pairs
     if x.system is not system or y.system is not system:
         raise MixedSystemError("elements do not match the constant table")
@@ -337,10 +341,9 @@ def bracket(table: StructureConstantTable, x: AlgebraElement, y: AlgebraElement)
             out_a[j] -= sign * cj * sum(h * table._pairings[j][k] for k, h in hs.items())
 
     pos, den = system.positive_roots, dx * dy
-    scalar = int if den == 1 else lambda v: Fraction(v, den)
-    return AlgebraElement(system, tuple(map(scalar, out_h)) if any(out_h) else (0,) * len(out_h),
-                          {pos[k]: scalar(v) for k, v in out_a.items() if v},
-                          {pos[k]: scalar(v) for k, v in out_b.items() if v})
+    cartan = tuple(v if den == 1 else _fraction(v, den) for v in out_h) if any(out_h) else (0,) * len(out_h)
+    parts = ({pos[k]: v if den == 1 else _fraction(v, den) for k, v in out.items() if v} for out in (out_a, out_b))
+    return AlgebraElement(system, cartan, *parts)
 
 
 def project_m(pd, x: AlgebraElement) -> AlgebraElement:

@@ -195,11 +195,8 @@ def cmd_check(args):
         seen[r] = tok
     family = StructuralFamily.from_roots(pd, roots)
     structural = is_structural_family(family)
-    x = TangentVector.from_coefficients(
-        pd,
-        a={r: 1 for r in roots},
-        b={r: Fraction(2 * i + 1, 2) for i, r in enumerate(roots)},
-    )
+    x = TangentVector.from_coefficients(pd, a={r: 1 for r in roots},
+                                        b={r: Fraction(2 * i + 1, 2) for i, r in enumerate(roots)})
     equi = is_equigeodesic_all_metrics(table, pd, x)
     rng = random.Random(args.seed)
     n_modules = len(pd.isotropy_decomposition())
@@ -328,8 +325,7 @@ def cmd_verify(args):
     fixture = _space_fixture(pd)
     table = build_constants(pd.system)
     x = _load_vector(pd, fixture, args.vector)
-    lambdas = tuple(_parse_fraction(tok) for tok in args.metric.split(","))
-    metric = MetricVector(lambdas)
+    metric = MetricVector(tuple(_parse_fraction(tok) for tok in args.metric.split(",")))
     residual = equigeodesic_residual(table, pd, x, metric)
     by_module: dict[str, dict[str, dict[str, str]]] = {}
     modules = pd.isotropy_decomposition()

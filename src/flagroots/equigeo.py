@@ -10,16 +10,14 @@ it.  W_K, the Weyl group of the unpainted nodes, keeps every module and compatib
 search runs once per W_K vertex orbit and maps what it finds onto the rest of each orbit: the same
 families, each once, as one search over the whole graph.
 
-The residual [X, Lambda X]_m is evaluated with exact rational
-coefficients, so a zero here is an identity, not a tolerance.  Over the
-module parts X_k of X it is the sum over i < j of (l_j - l_i) [X_i, X_j],
-as [X_i, X_i] = 0 and the pairs (i, j), (j, i) combine by antisymmetry;
-each such bracket lies in m, as xi_i +- xi_j != 0 for distinct t-roots.
-It equals sum_k l_k C_k with C_k = [X, X_k]_m.  Only the cross pairs of
-roots whose sum or difference is a root add to it; compiled once per
-constant table and painting, they give all the C_k of X in one integer
-pass.  The residual combines the C_k; the all-metrics test asks that
-every C_k be zero.
+The residual [X, Lambda X]_m is evaluated with exact rational coefficients, so a zero here is an
+identity, not a tolerance.  Over the module parts X_k of X it is the sum over i < j of
+(l_j - l_i) [X_i, X_j], as [X_i, X_i] = 0 and the pairs (i, j), (j, i) combine by antisymmetry; each
+such bracket lies in m, as xi_i +- xi_j != 0 for distinct t-roots.  It equals sum_k l_k C_k with
+C_k = [X, X_k]_m.  Only the cross pairs of roots whose sum or difference is a root add to it;
+compiled once per constant table and painting, they give all the C_k of X in one integer pass, kept
+on X.  The residual combines the C_k in ints over D^2 L, each nonzero sum made one reduced Fraction
+by chevalley._fraction (an int when D^2 L = 1); the all-metrics test asks that every C_k be zero.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from functools import reduce
 from math import lcm
 from operator import mul, or_
 
-from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _numerators
+from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _fraction, _numerators
 from .flag import PaintedDiagram
 from .rootsys import Coeffs, FlagrootsError, SCHEMA_VERSION
 
@@ -402,7 +400,7 @@ def equigeodesic_residual(table: StructureConstantTable, pd: PaintedDiagram, x: 
                           metric: MetricVector) -> AlgebraElement:
     """[X, Lambda X]_m = sum_k l_k C_k exactly, each l_k an int over one denominator L; zero at once
     when every cross pair of the support is compatible.  Only the result, over D^2 L, is made of
-    Fractions (ints when D^2 L = 1)."""
+    Fractions, each built reduced by _fraction (ints when D^2 L = 1)."""
     _check_operands(table, pd, x)
     lam, n_modules = metric.lambdas, len(pd.isotropy_decomposition())
     if len(lam) != n_modules:
@@ -412,9 +410,9 @@ def equigeodesic_residual(table: StructureConstantTable, pd: PaintedDiagram, x: 
     den, *rows = _module_brackets(table, x)
     lden = lcm(*(v.denominator for v in lam))
     scaled, den = [v.numerator * (lden // v.denominator) for v in lam], den * lden
-    scalar = int if den == 1 else lambda v: Fraction(v, den)
-    return AlgebraElement(pd.system, (0,) * pd.system.rank,
-                          *({r: scalar(v) for r, cs in part if (v := sum(map(mul, scaled, cs)))} for part in rows))
+    parts = ({r: v if den == 1 else _fraction(v, den) for r, cs in part if (v := sum(map(mul, scaled, cs)))}
+             for part in rows)
+    return AlgebraElement(pd.system, (0,) * pd.system.rank, *parts)
 
 
 def is_equigeodesic_all_metrics(table: StructureConstantTable, pd: PaintedDiagram,

@@ -206,13 +206,7 @@ def _parse_fixture(space_id: str, doc) -> FixtureSet:
         )
         for f in doc.get("families", [])
     )
-    fixture = FixtureSet(
-        space_id=space_id,
-        label_map=label_map,
-        pair_lists=pair_lists,
-        families=families,
-        notes=tuple(doc.get("notes", [])),
-    )
+    fixture = FixtureSet(space_id, label_map, pair_lists, families, tuple(doc.get("notes", [])))
     for pl in pair_lists:
         sizes = (len(label_map[pl.modules[0]]), len(label_map[pl.modules[1]]))
         for i, j in pl.pairs:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import combinations
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -32,6 +31,7 @@ from .rootsys import (
     FlagrootsError,
     RootSystem,
     SCHEMA_VERSION,
+    _lazy,
     canonical_key,
 )
 
@@ -132,7 +132,7 @@ class PaintedDiagram:
         self.r_k_pos: tuple[Coeffs, ...] = tuple(pos[i] for i in r_k)
         self.r_m_pos: tuple[Coeffs, ...] = tuple(r for r, k in zip(pos, module_of) if k)
 
-    @cached_property
+    @_lazy
     def clash(self) -> tuple[int, ...]:
         """clash[i], i a root id of R_M+: the bitmask of the R_M+ ids j of other modules with i + j or
         i - j a root, on the root codes; 0 for any other id.  The structural tests and the graph read it."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Coeffs = tuple[int, ...]
@@ -41,6 +41,20 @@ class InvalidCartanError(FlagrootsError):
 
 class UndefinedStringError(FlagrootsError):
     """Root strings through b in the direction of a need b != +-a."""
+
+
+class _lazy:
+    """A method's value, set on the instance by setattr on first read.  A functools cached property stores through
+    instance.__dict__, which on CPython 3.11 moves the attributes into a dict: each later read is about 3x slower."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        setattr(obj, self.name, value := self.build(obj))
+        return value
 
 
 class LieType(Enum):
@@ -255,7 +269,7 @@ class RootSystem:
             raise UndefinedStringError("string through b undefined for b = +-a")
         return _string_p(self, a, b), _string_p(self, (a + n) % (2 * n), b)
 
-    @cached_property
+    @_lazy
     def reflections(self) -> tuple[tuple[int, ...], ...]:
         """reflections[i][r]: the id of s_i(r) = r - <r, a_i^> a_i for root id r, 0-based i, at code(r) -
         <r, a_i^> code(a_i) in code_ids; each a permutation of the 2n ids, built on first read."""

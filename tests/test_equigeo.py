@@ -1254,8 +1254,8 @@ def test_reflections_read_only_by_enumeration(monkeypatch, capsys, diagrams, tab
     # `table brackets --check` and the family checks of every space, a dense
     # E8_12 residual and the all-metrics test never read a root system's
     # reflections; enumeration reads them once.
-    reads, cached = [], RootSystem.__dict__["reflections"]
-    monkeypatch.setattr(RootSystem, "reflections", property(lambda s: reads.append(s) or cached.__get__(s)))
+    reads, lazy = [], RootSystem.__dict__["reflections"]
+    monkeypatch.setattr(RootSystem, "reflections", property(lambda s: reads.append(s) or lazy.build(s)))
     for sid in SPACE_IDS:
         assert cli.main(["table", "brackets", sid, "--check", "--format", "json"]) == 0
         pd, fx = space_diagram(sid), load_fixture(sid)
