@@ -71,15 +71,13 @@ class StructureConstantTable:
     triple, reads them from the Cartan matrix.
 
     Construction runs the recursion and the coroot check, so all four consistency errors raise
-    there, and keeps the pairings, the coroots and _solved: per triple, g, a, b, N(a,b), N(b,-g),
-    N(a,-g) in the raw convention; build_constants gives each root system one table.  The rest
-    is built from _solved on first read, so a table costs its bracket kernel's index only when
-    something brackets: _pairs, where entry (i, j) over positive-root ids is (s, N(i,j), d,
-    N(i,-j), -sign(i-j) N(i,-j)) with s the id of i+j and d that of +-(i-j), or None when neither
-    is a root (an absent one has constant 0 and the spare id n); n_map, keyed by root pairs, from
-    _pairs; and each painting's cross-pair system, which equigeo caches in _compiled under the
-    painted nodes.  _solved is never dropped, so two threads that make the first read at once
-    build equal copies.  Bracket evaluation is pure.
+    there; build_constants gives each root system one table.  The recursion writes the bracket
+    kernel's index as it solves, and reads its own earlier constants from it: _pairs, where entry
+    (i, j) over positive-root ids is (s, N(i,j), d, N(i,-j), -sign(i-j) N(i,-j)) with s the id of
+    i+j and d that of +-(i-j), or None when neither is a root (an absent one has constant 0 and
+    the spare id n).  n_map, keyed by root pairs, is built from _pairs on first read, and each
+    painting's cross-pair system is cached by equigeo in _compiled under the painted nodes.
+    Bracket evaluation is pure.
     """
 
     def __init__(self, system: RootSystem):
@@ -103,11 +101,13 @@ class StructureConstantTable:
                             else system.cartan.coroot_pairing(r))
         # |x|^2 = sum_i d_i x_i <x, a_i^>, d the symmetrizer.
         norm = [sum(d * m * q for d, m, q in zip(sym, r, pr)) for r, pr in zip(pos, pairings)]
-        # raw[x][y]: N(x,y) in the raw Chevalley convention, x > 0, y any id.
-        raw = [[0] * (2 * n) for _ in range(n)]
-        # solved: g, a, b, N(a,b), N(b,-g), N(a,-g) per triple, all the pair entries
-        # need, in one flat list of small ints, so no per-triple object stays alive.
-        solved = self._solved = []
+        # _pairs[i][j], i and j positive ids: (s, N(i,j), d, N(i,-j), raw N(i,-j)), or None.
+        rows = self._pairs = [[None] * n for _ in range(n)]
+
+        def raw(x: int, y: int) -> int:
+            """N(x,y) in the raw Chevalley convention, x > 0, y any id; 0 while unset."""
+            e = rows[x][y % n]
+            return 0 if e is None else e[1] if y < n else e[4]
         for g, pairs in enumerate(triples):
             for k, (a, b) in enumerate(pairs):
                 c = _string_p(system, a, b) + 1
@@ -115,12 +115,12 @@ class StructureConstantTable:
                     # Jacobi on (e_{-a1}, e_a, e_b), with (a1, b1) = pairs[0]
                     # extraspecial; every factor belongs to a triple of lower
                     # height, so it is already fixed.  When b - a1 (a - a1) is
-                    # not a root, raw[b][m1] (raw[a][m1]) is 0 and the spare
+                    # not a root, raw(b, m1) (raw(a, m1)) is 0 and the spare
                     # index 0 stands in for the missing id.
                     m1 = pairs[0][0] + n
-                    rhs = (raw[b][m1] * raw[a][get(codes[b] + codes[m1], 0)]
-                           - raw[a][m1] * raw[b][get(codes[a] + codes[m1], 0)])
-                    denom = -raw[g][m1]
+                    rhs = (raw(b, m1) * raw(a, get(codes[b] + codes[m1], 0))
+                           - raw(a, m1) * raw(b, get(codes[a] + codes[m1], 0)))
+                    denom = -raw(g, m1)
                     if denom == 0 or rhs % denom != 0:
                         raise FlagrootsError("inconsistent structure-constant recursion")
                     if abs(rhs // denom) != c:
@@ -131,10 +131,13 @@ class StructureConstantTable:
                 if u % norm[g] or v % norm[g]:
                     raise FlagrootsError("non-integral structure constant reduction")
                 p, q = u // norm[g], -v // norm[g]
-                raw[a][b], raw[b][a] = c, -c
-                raw[b][g + n] = raw[g][b + n] = p
-                raw[a][g + n] = raw[g][a + n] = q
-                solved += (g, a, b, c, p, q)
+                # The sum part keeps the difference part that the triple of max(a, b) < g wrote.
+                for i, j, nij in ((a, b, c), (b, a, -c)):
+                    rows[i][j] = (g, nij) + (rows[i][j][2:] if rows[i][j] else (n, 0, 0))
+                # Raw N(g,-a) = N(a,-g) = q and N(g,-b) = N(b,-g) = p; entries not yet set, as g+a
+                # and g+b come later.  f_{-x} = -e_x flips N(g,-a) and N(g,-b) in field 3.
+                for j, d, x in ((a, b, q), (b, a, p)):
+                    rows[g][j], rows[j][g] = (n, 0, d, -x, x), (n, 0, d, x, x)
         # h_x = sum_i x_i d_i / (|x|^2/2) h_i over the simple coroots.
         if any(m * d % (k // 2) for r, k in zip(pos, norm) for m, d in zip(r, sym)):
             raise FlagrootsError("non-integral coroot coefficient")
@@ -142,25 +145,6 @@ class StructureConstantTable:
         self._compiled: dict[tuple[int, ...], list] = {}
 
     # -- queries -----------------------------------------------------
-
-    @_lazy
-    def _pairs(self) -> list[list[tuple[int, int, int, int, int] | None]]:
-        """The bracket kernel's index, from _solved: the sum part of pair (i, j) comes from
-        the triple of i+j and its difference part from the triple of the larger of i, j, so
-        no code is looked up.  f_{-x} = -e_x flips N(i,-j) when i - j > 0: the raw N(i,-j)
-        is -sign(i-j) times the stored one."""
-        n, solved = self._n, self._solved
-        rows: list[list] = [[None] * n for _ in range(n)]
-        # zip over one iterator six times reads _solved a triple at a time.
-        for g, a, b, c, _, _ in zip(*[iter(solved)] * 6):
-            rows[a][b], rows[b][a] = (g, c, n, 0, 0), (g, -c, n, 0, 0)
-        for g, a, b, _, p, q in zip(*[iter(solved)] * 6):
-            for i, j, d, x in ((g, a, b, q), (g, b, a, p)):
-                s, nij = rows[i][j][:2] if rows[i][j] else (n, 0)
-                rows[i][j] = (s, nij, d, -x, x)
-                s, nij = rows[j][i][:2] if rows[j][i] else (n, 0)
-                rows[j][i] = (s, nij, d, x, x)
-        return rows
 
     @_lazy
     def n_map(self) -> dict[tuple[Coeffs, Coeffs], int]:
@@ -202,7 +186,8 @@ class StructureConstantTable:
 
 
 def build_constants(system: RootSystem) -> StructureConstantTable:
-    """The system's one table of structure constants, deterministic signs, set on it as _constants; none on failure."""
+    """The system's one table of structure constants, deterministic signs, set on it as _constants; none on
+    failure: the first call solves every triple into the table's pair entries, and every later call returns it."""
     with _FIRST_BUILD:
         if not hasattr(system, "_constants"):
             system._constants = StructureConstantTable(system)

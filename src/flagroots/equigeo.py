@@ -320,6 +320,10 @@ def enumerate_maximal_families(
     When cap is given, at most cap families are returned and the result
     is flagged truncated; nothing is dropped silently.
     """
+    if type(min_modules) is not int:
+        raise FlagrootsError(f"min_modules {min_modules!r} is not an int")
+    if cap is not None and type(cap) is not int:
+        raise FlagrootsError(f"cap {cap!r} is not an int")
     if cap is not None and cap < 0:
         raise FlagrootsError("cap must be nonnegative")
     if min_modules < 1:

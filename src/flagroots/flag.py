@@ -96,6 +96,9 @@ class PaintedDiagram:
     """
 
     def __init__(self, system: RootSystem, painted: Iterable[int]):
+        painted = tuple(painted)
+        if bad := [i for i in painted if type(i) is not int]:
+            raise FlagrootsError(f"painted node {bad[0]!r} is not an int")
         nodes = tuple(sorted(set(painted)))
         if not nodes:
             raise FlagrootsError("painted node set must be nonempty")

@@ -19,15 +19,12 @@ from flagroots import (
     MixedSystemError,
     RootSystem,
     StructureConstantTable,
-    StructuralFamily,
     TangentVector,
     bracket,
     build_constants,
     chevalley,
     equigeodesic_residual,
     is_equigeodesic_all_metrics,
-    is_structural_family,
-    load_fixture,
     paint,
     project_m,
     root_system,
@@ -438,37 +435,8 @@ def test_n_map_built_only_when_read():
     assert "n_map" in table.__dict__
 
 
-def test_pair_entries_built_only_when_read():
-    # build_constants solves every triple but leaves the bracket kernel's
-    # index to its first read; a structural family, checked as `check` does,
-    # never reads it, and a bracket, a C_k pass or n_map does, each on the
-    # table of a fresh system, the one table every build of it returns.
-    fx = load_fixture("E8_12")
-    pd = paint(RootSystem(LieType.E8), (1, 2))
-    table = build_constants(pd.system)
-    assert "_pairs" not in table.__dict__
-    for f in fx.families[:5]:
-        roots = fx.family_roots(f)
-        x = TangentVector.from_coefficients(pd, a={r: 1 for r in roots},
-                                            b={r: Fraction(2 * i + 1, 2) for i, r in enumerate(roots)})
-        assert is_structural_family(StructuralFamily.from_roots(pd, roots))
-        assert is_equigeodesic_all_metrics(table, pd, x)
-        assert equigeodesic_residual(table, pd, x, MetricVector((1, 2, 3, 4, 5, 6))).is_zero()
-    assert "_pairs" not in table.__dict__ and table._compiled == {}
-    b1, b2 = pd.r_m_pos[0], pd.r_m_pos[-1]
-    dense = lambda pd: TangentVector.from_coefficients(pd, a={r: 1 for r in pd.r_m_pos})  # noqa: E731
-    for read in (lambda t, pd: bracket(t, AlgebraElement.basis_a(pd.system, b1), AlgebraElement.basis_b(pd.system, b2)),
-                 lambda t, pd: is_equigeodesic_all_metrics(t, pd, dense(pd)),
-                 lambda t, pd: t.n_map):
-        pd = paint(RootSystem(LieType.E8), (1, 2))
-        t = build_constants(pd.system)
-        assert "_pairs" not in t.__dict__
-        read(t, pd)
-        assert "_pairs" in t.__dict__
-
-
-# sha256 of repr(table._pairs) as the tables filled them at construction,
-# before the entries were built on first read.
+# sha256 of repr(table._pairs), pinned while the entries were still built in
+# a second pass after the recursion.
 EAGER_PAIR_ENTRIES = {
     LieType.G2: "463909604e8cb4807285913d36675377f25b1547227f1e64862f64f9d070c1b8",
     LieType.F4: "ef6f3381ed2515490a3f58843e3f80cbb83b9d284fdc7208fd9be2981990228f",
@@ -479,7 +447,7 @@ EAGER_PAIR_ENTRIES = {
 
 
 @pytest.mark.parametrize("lie_type", list(LieType))
-def test_lazy_pair_entries_equal_the_eager_ones(systems, lie_type):
+def test_pair_entries_equal_the_pinned_ones(systems, lie_type):
     table = build_constants(systems[lie_type])
     assert hashlib.sha256(repr(table._pairs).encode()).hexdigest() == EAGER_PAIR_ENTRIES[lie_type]
     # Field 4 is -sign(i-j) times the stored N(i,-j) of field 3, and both
@@ -492,31 +460,6 @@ def test_lazy_pair_entries_equal_the_eager_ones(systems, lie_type):
                 assert e[1] == table.n(roots[i], roots[j]) and e[3] == table.n(roots[i], roots[j + n])
                 d = s.index.get(tuple(a - b for a, b in zip(roots[i], roots[j])))
                 assert e[4] == -(0 if d is None else 1 if d < n else -1) * e[3], (i, j)
-
-
-def test_first_read_from_four_threads_at_once():
-    # Four threads that make the first read of a fresh E8 table's pair
-    # entries together, with a short switch interval, all get the eager ones.
-    # A fresh system each time: the shared system's one table is read already.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            table, barrier, seen = build_constants(RootSystem(LieType.E8)), threading.Barrier(4), []
-
-            def read():
-                barrier.wait(timeout=10)
-                seen.append(table._pairs)
-            threads = [threading.Thread(target=read) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not any(t.is_alive() for t in threads) and len(seen) == 4
-            assert {hashlib.sha256(repr(rows).encode()).hexdigest() for rows in seen} == {
-                EAGER_PAIR_ENTRIES[LieType.E8]}
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("x,y,message", [
@@ -544,8 +487,8 @@ def test_consistency_checks_catch_a_wrong_string_length(monkeypatch, x, y, messa
 
 def test_each_system_is_solved_once(monkeypatch):
     # The first build of a fresh E8 system evaluates one string length per
-    # triple, 1,120 of them; a second build evaluates none and returns the
-    # same table, lazy parts and all.
+    # triple, 1,120 of them, and fills the pair entries; a second build
+    # evaluates none and returns the same table.
     calls, string_p = [], chevalley._string_p
     monkeypatch.setattr(chevalley, "_string_p", lambda system, a, b: calls.append((a, b)) or string_p(system, a, b))
     s = RootSystem(LieType.E8)
@@ -572,7 +515,8 @@ def test_solved_data_does_not_keep_its_system_alive():
 
 def test_first_build_from_four_threads_at_once():
     # Four threads that make the first build of a fresh E8 system together,
-    # with a short switch interval, all get the one table kept on the system.
+    # with a short switch interval, all get the one table kept on the system,
+    # its pair entries those of a single build.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -588,6 +532,7 @@ def test_first_build_from_four_threads_at_once():
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads) and len(seen) == 4
         assert all(t is build_constants(s) for t in seen)
+        assert hashlib.sha256(repr(seen[0]._pairs).encode()).hexdigest() == EAGER_PAIR_ENTRIES[LieType.E8]
         assert seen[0].to_json() == build_constants(root_system(LieType.E8)).to_json()
     finally:
         sys.setswitchinterval(interval)

@@ -173,6 +173,18 @@ def test_enumeration_min_modules_filter(diagrams):
         enumerate_maximal_families(diagrams["F4_34"], min_modules=0)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"min_modules": True}, "min_modules True is not an int"),
+    ({"min_modules": 2.0}, "min_modules 2.0 is not an int"),
+    ({"cap": False}, "cap False is not an int"),
+    ({"cap": 5.0}, "cap 5.0 is not an int"),
+    ({"cap": "5"}, "cap '5' is not an int"),
+])
+def test_enumeration_bounds_must_be_plain_ints(diagrams, kwargs, message):
+    with pytest.raises(FlagrootsError, match=re.escape(message)):
+        enumerate_maximal_families(diagrams["F4_34"], **kwargs)
+
+
 def _eager_families(pd, min_modules=2, cap=None):
     """Every maximal clique (unpivoted oracle) built from its roots as a
     StructuralFamily, filtered, sorted by members and capped."""
@@ -741,9 +753,9 @@ def test_cross_pair_system_holds_the_bracketing_pairs(diagrams, tables, sid):
 
 def test_structural_supports_build_no_cross_pair_system():
     # The non-suspect reference families, as the certify benchmark runs them,
-    # and a support inside one module are answered without building the
-    # table's pair entries, compiling a cross-pair system or filling the
-    # vector's C_k.  Fresh systems: the shared ones' tables are read already.
+    # and a support inside one module are answered without compiling a
+    # cross-pair system or filling the vector's C_k.  Fresh systems: the
+    # shared ones' tables hold other tests' cross-pair systems.
     checked = 0
     for sid, (lie_type, nodes) in fixtures._SPACE_DEFS.items():
         pd, fx = paint(RootSystem(lie_type), nodes), load_fixture(sid)
@@ -757,7 +769,7 @@ def test_structural_supports_build_no_cross_pair_system():
             assert equigeodesic_residual(table, pd, x, lam).is_zero()
             assert x._brackets is None
         checked += len(supports)
-        assert table._compiled == {} and "_pairs" not in table.__dict__, sid
+        assert table._compiled == {}, sid
     assert checked == 162
 
 

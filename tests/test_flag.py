@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -266,6 +267,15 @@ def test_module_index_is_the_troot_position(systems, lie_type, nodes):
             pd.module_index(not_a_root)
         with pytest.raises(FlagrootsError):
             pd.t_root(not_a_root)
+
+
+@pytest.mark.parametrize("nodes,bad", [([True, 2], "True"), ([1.0], "1.0"), (["1"], "'1'"), ((1, None), "None")])
+def test_painted_nodes_must_be_plain_ints(systems, nodes, bad):
+    # A bool would name the painting G2(True,2) in every family it serialises,
+    # and a float or a string fail deep inside; each is refused, named.
+    with pytest.raises(FlagrootsError, match=f"painted node {re.escape(bad)} is not an int"):
+        paint(systems[LieType.G2], nodes)
+    assert paint(systems[LieType.G2], iter([2, 1])).name == "G2(1,2)"
 
 
 @pytest.mark.parametrize("lie_type,nodes", ALL_PAINTINGS,
