@@ -200,7 +200,9 @@ class AlgebraElement:
 
     cartan holds coordinates over sqrt(-1) h_{a_1} .. sqrt(-1) h_{a_l};
     a and b map positive roots to the coefficients of A_root / B_root.
-    Zero coefficients are never stored.  Treated as immutable.
+    The elements bracket, the residual and TangentVector.from_coefficients
+    build store no zero coefficient and key a and b by the system's stored
+    root tuples; the constructor checks neither.  Treated as immutable.
     """
 
     system: RootSystem
@@ -212,55 +214,8 @@ class AlgebraElement:
     def zero(cls, system: RootSystem) -> "AlgebraElement":
         return cls(system, (0,) * system.rank)
 
-    @classmethod
-    def basis_a(cls, system: RootSystem, root: Sequence[int], coeff: Scalar = 1) -> "AlgebraElement":
-        r = system.positive_roots[system.fold(root)[0]]
-        return cls(system, (0,) * system.rank, a={r: coeff} if coeff else {})
-
-    @classmethod
-    def basis_b(cls, system: RootSystem, root: Sequence[int], coeff: Scalar = 1) -> "AlgebraElement":
-        k, sign = system.fold(root)
-        r = system.positive_roots[k]
-        return cls(system, (0,) * system.rank, b={r: sign * coeff} if coeff else {})
-
-    @classmethod
-    def basis_h(cls, system: RootSystem, i: int, coeff: Scalar = 1) -> "AlgebraElement":
-        cartan = tuple(coeff if j == i else 0 for j in range(system.rank))
-        return cls(system, cartan)
-
     def is_zero(self) -> bool:
         return not self.a and not self.b and not any(self.cartan)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.system is not other.system:
-            raise MixedSystemError("elements live over different root systems")
-        parts = []
-        for mine, theirs in ((self.a, other.a), (self.b, other.b)):
-            out = dict(mine)
-            for k, v in theirs.items():
-                w = out.get(k, 0) + v
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
-            parts.append(out)
-        cartan = tuple(x + y for x, y in zip(self.cartan, other.cartan))
-        return AlgebraElement(self.system, cartan, *parts)
-
-    def __mul__(self, scalar: Scalar) -> "AlgebraElement":
-        if not scalar:
-            return AlgebraElement.zero(self.system)
-        return AlgebraElement(
-            self.system,
-            tuple(scalar * c for c in self.cartan),
-            {k: scalar * v for k, v in self.a.items()},
-            {k: scalar * v for k, v in self.b.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def support(self) -> set[Coeffs]:
-        return set(self.a) | set(self.b)
 
 
 def _numerators(index: dict[Coeffs, int], elem: AlgebraElement):
@@ -290,10 +245,14 @@ def bracket(table: StructureConstantTable, x: AlgebraElement, y: AlgebraElement)
     """Lie bracket of two real-form elements, exact coefficients: int numerators
     keyed by positive-root id, one lookup in the table's pair entries per pair of
     basis terms, and only the result made of Fractions over the product D of the
-    operands' denominators, each built reduced by _fraction (ints when D = 1)."""
+    operands' denominators, each built reduced by _fraction (ints when D = 1).
+    An operand coefficient that is not an int or a Fraction is refused."""
     system, rows = table.system, table._pairs
     if x.system is not system or y.system is not system:
         raise MixedSystemError("elements do not match the constant table")
+    for c in chain(x.cartan, x.a.values(), x.b.values(), y.cartan, y.a.values(), y.b.values()):
+        if not (type(c) is int or isinstance(c, Fraction)):
+            raise FlagrootsError(f"coefficient {c!r} is not an int or a Fraction")
     (dx, xa, xb, xh), (dy, ya, yb, yh) = _numerators(system.index, x), _numerators(system.index, y)
     # Absent sums and differences add 0 at the spare id n.
     out_a: defaultdict[int, int] = defaultdict(int)

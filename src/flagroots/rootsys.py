@@ -3,7 +3,8 @@
 Roots are integer coefficient vectors over a fixed base of simple roots,
 kept as plain tuples of ints.  Each RootSystem stores every root once, in
 roots; its lookups return those tuples, and the roots of the other modules
-and the keys of AlgebraElement are the same objects.
+and the keys of the AlgebraElements that bracket, the residual and tangent
+vectors build are the same objects.
 The node numbering follows the diagram convention in which the highest
 root of F4 is 2a1+4a2+3a3+2a4 and that of E8 is 2a1+3a2+4a3+5a4+6a5+4a6+
 2a7+3a8 (this is *not* the Bourbaki numbering for F4/E6/E7/E8).

@@ -156,7 +156,7 @@ def residual_vanishes_identically(table, pd, x, points=7):
     """
     from flagroots import MetricVector, equigeodesic_residual
 
-    active = sorted({pd.module_index(r) for r in x.element.support()})
+    active = sorted({pd.module_index(r) for r in (*x.element.a, *x.element.b)})
     n_modules = len(pd.isotropy_decomposition())
     base = [Fraction(1)] * n_modules
     if not active:
@@ -253,6 +253,36 @@ def reference_bracket(table, x, y):
                 store[key] = store.get(key, 0) + c
     return AlgebraElement(system, tuple(cartan),
                           {r: c for r, c in a.items() if c}, {r: c for r, c in b.items() if c})
+
+
+def combine(*terms):
+    """The sum of c x over the (c, x) terms, x real-form elements of one system, term
+    by term; a root whose sum reaches 0 is dropped, and is stored last if it comes back."""
+    from flagroots import AlgebraElement
+
+    system = terms[0][1].system
+    cartan, a, b = [0] * system.rank, {}, {}
+    for c, x in terms:
+        assert x.system is system
+        cartan = [u + c * v for u, v in zip(cartan, x.cartan)]
+        for out, part in ((a, x.a), (b, x.b)):
+            for r, v in part.items():
+                w = out.get(r, 0) + c * v
+                if w:
+                    out[r] = w
+                else:
+                    out.pop(r, None)
+    return AlgebraElement(system, tuple(cartan), a, b)
+
+
+def real_basis(system):
+    """A_r, B_r for each positive root r in order, then sqrt(-1) h_i for each simple coroot."""
+    from flagroots import AlgebraElement
+
+    zero, out = (0,) * system.rank, []
+    for r in system.positive_roots:
+        out += [AlgebraElement(system, zero, {r: 1}), AlgebraElement(system, zero, {}, {r: 1})]
+    return out + [AlgebraElement(system, tuple(int(j == i) for j in range(system.rank))) for i in range(system.rank)]
 
 
 _ROOT_PAIRS = {}

@@ -123,8 +123,9 @@ def test_bracket_coefficients_are_reduced_fractions(diagrams, sid):
     # D = 2, every value is integral, and the Cartan part, the coroot of a, has zeros.
     a = system.positive_roots[0]
     b = next(r for r in system.positive_roots if system.is_root(tuple(map(sum, zip(a, r)))))
-    got = bracket(table, AlgebraElement.basis_a(system, a, Fraction(1, 2)),
-                  AlgebraElement.basis_a(system, b, 2) + AlgebraElement.basis_b(system, a))
+    zero = (0,) * system.rank
+    got = bracket(table, AlgebraElement(system, zero, {a: Fraction(1, 2)}),
+                  AlgebraElement(system, zero, {b: 2}, {a: 1}))
     coeffs = (*got.a.values(), *got.b.values(), *got.cartan)
     assert got.a and 0 in got.cartan and all(type(c) is Fraction and c.denominator == 1 for c in coeffs)
     assert got.cartan == tuple(Fraction(h) for h in table.coroot(a))
