@@ -9,7 +9,6 @@ from .rootsys import (
     InvalidCartanError,
     LieType,
     RootSystem,
-    UndefinedStringError,
     cartan_matrix,
     generate_positive_roots,
     root_system,
@@ -43,7 +42,6 @@ from .equigeo import (
     equigeodesic_residual,
     is_equigeodesic_all_metrics,
     is_structural_family,
-    pair_compatible,
 )
 from .fixtures import FixtureError, FixtureSet, load_fixture, parse_space, space_diagram
 
@@ -72,7 +70,6 @@ __all__ = [
     "StructureConstantTable",
     "SupportError",
     "TangentVector",
-    "UndefinedStringError",
     "bracket",
     "bracket_inclusion_table",
     "build_constants",
@@ -85,7 +82,6 @@ __all__ = [
     "is_structural_family",
     "load_fixture",
     "paint",
-    "pair_compatible",
     "parse_space",
     "project_m",
     "root_system",

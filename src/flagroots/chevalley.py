@@ -165,10 +165,6 @@ class StructureConstantTable:
         """N(x,y); zero when x+y is not a root."""
         return self.n_map.get((tuple(x), tuple(y)), 0)
 
-    def coroot(self, root: Sequence[int]) -> Coeffs:
-        k, sign = self.system.fold(root)
-        return tuple(sign * c for c in self._coroots[k])
-
     def to_dict(self) -> dict:
         pairs = sorted(
             self.n_map.items(),
@@ -215,7 +211,9 @@ class AlgebraElement:
         return cls(system, (0,) * system.rank)
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b and not any(self.cartan)
+        """Whether every coefficient is 0, a stored 0 included.  Equality is the dataclass's, entry by entry:
+        an element that stores a 0 is zero but does not equal zero()."""
+        return not any(self.a.values()) and not any(self.b.values()) and not any(self.cartan)
 
 
 def _numerators(index: dict[Coeffs, int], elem: AlgebraElement):

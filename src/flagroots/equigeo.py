@@ -76,14 +76,8 @@ class StructuralFamily:
             raise SupportError(f"root {root} is not in R_M+ of {space.name}")
         return _family(space, members, ids)
 
-    def modules(self) -> set[int]:
-        return {k for k, _ in self.members}
-
     def sorted_members(self) -> list[tuple[int, Coeffs]]:
         return sorted(self.members, key=lambda kr: (kr[0], sum(kr[1]), kr[1]))
-
-    def root_set(self) -> frozenset[Coeffs]:
-        return frozenset(r for _, r in self.members)
 
     def to_dict(self) -> dict:
         return {
@@ -157,21 +151,6 @@ def _is_structural(x: TangentVector) -> bool:
     if x._structural is None:
         x._structural = _all_compatible(x.space, x._ids)
     return x._structural
-
-
-def pair_compatible(pd: PaintedDiagram, alpha: Sequence[int], beta: Sequence[int]) -> bool:
-    """True iff the two R_M+ roots can share a structural family.
-
-    Same module: always.  Different modules: neither sum nor difference
-    may be a root (that forces every relevant structure constant to
-    vanish, so all cross brackets are identically zero).
-    """
-    ids = pd._m_id(alpha), pd._m_id(beta)
-    if None in ids:
-        raise SupportError("pair_compatible needs roots from R_M+")
-    if ids[0] == ids[1]:
-        raise FlagrootsError("pair_compatible needs two distinct roots")
-    return _all_compatible(pd, ids)
 
 
 def is_structural_family(family: StructuralFamily) -> bool:

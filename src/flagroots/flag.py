@@ -19,7 +19,6 @@ M_(a+b) for t-roots a, b, a+b (Alekseevsky-Perelomov, Funct. Anal. Appl. 20,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -151,14 +150,6 @@ class PaintedDiagram:
         nodes = ",".join(str(i) for i in self.painted)
         return f"PaintedDiagram({self.system.lie_type.name}; painted {nodes})"
 
-    def t_root(self, root: Sequence[int]) -> Coeffs:
-        """Restrict a complementary root to the painted coordinates; a K-root,
-        whose t-root is zero, is refused: a zero answer here is a caller bug."""
-        t = tuple(self.system.root(root)[i] for i in self._painted0)
-        if not any(t):
-            raise NotComplementaryRootError(f"{tuple(root)} lies in R_K; its t-root is zero")
-        return t
-
     def isotropy_decomposition(self) -> tuple[IsotropyModule, ...]:
         """Fibers of the t-root map over R_M+, in module order."""
         return self._modules
@@ -190,9 +181,6 @@ class PaintedDiagram:
                 for m in self.isotropy_decomposition()
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def paint(system: RootSystem, painted: Iterable[int]) -> PaintedDiagram:

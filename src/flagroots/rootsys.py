@@ -14,7 +14,6 @@ All arithmetic is exact; no floats appear anywhere in this package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -38,10 +37,6 @@ class DimensionMismatchError(FlagrootsError):
 
 class InvalidCartanError(FlagrootsError):
     """A matrix is not a valid Cartan matrix of supported finite type."""
-
-
-class UndefinedStringError(FlagrootsError):
-    """Root strings through b in the direction of a need b != +-a."""
 
 
 class _lazy:
@@ -208,12 +203,14 @@ class RootSystem:
     Root ids number the positive roots in canonical order, 0..n-1, and
     their negatives n..2n-1: roots[i] is the root of id i, the negative of
     id i is id (i + n) % 2n, and index maps every root of either sign to
-    its id.  Lookups go through ids; root() and id() are the checked ones.
-    codes[i] is the linear code sum c_k 2^(w k) of root id i, and code_ids
-    maps a code back to its id: code(x +- y) = code(x) +- code(y), and w
-    leaves room for every coefficient of x +- y, so x +- y is a root iff its
-    code is in code_ids.  Immutable after construction, but for reflections and
-    _constants, build_constants' one table, each made on first read; safe to share across threads.
+    its id, so a vector is a root iff it is a key of index.  Lookups go
+    through ids; root() and id() are the checked ones.  codes[i] is the
+    linear code sum c_k 2^(w k) of root id i, and code_ids maps a code back
+    to its id: code(x +- y) = code(x) +- code(y), and w leaves room for
+    every coefficient of x +- y, so x +- y is a root iff its code is in
+    code_ids; _string_p walks root strings on the codes.  Immutable after
+    construction, but for reflections and _constants, build_constants' one
+    table, each made on first read; safe to share across threads.
     """
 
     def __init__(self, lie_type: LieType):
@@ -246,30 +243,6 @@ class RootSystem:
         """Checked lookup: the stored root with these coefficients."""
         return self.roots[self.id(coeffs)]
 
-    def fold(self, coeffs: Sequence[int]) -> tuple[int, int]:
-        """(k, s) with the root equal to s times positive root k, s = +-1;
-        checked like root()."""
-        i, n = self.id(coeffs), len(self.positive_roots)
-        return (i, 1) if i < n else (i - n, -1)
-
-    def is_root(self, coeffs: Sequence[int]) -> bool:
-        """True iff the vector is a root of either sign."""
-        v = tuple(coeffs)
-        if v in self.index:
-            return True
-        if len(v) != self.rank:
-            raise DimensionMismatchError(f"expected length {self.rank}, got {len(v)}")
-        return False
-
-    def root_string(self, alpha: Sequence[int], beta: Sequence[int]) -> tuple[int, int]:
-        """(p, q) with p = max k: b - k a in R and q = max k: b + k a in R."""
-        if not (self.is_root(alpha) and self.is_root(beta)):
-            raise FlagrootsError("root_string arguments must be roots")
-        a, b, n = self.index[tuple(alpha)], self.index[tuple(beta)], len(self.positive_roots)
-        if a % n == b % n:
-            raise UndefinedStringError("string through b undefined for b = +-a")
-        return _string_p(self, a, b), _string_p(self, (a + n) % (2 * n), b)
-
     @_lazy
     def reflections(self) -> tuple[tuple[int, ...], ...]:
         """reflections[i][r]: the id of s_i(r) = r - <r, a_i^> a_i for root id r, 0-based i, at code(r) -
@@ -277,22 +250,6 @@ class RootSystem:
         simple = [self.codes[self.index[tuple(int(j == i) for j in range(self.rank))]] for i in range(self.rank)]
         pair = [self.cartan.coroot_pairing(r) for r in self.roots]
         return tuple(tuple(self.code_ids[c - p[i] * a] for c, p in zip(self.codes, pair)) for i, a in enumerate(simple))
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "family": self.lie_type.family,
-            "rank": self.rank,
-            "cartan": {
-                "entries": [list(row) for row in self.cartan.entries],
-                "symmetrizer": list(self.cartan.symmetrizer),
-            },
-            "positive_roots": [list(r) for r in self.positive_roots],
-        }
-
-    def to_json(self) -> str:
-        """Byte-stable JSON serialization (canonical root order)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 @lru_cache(maxsize=None)

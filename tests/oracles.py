@@ -1,11 +1,15 @@
 """Independent brute-force oracles the tests check the engine against.
 
-Nothing here shares code paths with the package internals it verifies:
-root counts come from reflection closure, root strings from raw
-membership walks, cliques from an exhaustive subset scan, an unpivoted
-expansion or networkx on a graph built from root arithmetic, residual
-identities from polynomial sampling, and brackets from the real-form
-formulas term by term.
+Root counts come from reflection closure, root strings and root pairs from
+membership walks on that closure, coroots from the Cartan data, cliques
+from an exhaustive subset scan, an unpivoted expansion or networkx on a
+graph built from root arithmetic, residual identities from polynomial
+sampling, and brackets from the real-form formulas term by term.  What
+they still read of the engine: a system's rank, Cartan entries, symmetrizer
+and root tuples; a painting's painted nodes, modules and module_index; the
+constants through table.n; AlgebraElement as the value type;
+equigeodesic_residual, which residual_vanishes_identically samples; and
+the family test, which pair_compatible puts to two roots.
 """
 
 from fractions import Fraction
@@ -39,6 +43,16 @@ def weyl_closure_roots(system):
     return seen
 
 
+_CLOSURES = {}
+
+
+def _closure(system):
+    """weyl_closure_roots, once per Lie type, for the membership walks."""
+    if system.lie_type not in _CLOSURES:
+        _CLOSURES[system.lie_type] = frozenset(weyl_closure_roots(system))
+    return _CLOSURES[system.lie_type]
+
+
 def normsq(system, x):
     """|x|^2 = sum_ij d_i A[i][j] x_i x_j from the Cartan entries A and the symmetrizer d,
     normalized so short roots have norm 2."""
@@ -46,17 +60,25 @@ def normsq(system, x):
     return sum(d * a * xi * xj for d, row, xi in zip(c.symmetrizer, c.entries, x) for a, xj in zip(row, x))
 
 
+def coroot(system, x):
+    """h_x = sum_i x_i d_i / (|x|^2/2) h_i over the simple coroots, d the symmetrizer; linear in x,
+    so h_{-x} = -h_x."""
+    half = normsq(system, x) // 2
+    assert all(m * d % half == 0 for m, d in zip(x, system.cartan.symmetrizer))
+    return tuple(m * d // half for m, d in zip(x, system.cartan.symmetrizer))
+
+
 def string_by_scan(system, alpha, beta):
-    """(p, q) by raw membership walks, no string arithmetic."""
-    a, b = tuple(alpha), tuple(beta)
+    """(p, q) by raw membership walks on the reflection closure, no string arithmetic."""
+    a, b, roots = tuple(alpha), tuple(beta), _closure(system)
     p = 0
     cur = tuple(x - y for x, y in zip(b, a))
-    while system.is_root(cur):
+    while cur in roots:
         p += 1
         cur = tuple(x - y for x, y in zip(cur, a))
     q = 0
     cur = tuple(x + y for x, y in zip(b, a))
-    while system.is_root(cur):
+    while cur in roots:
         q += 1
         cur = tuple(x + y for x, y in zip(cur, a))
     return p, q
@@ -196,8 +218,8 @@ def pair_brackets_vanish(table, pd, x):
 def reference_bracket(table, x, y):
     """[x, y] expanded term by term in the real basis {A_r, B_r, sqrt(-1) h_i},
     straight from the compact-real-form formulas of the chevalley module
-    docstring.  Reads only table.n, table.coroot, the Cartan matrix entries
-    and root tuples; shares no code with chevalley.bracket."""
+    docstring.  Reads only table.n, the Cartan data (for the pairings and
+    coroots) and root tuples; shares no code with chevalley.bracket."""
     from flagroots import AlgebraElement
 
     system = x.system
@@ -223,7 +245,7 @@ def reference_bracket(table, x, y):
             return [("B", r2, pairing(r2, r1))] if k2 == "A" else [("A", r2, -pairing(r2, r1))]
         if r1 == r2:  # [A_x, A_x] = [B_x, B_x] = 0, [A_x, B_x] = 2 sqrt(-1) h_x
             if k1 != k2:
-                return [("H", i, 2 * h) for i, h in enumerate(table.coroot(r1))]
+                return [("H", i, 2 * h) for i, h in enumerate(coroot(system, r1))]
             return []
         plus = tuple(p + q for p, q in zip(r1, r2))
         minus = tuple(p - q for p, q in zip(r1, r2))
@@ -253,6 +275,13 @@ def reference_bracket(table, x, y):
                 store[key] = store.get(key, 0) + c
     return AlgebraElement(system, tuple(cartan),
                           {r: c for r, c in a.items() if c}, {r: c for r, c in b.items() if c})
+
+
+def pair_compatible(pd, alpha, beta):
+    """Whether two R_M+ roots can share a structural family: the engine's family test on the pair."""
+    from flagroots import StructuralFamily, is_structural_family
+
+    return is_structural_family(StructuralFamily.from_roots(pd, [alpha, beta]))
 
 
 def combine(*terms):
@@ -291,15 +320,15 @@ _ROOT_PAIRS = {}
 def _root_pairs(system):
     """Each pair x, y of positive roots, x before y, whose sum or difference
     is a root, with those roots, all as positions in system.roots; by
-    is_root membership, once per Lie type."""
+    membership in the reflection closure, once per Lie type."""
     if system.lie_type not in _ROOT_PAIRS:
-        position = {r: k for k, r in enumerate(system.roots)}
+        position, roots = {r: k for k, r in enumerate(system.roots)}, _closure(system)
         pos = system.positive_roots
         pairs = []
         for a, x in enumerate(pos):
             for y in pos[a + 1:]:
                 hits = [position[v] for v in (tuple(p + q for p, q in zip(x, y)), tuple(p - q for p, q in zip(x, y)))
-                        if system.is_root(v)]
+                        if v in roots]
                 if hits:
                     pairs.append((position[x], position[y], hits))
         _ROOT_PAIRS[system.lie_type] = pairs

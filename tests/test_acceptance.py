@@ -28,7 +28,6 @@ from flagroots import (
     is_equigeodesic_all_metrics,
     is_structural_family,
     load_fixture,
-    pair_compatible,
     space_diagram,
 )
 from flagroots.fixtures import SPACE_IDS
@@ -65,7 +64,7 @@ def test_criterion_2_troot_sets_and_types(diagrams):
     type_ii = {(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)}
     for sid in SPACE_IDS:
         pd = diagrams[sid]
-        got = {tuple(pd.t_root(r)) for r in pd.r_m_pos}
+        got = {tuple(r[i - 1] for i in pd.painted) for r in pd.r_m_pos}
         kind = pd.kind.value
         if sid == "E8_12":
             assert got == type_ii and kind == "II"
@@ -98,7 +97,7 @@ def test_criterion_4_structure_constants(systems, tables):
             assert v != 0
             assert tab.n(y, x) == -v
             assert tab.n(tuple(-c for c in x), tuple(-c for c in y)) == v
-            p, _ = s.root_string(x, y)
+            p, _ = oracles.string_by_scan(s, x, y)
             assert abs(v) == p + 1
 
     def jacobi_zero(tab, x, y, z):
@@ -164,7 +163,7 @@ def test_criterion_6_f4_pair_lists():
             (i, j)
             for i, ri in enumerate(fx.label_map[mi], 1)
             for j, rj in enumerate(fx.label_map[mj], 1)
-            if pair_compatible(pd, ri, rj)
+            if oracles.pair_compatible(pd, ri, rj)
         }
         assert set(pl.pairs) == computed, (mi, mj)
     assert len(by_modules[(1, 3)].pairs) == 12
@@ -182,7 +181,7 @@ def test_criterion_7_reference_family_tables(diagrams, tables):
         pd = diagrams[sid]
         tab = tables[pd.system.lie_type]
         fx = load_fixture(sid)
-        maximal = [f.root_set() for f in enumerate_maximal_families(pd).families]
+        maximal = [frozenset(r for _, r in f.members) for f in enumerate_maximal_families(pd).families]
         n = 0
         for fam in fx.families:
             if fam.suspect:

@@ -160,6 +160,11 @@ DENSE_METRIC = "3/2,5,7/3,11,13/4,2"
 GOLDEN_DENSE_VERIFY = "8623e378cd4a91e3ca1ac02ab48499e37555a6223969c73ac3b18d5872341fe8"
 
 
+def _canonical(doc) -> str:
+    """Byte-stable JSON: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -286,7 +291,8 @@ GOLDEN_TABLES = {
     ("E8_12", "troots"): "b40a6b7b5234222287cbb18eea98d6c253b2c0f31cb6fd4d11b6f44d86242f19",
 }
 
-# sha256 of RootSystem.to_json().
+# sha256 of a root system's canonical JSON: schema version, family, rank,
+# Cartan entries and symmetrizer, and the positive roots in canonical order.
 GOLDEN_SYSTEMS = {
     "G2": "e25ca2b39b0b1bdab47dc10008b1ea9be650d8ec7ce44c21927e3b332ad4c659",
     "F4": "f4d8b1080aeb9a87bd2052bdd5b5a0d4487ac51430f60c0d7024bab6b80b6175",
@@ -295,7 +301,7 @@ GOLDEN_SYSTEMS = {
     "E8": "a3b1fa0ac668234058c917e5889ed492a3ca81f09a6b0ad916ab9efee3d518eb",
 }
 
-# sha256 of PaintedDiagram.to_json().
+# sha256 of the canonical JSON of PaintedDiagram.to_dict().
 GOLDEN_PAINTINGS = {
     "G2_12": "97fd4a0068be26fceb0fa6634a55e9af105287163834de6445d7cdfd4c9c5c86",
     "F4_34": "177f95975eb33542f69d0765df4cf3552bf8eddebbbe9c3a4e0e20861cc98c9b",
@@ -324,13 +330,16 @@ def test_troot_and_dim_table_golden_hash(space, which, tmp_path):
 
 @pytest.mark.parametrize("family", sorted(GOLDEN_SYSTEMS))
 def test_root_system_golden_hash(family):
-    text = root_system(LieType[family]).to_json()
+    s = root_system(LieType[family])
+    cartan = {"entries": [list(row) for row in s.cartan.entries], "symmetrizer": list(s.cartan.symmetrizer)}
+    text = _canonical({"schema_version": SCHEMA_VERSION, "family": family, "rank": s.rank, "cartan": cartan,
+                       "positive_roots": [list(r) for r in s.positive_roots]})
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SYSTEMS[family]
 
 
 @pytest.mark.parametrize("space", PAINTINGS)
 def test_painted_diagram_golden_hash(space):
-    text = space_diagram(space).to_json()
+    text = _canonical(space_diagram(space).to_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_PAINTINGS[space]
 
 

@@ -34,7 +34,6 @@ from flagroots import (
     is_structural_family,
     load_fixture,
     paint,
-    pair_compatible,
     project_m,
     RootSystem,
     space_diagram,
@@ -47,11 +46,11 @@ from flagroots.fixtures import SPACE_IDS
 
 
 def test_pair_compatible_examples(diagrams):
-    pd = diagrams["F4_34"]
+    pd, pair_compatible = diagrams["F4_34"], oracles.pair_compatible
     assert pair_compatible(pd, (0, 1, 1, 0), (0, 0, 1, 1))      # b1^1 vs b3^3
     assert not pair_compatible(pd, (0, 1, 1, 0), (0, 1, 1, 1))  # b1^1 vs b1^3
     assert pair_compatible(pd, (0, 1, 1, 0), (0, 0, 1, 0))      # same module
-    with pytest.raises(SupportError):
+    with pytest.raises(NotComplementaryRootError):
         pair_compatible(pd, (0, 1, 0, 0), (0, 0, 1, 0))
 
 
@@ -117,7 +116,7 @@ def test_enumeration_f4_counts(diagrams):
 def test_enumeration_output_properties(diagrams, tables):
     pd = diagrams["E6_36"]
     res = enumerate_maximal_families(pd)
-    roots_sets = [f.root_set() for f in res.families]
+    roots_sets = [frozenset(r for _, r in f.members) for f in res.families]
     graph = compatibility_graph(pd)
     vert_index = {tuple(r): i for i, (_, r) in enumerate(graph.vertices)}
     for f, rs in zip(res.families, roots_sets):
@@ -165,7 +164,7 @@ def test_enumerated_cliques_are_sorted_untracked_bytes(sid):
 
 def test_enumeration_min_modules_filter(diagrams):
     res3 = enumerate_maximal_families(diagrams["F4_34"], min_modules=3)
-    assert all(len(f.modules()) >= 3 for f in res3.families)
+    assert all(len({k for k, _ in f.members}) >= 3 for f in res3.families)
     assert res3.total <= 39
     with pytest.raises(Exception):
         enumerate_maximal_families(diagrams["F4_34"], cap=-1)
@@ -192,7 +191,7 @@ def _eager_families(pd, min_modules=2, cap=None):
     families = []
     for mask in oracles.maximal_cliques_unpivoted(list(graph.adjacency)):
         family = StructuralFamily.from_roots(pd, [r for i, (_, r) in enumerate(graph.vertices) if mask >> i & 1])
-        if len(family.modules()) >= min_modules:
+        if len({k for k, _ in family.members}) >= min_modules:
             families.append(family)
     families.sort(key=lambda f: [(k, sum(r), tuple(r)) for k, r in f.sorted_members()])
     return tuple(families[:cap])
@@ -594,7 +593,7 @@ CROSS_PAIRS = {"G2_12": 15, "F4_34": 165, "E6_36": 327, "E7_56": 813, "E8_12": 2
 
 @pytest.mark.parametrize("sid", sorted(CROSS_PAIRS))
 def test_pair_compatible_certificate(diagrams, tables, sid):
-    """pair_compatible(a, b) iff the basis brackets of a and b all vanish,
+    """Compatibility of a and b iff the basis brackets of a and b all vanish,
     for every cross-module pair of R_M+.
 
     With the identity [X, Lambda X]_m = sum_k l_k C_k, C_k = [X, X_k]_m,
@@ -618,7 +617,7 @@ def test_pair_compatible_certificate(diagrams, tables, sid):
     assert len(pairs) == CROSS_PAIRS[sid]
     basis = oracles.real_basis(system)
     basis = {r: basis[2 * system.index[r]:2 * system.index[r] + 2] for r in pd.r_m_pos}
-    mismatched = [(a, b) for a, b in pairs if pair_compatible(pd, a, b)
+    mismatched = [(a, b) for a, b in pairs if oracles.pair_compatible(pd, a, b)
                   != all(bracket(table, u, v).is_zero() for u in basis[a] for v in basis[b])]
     assert mismatched == []
 
@@ -708,7 +707,7 @@ def _bracketing_pairs(pd):
     system, out = pd.system, set()
     for a, b in combinations(pd.r_m_pos, 2):
         i, j = pd.module_index(a), pd.module_index(b)
-        if i != j and any(system.is_root(tuple(p + s * q for p, q in zip(a, b))) for s in (1, -1)):
+        if i != j and any(tuple(p + s * q for p, q in zip(a, b)) in system.index for s in (1, -1)):
             out.add((a, b) if i < j else (b, a))
     return out
 
@@ -742,8 +741,8 @@ def test_cross_pair_system_holds_the_bracketing_pairs(diagrams, tables, sid):
         assert k == pd.module_index(y) > pd.module_index(x)
         assert (ns, nd) == (table.n(x, y), table.n(x, tuple(-c for c in y)))
         assert s == system.index.get(tuple(p + q for p, q in zip(x, y)), n)
-        assert d == (n if nd == 0 else system.fold(diff)[0])
-        assert nb == (-nd if nd and system.fold(diff)[1] > 0 else nd)
+        assert d == (n if nd == 0 else system.index[diff] % n)
+        assert nb == (-nd if nd and system.index[diff] < n else nd)
     rng = random.Random(f"unit-metrics:{sid}")
     x, n_modules = _dense_vector(pd, rng), len(pd.isotropy_decomposition())
     for k in range(1, n_modules + 1):
@@ -1001,20 +1000,20 @@ def test_enumeration_matches_networkx_oracle(sid, count):
     pd = space_diagram(sid)
     oracle = oracles.maximal_cliques_networkx(oracles.weyl_closure_roots(pd.system), pd.painted)
     res = enumerate_maximal_families(pd, min_modules=1)
-    assert {f.root_set() for f in res.families} == oracle
-    assert sum(len(f.modules()) >= 2 for f in res.families) == count
+    assert {frozenset(r for _, r in f.members) for f in res.families} == oracle
+    assert sum(len({k for k, _ in f.members}) >= 2 for f in res.families) == count
 
 
 def _fold_from_coefficients(pd, a, b):
     """TangentVector.from_coefficients as one-term basis elements added up, a negative
     root folded onto its positive with A_{-r} = A_r and B_{-r} = -B_r."""
-    system, zero = pd.system, (0,) * pd.system.rank
+    system, zero, n = pd.system, (0,) * pd.system.rank, len(pd.system.positive_roots)
     terms = [(1, AlgebraElement.zero(system))]
     for root, coeff in a.items():
-        terms.append((coeff, AlgebraElement(system, zero, {system.positive_roots[system.fold(root)[0]]: 1})))
+        terms.append((coeff, AlgebraElement(system, zero, {system.positive_roots[system.index[root] % n]: 1})))
     for root, coeff in b.items():
-        k, sign = system.fold(root)
-        terms.append((sign * coeff, AlgebraElement(system, zero, {}, {system.positive_roots[k]: 1})))
+        negative, k = divmod(system.index[root], n)
+        terms.append(((-1) ** negative * coeff, AlgebraElement(system, zero, {}, {system.positive_roots[k]: 1})))
     return oracles.combine(*terms)
 
 
@@ -1087,9 +1086,8 @@ def test_grouped_structural_test_matches_the_pairwise_oracle(spec):
     # Random supports of 1-12 roots, and supports grown root by root while
     # the oracle keeps them structural, so that both verdicts occur where the
     # painting has more than one module (E6:1 has one, so every support is
-    # structural).  The family test, the vector's verdict and, on two roots,
-    # pair_compatible all read the one test on the clash table, which takes
-    # the roots' ids.
+    # structural).  The family test and the vector's verdict both read the one
+    # test on the clash table, which takes the roots' ids.
     pd = space_diagram(spec)
     all_roots, pool = oracles.weyl_closure_roots(pd.system), list(pd.r_m_pos)
     rng, verdicts = random.Random(f"grouped:{spec}"), Counter()
@@ -1105,26 +1103,22 @@ def test_grouped_structural_test_matches_the_pairwise_oracle(spec):
         assert equigeo._all_compatible(pd, [pd.system.index[r] for r in roots]) is want, roots
         assert is_structural_family(StructuralFamily.from_roots(pd, roots)) is want, roots
         assert equigeo._is_structural(TangentVector.from_coefficients(pd, b={r: 1 for r in roots})) is want
-        if len(roots) == 2:
-            assert pair_compatible(pd, *roots) is want
         verdicts[want] += 1
     assert verdicts[True] >= 50
     assert (verdicts[False] == 0) is (len(pd.isotropy_decomposition()) == 1)
 
 
-# Error parity of the three entry points that resolve roots, pinned on the
+# Error parity of the two entry points that resolve roots, pinned on the
 # implementation that looked every root up once per check: each case names
 # its input, and the exception class (exactly) and message, or the value,
 # must stay as they are.  F4_34 paints nodes 3 and 4: (0,1,0,0), (1,0,0,0)
-# and (1,1,0,0) are its K-roots, (0,1,1,0) and (0,1,1,1) lie in different
-# modules, and (0,1,1,0), (0,0,1,0) in one.
+# and (1,1,0,0) are its K-roots, and (0,1,1,0) and (0,1,1,1) lie in
+# different modules.
 E6_ROOT = (0, 0, 1, 0, 0, 0)
 NOT_ROOT_OUTCOME = (NotComplementaryRootError, "(1, 0, 0, 1) is not in R_M")
-NOT_R_M_PAIR = (SupportError, "pair_compatible needs roots from R_M+")
 PARITY = {
     "from_roots": lambda pd, roots: sorted(StructuralFamily.from_roots(pd, roots).members),
     "from_coefficients": lambda pd, a, b: _parts(TangentVector.from_coefficients(pd, a, b)),
-    "pair_compatible": pair_compatible,
 }
 PARITY_CASES = [
     ("from_roots", "K-root", ([(0, 1, 1, 0), (0, 1, 0, 0)],),
@@ -1170,15 +1164,6 @@ PARITY_CASES = [
      ({(0, 1, 0, 0): 1, (0, 1, 1, 0): 1, (-1, 0, 0, 0): 2}, {(1, 1, 0, 0): 3, (0, -1, 0, 0): 1}),
      (SupportError, "support leaves R_M+: [(0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)]")),
     ("from_coefficients", "other system", ({E6_ROOT: 1}, None), (DimensionMismatchError, "expected length 4, got 6")),
-    ("pair_compatible", "K-root", ((0, 1, 1, 0), (0, 1, 0, 0)), NOT_R_M_PAIR),
-    ("pair_compatible", "negative root", ((0, -1, -1, 0), (0, 1, 1, 1)), NOT_R_M_PAIR),
-    ("pair_compatible", "non-root", ((1, 0, 0, 1), (0, 1, 1, 0)), NOT_R_M_PAIR),
-    ("pair_compatible", "wrong length", ((0, 1, 1, 0), (0, 1, 1)), NOT_R_M_PAIR),
-    ("pair_compatible", "one root twice", ((0, 1, 1, 0), [0, 1, 1, 0]),
-     (FlagrootsError, "pair_compatible needs two distinct roots")),
-    ("pair_compatible", "float entries", ((0, 1.0, 1, 0), (0, 1, 1, 1)), False),
-    ("pair_compatible", "str", ("0110", (0, 1, 1, 1)), NOT_R_M_PAIR),
-    ("pair_compatible", "other system", (E6_ROOT, (0, 1, 1, 0)), NOT_R_M_PAIR),
 ]
 
 

@@ -3,13 +3,13 @@ import re
 
 import pytest
 
+import oracles
 from flagroots import (
     FixtureError,
     PaintedDiagram,
     StructuralFamily,
     is_structural_family,
     load_fixture,
-    pair_compatible,
     paint,
     root_system,
     space_diagram,
@@ -63,7 +63,7 @@ def test_f4_pair_lists_exact():
             (i, j)
             for i, ri in enumerate(fx.label_map[mi], 1)
             for j, rj in enumerate(fx.label_map[mj], 1)
-            if pair_compatible(pd, ri, rj)
+            if oracles.pair_compatible(pd, ri, rj)
         }
         assert set(pl.pairs) == computed
     universal = {pl.modules: pl.pairs for pl in fx.pair_lists}
@@ -84,7 +84,7 @@ def test_f4_unlisted_module_pairs_have_no_compatible_pairs():
                 continue
             for ri in fx.label_map[mi]:
                 for rj in fx.label_map[mj]:
-                    assert not pair_compatible(pd, ri, rj), (mi, mj)
+                    assert not oracles.pair_compatible(pd, ri, rj), (mi, mj)
 
 
 @pytest.mark.parametrize("sid", ["E6_36", "E7_56", "E8_12"])
@@ -99,7 +99,7 @@ def test_pair_list_suspect_marks_are_exact(sid):
             (i, j)
             for i, ri in enumerate(fx.label_map[mi], 1)
             for j, rj in enumerate(fx.label_map[mj], 1)
-            if pair_compatible(pd, ri, rj)
+            if oracles.pair_compatible(pd, ri, rj)
         }
         if pl.suspect:
             assert set(pl.pairs) != computed
