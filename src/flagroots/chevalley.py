@@ -172,7 +172,7 @@ class StructureConstantTable:
         )
         return {
             "schema_version": SCHEMA_VERSION,
-            "family": self.system.lie_type.family,
+            "family": self.system.lie_type.name,
             "pairs": [[list(x), list(y), n] for (x, y), n in pairs],
         }
 

@@ -178,7 +178,7 @@ def _parse_fixture(space_id: str, doc) -> FixtureSet:
     for key, roots in doc["label_map"].items():
         if not re.fullmatch("[1-9][0-9]*", key):
             raise FixtureError(f"label map key {key!r} is not a module number")
-        label_map[int(key)] = tuple(system.root(r) for r in roots)
+        label_map[int(key)] = tuple(system.root(_ints(r, "label map root")) for r in roots)
     modules = pd.isotropy_decomposition()
     if sorted(label_map) != list(range(1, len(modules) + 1)):
         raise FixtureError("label map does not cover the modules")

@@ -106,7 +106,7 @@ class PaintedDiagram:
         self.system = system
         self.painted = nodes
         # Display name such as "E8(1,2)", shared by every serialised family.
-        self.name = f"{system.lie_type.family}({','.join(map(str, nodes))})"
+        self.name = f"{system.lie_type.name}({','.join(map(str, nodes))})"
         self._painted0 = tuple(i - 1 for i in nodes)
         # Positive root ids by t-root, in canonical order; R_K under t = 0.
         fibers: dict[Coeffs, list[int]] = {}

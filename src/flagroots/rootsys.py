@@ -14,10 +14,9 @@ All arithmetic is exact; no floats appear anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Coeffs = tuple[int, ...]
 
@@ -36,7 +35,7 @@ class DimensionMismatchError(FlagrootsError):
 
 
 class InvalidCartanError(FlagrootsError):
-    """A matrix is not a valid Cartan matrix of supported finite type."""
+    """A Dynkin diagram is malformed, or its Cartan matrix is not of finite type."""
 
 
 class _lazy:
@@ -54,59 +53,52 @@ class _lazy:
 
 
 class LieType(Enum):
-    """The five supported simple Lie types, keyed by rank."""
+    """The five supported simple Lie types, each valued by its Dynkin diagram (rank, bonds).
 
-    G2 = 2
-    F4 = 4
-    E6 = 6
-    E7 = 7
-    E8 = 8
+    A bond (i, j, m) joins nodes i and j with m lines, i the short end when
+    m > 1; each bond after the first starts at a node an earlier bond
+    reached.  Distinct diagrams are distinct values.
+    """
 
-    @property
-    def family(self) -> str:
-        return self.name
+    G2 = (2, ((1, 2, 3),))
+    F4 = (4, ((1, 2, 1), (2, 3, 2), (3, 4, 1)))
+    E6 = (6, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (3, 6, 1)))
+    E7 = (7, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (4, 7, 1)))
+    E8 = (8, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1), (6, 7, 1), (5, 8, 1)))
 
     @property
     def rank(self) -> int:
-        return self.value
+        return self.value[0]
 
 
-@dataclass(frozen=True)
 class CartanMatrix:
-    """Cartan matrix with entries A[i][j] = 2(ai,aj)/(ai,ai).
+    """Cartan matrix with entries A[i][j] = 2(ai,aj)/(ai,ai), derived from a Dynkin diagram (rank, bonds).
 
     With this (row) convention the pairing of a root b = sum m_j a_j
     with the i-th simple coroot is the i-th entry of A @ m.  The
     symmetrizer d (d_i = (ai,ai)/2, normalized so short roots have
     squared length 2) makes diag(d) @ A the matrix of inner products.
+    A bond (i, j, m) sets A[i][j] = -m, A[j][i] = -1 and d_j = m d_i,
+    from d = 1; the bonds must grow one tree over the nodes 1..rank.
     """
 
-    entries: tuple[Coeffs, ...]
-    symmetrizer: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
-            raise InvalidCartanError("matrix must be square and nonempty")
-        if len(self.symmetrizer) != n or any(d <= 0 for d in self.symmetrizer):
-            raise InvalidCartanError("symmetrizer must be positive and of matching length")
-        for i in range(n):
-            if self.entries[i][i] != 2:
-                raise InvalidCartanError("diagonal entries must equal 2")
-            for j in range(n):
-                if i == j:
-                    continue
-                a = self.entries[i][j]
-                if a not in (0, -1, -2, -3):
-                    raise InvalidCartanError(f"off-diagonal entry A[{i}][{j}]={a} out of range")
-                if (a == 0) != (self.entries[j][i] == 0):
-                    raise InvalidCartanError("zero pattern must be symmetric")
-                if self.symmetrizer[i] * a != self.symmetrizer[j] * self.entries[j][i]:
-                    raise InvalidCartanError("symmetrizer does not symmetrize the matrix")
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
+    def __init__(self, rank: int, bonds: Sequence[tuple[int, int, int]]):
+        if type(rank) is not int or rank < 1:
+            raise InvalidCartanError(f"rank {rank!r} is not a positive int")
+        a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+        d = [1] * rank
+        reached = {bonds[0][0] if bonds else 1}
+        for i, j, m in bonds:
+            if not (all(type(x) is int for x in (i, j, m)) and 0 < i <= rank and 0 < j <= rank
+                    and i in reached and j not in reached and m in (1, 2, 3)):
+                raise InvalidCartanError(f"bond {(i, j, m)} does not grow the tree on 1..{rank} by 1, 2 or 3 lines")
+            reached.add(j)
+            a[i - 1][j - 1], a[j - 1][i - 1], d[j - 1] = -m, -1, m * d[i - 1]
+        if len(reached) != rank:
+            raise InvalidCartanError(f"the bonds reach {len(reached)} of the {rank} nodes")
+        self.rank = rank
+        self.entries: tuple[Coeffs, ...] = tuple(map(tuple, a))
+        self.symmetrizer: tuple[int, ...] = tuple(d)
 
     def coroot_pairing(self, coeffs: Sequence[int]) -> Coeffs:
         """Pairings <b, ai^> of b = sum coeffs_j a_j with each simple coroot."""
@@ -116,37 +108,9 @@ class CartanMatrix:
         return tuple(sum(a * c for a, c in zip(row, coeffs)) for row in self.entries)
 
 
-# Cartan data in the diagram orderings used throughout this package.
-# Edge lists give the chain; F4/G2 carry the non-simply-laced entries
-# explicitly.  Validated against the printed highest-root marks below.
-def _simply_laced(rank: int, edges: Iterable[tuple[int, int]]) -> CartanMatrix:
-    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j in edges:
-        a[i - 1][j - 1] = -1
-        a[j - 1][i - 1] = -1
-    return CartanMatrix(tuple(tuple(row) for row in a), (1,) * rank)
-
-
-_CARTAN: dict[LieType, CartanMatrix] = {
-    # a1 short (mark 3), a2 long (mark 2); triple edge.
-    LieType.G2: CartanMatrix(((2, -3), (-1, 2)), (1, 3)),
-    # a1,a2 short, a3,a4 long; double edge between a2 and a3.
-    LieType.F4: CartanMatrix(
-        ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
-        (1, 1, 2, 2),
-    ),
-    # Chain 1-2-3-4-5 with node 6 attached to node 3.
-    LieType.E6: _simply_laced(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]),
-    # Chain 1-..-6 with node 7 attached to node 4.
-    LieType.E7: _simply_laced(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]),
-    # Chain 1-..-7 with node 8 attached to node 5.
-    LieType.E8: _simply_laced(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]),
-}
-
-
 def cartan_matrix(lie_type: LieType) -> CartanMatrix:
-    """The hard-coded Cartan matrix of a supported type."""
-    return _CARTAN[lie_type]
+    """The Cartan matrix of a supported type, derived from its diagram."""
+    return CartanMatrix(*lie_type.value)
 
 
 def canonical_key(coeffs: Sequence[int]) -> tuple[int, Coeffs]:

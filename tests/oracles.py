@@ -4,9 +4,10 @@ Root counts come from reflection closure, root strings and root pairs from
 membership walks on that closure, coroots from the Cartan data, cliques
 from an exhaustive subset scan, an unpivoted expansion or networkx on a
 graph built from root arithmetic, residual identities from polynomial
-sampling, and brackets from the real-form formulas term by term.  What
-they still read of the engine: a system's rank, Cartan entries, symmetrizer
-and root tuples; a painting's painted nodes, modules and module_index; the
+sampling, and brackets from the real-form formulas term by term.  The
+Cartan data is CARTAN below, typed by hand, not derived from the engine's
+diagrams.  What they still read of the engine: a system's Lie type name,
+rank and root tuples; a painting's painted nodes, modules and module_index; the
 constants through table.n; AlgebraElement as the value type;
 equigeodesic_residual, which residual_vanishes_identically samples; and
 the family test, which pair_compatible puts to two roots.
@@ -16,6 +17,39 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+# Cartan entries A[i][j] = <a_j, a_i^> and symmetrizer d of each type, in the
+# package's node numbering (the highest root of F4 is 2a1+4a2+3a3+2a4, that of
+# E8 2a1+3a2+4a3+5a4+6a5+4a6+2a7+3a8); d is 1 on the short roots.
+CARTAN = {
+    "G2": (((2, -3),
+            (-1, 2)), (1, 3)),
+    "F4": (((2, -1, 0, 0),
+            (-1, 2, -2, 0),
+            (0, -1, 2, -1),
+            (0, 0, -1, 2)), (1, 1, 2, 2)),
+    "E6": (((2, -1, 0, 0, 0, 0),
+            (-1, 2, -1, 0, 0, 0),
+            (0, -1, 2, -1, 0, -1),
+            (0, 0, -1, 2, -1, 0),
+            (0, 0, 0, -1, 2, 0),
+            (0, 0, -1, 0, 0, 2)), (1,) * 6),
+    "E7": (((2, -1, 0, 0, 0, 0, 0),
+            (-1, 2, -1, 0, 0, 0, 0),
+            (0, -1, 2, -1, 0, 0, 0),
+            (0, 0, -1, 2, -1, 0, -1),
+            (0, 0, 0, -1, 2, -1, 0),
+            (0, 0, 0, 0, -1, 2, 0),
+            (0, 0, 0, -1, 0, 0, 2)), (1,) * 7),
+    "E8": (((2, -1, 0, 0, 0, 0, 0, 0),
+            (-1, 2, -1, 0, 0, 0, 0, 0),
+            (0, -1, 2, -1, 0, 0, 0, 0),
+            (0, 0, -1, 2, -1, 0, 0, 0),
+            (0, 0, 0, -1, 2, -1, 0, -1),
+            (0, 0, 0, 0, -1, 2, -1, 0),
+            (0, 0, 0, 0, 0, -1, 2, 0),
+            (0, 0, 0, 0, -1, 0, 0, 2)), (1,) * 8),
+}
 
 
 def reflect(entries, i, v):
@@ -27,7 +61,8 @@ def reflect(entries, i, v):
 
 def weyl_closure_roots(system):
     """All roots as the closure of the simple roots under reflections."""
-    rank, entries = system.rank, system.cartan.entries
+    entries = CARTAN[system.lie_type.name][0]
+    rank = len(entries)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen = set(simple)
     frontier = list(simple)
@@ -56,16 +91,16 @@ def _closure(system):
 def normsq(system, x):
     """|x|^2 = sum_ij d_i A[i][j] x_i x_j from the Cartan entries A and the symmetrizer d,
     normalized so short roots have norm 2."""
-    c = system.cartan
-    return sum(d * a * xi * xj for d, row, xi in zip(c.symmetrizer, c.entries, x) for a, xj in zip(row, x))
+    entries, sym = CARTAN[system.lie_type.name]
+    return sum(d * a * xi * xj for d, row, xi in zip(sym, entries, x) for a, xj in zip(row, x))
 
 
 def coroot(system, x):
     """h_x = sum_i x_i d_i / (|x|^2/2) h_i over the simple coroots, d the symmetrizer; linear in x,
     so h_{-x} = -h_x."""
-    half = normsq(system, x) // 2
-    assert all(m * d % half == 0 for m, d in zip(x, system.cartan.symmetrizer))
-    return tuple(m * d // half for m, d in zip(x, system.cartan.symmetrizer))
+    half, sym = normsq(system, x) // 2, CARTAN[system.lie_type.name][1]
+    assert all(m * d % half == 0 for m, d in zip(x, sym))
+    return tuple(m * d // half for m, d in zip(x, sym))
 
 
 def string_by_scan(system, alpha, beta):
@@ -218,13 +253,13 @@ def pair_brackets_vanish(table, pd, x):
 def reference_bracket(table, x, y):
     """[x, y] expanded term by term in the real basis {A_r, B_r, sqrt(-1) h_i},
     straight from the compact-real-form formulas of the chevalley module
-    docstring.  Reads only table.n, the Cartan data (for the pairings and
-    coroots) and root tuples; shares no code with chevalley.bracket."""
+    docstring.  Reads only table.n, CARTAN (for the pairings and coroots)
+    and root tuples; shares no code with chevalley.bracket."""
     from flagroots import AlgebraElement
 
     system = x.system
-    rank = system.rank
-    entries = system.cartan.entries
+    entries = CARTAN[system.lie_type.name][0]
+    rank = len(entries)
 
     def pairing(root, i):  # <root, a_i^>
         return sum(entries[i][j] * root[j] for j in range(rank))

@@ -298,6 +298,14 @@ def _bool_member(doc):
     doc["families"][0]["members"][0] = [True, True]
 
 
+def _bool_root(doc):
+    doc["label_map"]["1"][0] = [False, True, True, False]
+
+
+def _float_root(doc):
+    doc["label_map"]["1"][1] = [2.0, 2.0, 1.0, 0.0]
+
+
 def _bool_pair_module(doc):
     doc["pair_lists"][0]["modules"][0] = True
 
@@ -342,6 +350,10 @@ def _key(text):
     ("F4_34", _bool_member, "family member [True, True] is not a list of integers"),
     ("E6_36", _bool_pair_module, "pair list modules [True, 3] is not a list of integers"),
     ("E7_56", _bool_pair_entry, "pair list entry [1, True] is not a list of integers"),
+    # Label map roots [false, true, true, false] and [2.0, 2.0, 1.0, 0.0]
+    # once loaded as the roots 0,1,1,0 and 2,2,1,0 of F4_34's module 1.
+    ("F4_34", _bool_root, "label map root [False, True, True, False] is not a list of integers"),
+    ("F4_34", _float_root, "label map root [2.0, 2.0, 1.0, 0.0] is not a list of integers"),
     ("E8_12", _key("+1"), "label map key '+1' is not a module number"),
     ("F4_34", _key(" 1"), "label map key ' 1' is not a module number"),
     ("E6_36", _key("01"), "label map key '01' is not a module number"),
@@ -350,8 +362,8 @@ def _key(text):
     ("E8_12", _swap_fibers, "label map fiber 1 disagrees with the computed fiber"),
     ("F4_34", _pair_out_of_range, "pair (7,1) out of range for modules (1, 3)"),
 ], ids=["no-label-map", "label-map-list", "invalid-json", "short-member", "non-root", "repeated-root",
-        "bool-member", "bool-pair-module", "bool-pair-entry", "plus-key", "space-key", "zero-key",
-        "space-mismatch", "missing-module", "fiber-mismatch", "pair-out-of-range"])
+        "bool-member", "bool-pair-module", "bool-pair-entry", "bool-root", "float-root", "plus-key", "space-key",
+        "zero-key", "space-mismatch", "missing-module", "fiber-mismatch", "pair-out-of-range"])
 def test_malformed_fixture_exits_2_naming_the_file(capsys, tmp_path, monkeypatch, space, edit, words):
     # Every command that reads the fixture reports the fault, naming the
     # file; none exits with a traceback or reads past the fault.

@@ -137,25 +137,43 @@ def test_string_closure_property(systems, lie_type):
 
 
 def test_invalid_cartan_rejected():
-    with pytest.raises(InvalidCartanError):
-        CartanMatrix(((2, -1), (-1, 3)), (1, 1))
-    with pytest.raises(InvalidCartanError):
-        CartanMatrix(((2, -1), (0, 2)), (1, 1))
-    with pytest.raises(InvalidCartanError):
-        CartanMatrix(((2, -4), (-1, 2)), (1, 4))
-    with pytest.raises(InvalidCartanError, match="must be square"):
-        CartanMatrix(((2, -1), (-1,)), (1, 1))
-    with pytest.raises(InvalidCartanError, match="symmetrizer must be positive and of matching length"):
-        CartanMatrix(((2, -1), (-1, 2)), (1,))
-    with pytest.raises(InvalidCartanError, match="symmetrizer does not symmetrize"):
-        CartanMatrix(((2, -2), (-1, 2)), (1, 1))
+    # Each type is a diagram: a bond (i, j, m) must join a reached node to a
+    # new one of 1..rank by 1, 2 or 3 lines, and the bonds must reach every node.
+    bad = [
+        (2, ((1, 3, 1),)),  # node out of range
+        (2, ((0, 2, 1),)),  # node 0 would wrap to the last row
+        (2, ((1, 1, 1),)),  # repeated node
+        (3, ((1, 2, 1), (2, 1, 1))),  # a bond back to a reached node
+        (3, ((1, 2, 1), (3, 2, 1))),  # a bond from an unreached node
+        (3, ((1, 2, 1),)),  # node 3 unreached
+        (2, ()),  # no bond joins the two nodes
+        (2, ((1, 2, 0),)),  # multiplicity 0
+        (2, ((1, 2, 4),)),  # multiplicity 4
+        (2, ((1, 2, True),)),  # a bool is no multiplicity
+        (2.0, ((1, 2, 1),)),  # rank not an int
+        (True, ()),  # a bool is no rank
+        (0, ()),  # rank not positive
+    ]
+    for rank, bonds in bad:
+        with pytest.raises(InvalidCartanError):
+            CartanMatrix(rank, bonds)
+    assert CartanMatrix(1, ()).entries == ((2,),)
 
 
 def test_affine_matrix_fails_generation():
-    # Affine A1~: the closure never terminates within the bound.
-    c = CartanMatrix(((2, -2), (-2, 2)), (1, 1))
-    with pytest.raises(InvalidCartanError):
+    # Affine G2~: a well-formed diagram whose closure never terminates within the bound.
+    c = CartanMatrix(3, ((1, 2, 3), (2, 3, 1)))
+    assert c.entries == ((2, -3, 0), (-1, 2, -1), (0, -1, 2)) and c.symmetrizer == (1, 3, 3)
+    with pytest.raises(InvalidCartanError, match="exceeded the finite-type bound"):
         generate_positive_roots(c)
+
+
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_cartan_matrix_matches_oracle(lie_type):
+    # The matrix and symmetrizer derived from the diagram equal the oracle's hand-typed ones.
+    c = cartan_matrix(lie_type)
+    assert (c.entries, c.symmetrizer) == oracles.CARTAN[lie_type.name]
+    assert c.rank == lie_type.rank == len(lie_type.value[1]) + 1
 
 
 def test_symmetrizer_symmetrizes():
