@@ -196,9 +196,9 @@ class AlgebraElement:
 
     cartan holds coordinates over sqrt(-1) h_{a_1} .. sqrt(-1) h_{a_l};
     a and b map positive roots to the coefficients of A_root / B_root.
-    The elements bracket, the residual and TangentVector.from_coefficients
-    build store no zero coefficient and key a and b by the system's stored
-    root tuples; the constructor checks neither.  Treated as immutable.
+    The elements bracket and the residual build store no zero coefficient
+    and key a and b by the system's stored root tuples; the constructor
+    checks neither.  Treated as immutable.
     """
 
     system: RootSystem
@@ -216,19 +216,14 @@ class AlgebraElement:
         return not any(self.a.values()) and not any(self.b.values()) and not any(self.cartan)
 
 
-def _numerators(index: dict[Coeffs, int], elem: AlgebraElement):
-    """(D, a, b, h): elem's nonzero coefficients as int numerators over their
-    common denominator D, a and b keyed by positive-root id and h by Cartan
-    index.  Integral Fractions become ints too: no Fraction arithmetic."""
-    n = len(index) // 2  # ids n..2n-1 are the negative roots
-    for r in chain(elem.a, elem.b):
-        if index.get(r, n) >= n:
-            raise FlagrootsError(f"{r} is not a positive root key")
-    den = lcm(*{c.denominator for c in chain(elem.cartan, elem.a.values(), elem.b.values())})
+def _numerators(a: dict[int, Scalar], b: dict[int, Scalar], cartan: Sequence[Scalar] = ()):
+    """(D, a, b, h): the nonzero coefficients of A and B parts keyed by positive-root id and of a
+    Cartan part as int numerators over their common denominator D, a and b keyed as given and h by
+    Cartan index.  Integral Fractions become ints too: no Fraction arithmetic."""
+    den = lcm(*{c.denominator for c in chain(cartan, a.values(), b.values())})
     num = lambda c: c * den if type(c) is int else c.numerator * (den // c.denominator)  # noqa: E731
-    a = {index[r]: num(c) for r, c in elem.a.items()}
-    b = {index[r]: num(c) for r, c in elem.b.items()}
-    return den, a, b, {k: num(c) for k, c in enumerate(elem.cartan) if c} if any(elem.cartan) else {}
+    h = {k: num(c) for k, c in enumerate(cartan) if c}
+    return den, {i: num(c) for i, c in a.items()}, {i: num(c) for i, c in b.items()}, h
 
 
 def _fraction(num: int, den: int) -> Fraction:
@@ -244,14 +239,19 @@ def bracket(table: StructureConstantTable, x: AlgebraElement, y: AlgebraElement)
     keyed by positive-root id, one lookup in the table's pair entries per pair of
     basis terms, and only the result made of Fractions over the product D of the
     operands' denominators, each built reduced by _fraction (ints when D = 1).
-    An operand coefficient that is not an int or a Fraction is refused."""
+    An operand coefficient that is not an int or a Fraction is refused, then a key that is no positive root."""
     system, rows = table.system, table._pairs
     if x.system is not system or y.system is not system:
         raise MixedSystemError("elements do not match the constant table")
     for c in chain(x.cartan, x.a.values(), x.b.values(), y.cartan, y.a.values(), y.b.values()):
         if not (type(c) is int or isinstance(c, Fraction)):
             raise FlagrootsError(f"coefficient {c!r} is not an int or a Fraction")
-    (dx, xa, xb, xh), (dy, ya, yb, yh) = _numerators(system.index, x), _numerators(system.index, y)
+    index, n = system.index, len(system.positive_roots)  # ids n..2n-1 are the negative roots
+    for r in chain(x.a, x.b, y.a, y.b):
+        if index.get(r, n) >= n:
+            raise FlagrootsError(f"{r} is not a positive root key")
+    by_id = lambda part: {index[r]: c for r, c in part.items()}  # noqa: E731
+    (dx, xa, xb, xh), (dy, ya, yb, yh) = (_numerators(by_id(e.a), by_id(e.b), e.cartan) for e in (x, y))
     # Absent sums and differences add 0 at the spare id n.
     out_a: defaultdict[int, int] = defaultdict(int)
     out_b: defaultdict[int, int] = defaultdict(int)

@@ -5,8 +5,8 @@ same-module pairs always are, as Lambda scales a module part X_i by one l_i and 
 (on any painting: [m_i, m_i] need not lie in k).  A set of roots whose cross-module pairs are all
 compatible spans a subspace of vectors that are equigeodesic for every invariant metric; such sets
 are the cliques of the compatibility graph.  The painting's clash table, built on first read, holds
-the pairs that are not compatible, by root id: the family, vector and pair tests and the graph read
-it.  W_K, the Weyl group of the unpainted nodes, keeps every module and compatibility, so the clique
+the pairs that are not compatible, by root id: the family and vector tests and the graph read it.
+W_K, the Weyl group of the unpainted nodes, keeps every module and compatibility, so the clique
 search runs once per W_K vertex orbit and maps what it finds onto the rest of each orbit: the same
 families, each once, as one search over the whole graph.
 
@@ -27,7 +27,7 @@ from fractions import Fraction
 from collections.abc import Collection, Iterable, Sequence
 from functools import reduce
 from math import lcm
-from operator import mul, or_
+from operator import mul
 
 from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _fraction, _numerators
 from .flag import PaintedDiagram
@@ -98,11 +98,12 @@ def _family(space: PaintedDiagram, members: frozenset[tuple[int, Coeffs]], ids: 
 
 class TangentVector:
     """A tangent-space element of int or Fraction coefficients, no Cartan part or K-support; verdict, C_k memoised.
-    from_coefficients builds it."""
+    from_coefficients builds it.  a and b hold the A and B sums by positive-root id, each in order of first
+    appearance, with no zero entry and the coefficient types the caller gave."""
 
     space: PaintedDiagram
-    element: AlgebraElement
-    _ids: Collection[int]  # the support's root ids, for the structural test
+    a: dict[int, Scalar]
+    b: dict[int, Scalar]
     _structural: bool | None
     _brackets: tuple[int, tuple, tuple] | None  # the C_k, equal under every table of the system
 
@@ -117,39 +118,46 @@ class TangentVector:
         a negative root counts as its positive, B with the coefficient negated.  The sums are
         kept by root id, and the support, after cancellation, is checked on pd.module_of."""
         system, parts, n = pd.system, [], len(pd.system.positive_roots)
+        get = system.index.get
         for coeffs, flip in ((a, 1), (b, -1)):
             out: dict[int, Scalar] = {}
             for root, coeff in (coeffs or {}).items():
-                i = system.index.get(tuple(root)) or system.id(root)  # id 0 or a non-root, which id() refuses
+                i = get(root) or system.id(root)  # id 0, another spelling or a non-root, which id() refuses
                 if not (type(coeff) is int or isinstance(coeff, Fraction)):
                     raise FlagrootsError(f"coefficient {coeff!r} of root {tuple(root)} is not an int or a Fraction")
-                k, c = (i, coeff) if i < n else (i - n, flip * coeff)
-                w = out[k] + c if k in out else c  # a first coefficient as given, not as 0 + c
-                if w:
-                    out[k] = w
+                if i >= n:
+                    i, coeff = i - n, flip * coeff
+                if i in out:  # a first coefficient is stored as given, not as 0 + c
+                    coeff += out[i]
+                if coeff:
+                    out[i] = coeff
                 else:
-                    out.pop(k, None)
+                    out.pop(i, None)
             parts.append(out)
-        keys, ids = system.positive_roots, parts[0].keys() | parts[1].keys()
-        if bad := sorted(keys[k] for k in ids if not pd.module_of[k]):
+        keys, module_of = system.positive_roots, pd.module_of
+        if bad := sorted(keys[k] for k in parts[0].keys() | parts[1].keys() if not module_of[k]):
             raise SupportError(f"support leaves R_M+: {bad}")
         x = object.__new__(cls)
-        x.space, x._ids, x._structural, x._brackets = pd, ids, None, None
-        x.element = AlgebraElement(system, (0,) * system.rank, *({keys[k]: c for k, c in p.items()} for p in parts))
+        x.space, (x.a, x.b), x._structural, x._brackets = pd, parts, None, None
         return x
 
 
 def _all_compatible(pd: PaintedDiagram, ids: Collection[int]) -> bool:
     """Whether no two of the R_M+ roots of these ids clash: no root's clash mask meets
     the support's bits."""
-    clash, support = pd.clash, reduce(or_, (1 << i for i in ids), 0)
-    return not any(clash[i] & support for i in ids)
+    clash, support = pd.clash, 0
+    for i in ids:
+        support |= 1 << i
+    for i in ids:
+        if clash[i] & support:
+            return False
+    return True
 
 
 def _is_structural(x: TangentVector) -> bool:
     """Whether every cross pair of the support of X is compatible, found once per vector."""
     if x._structural is None:
-        x._structural = _all_compatible(x.space, x._ids)
+        x._structural = _all_compatible(x.space, x.a.keys() | x.b.keys())
     return x._structural
 
 
@@ -346,7 +354,7 @@ def _module_brackets(table: StructureConstantTable, x: TangentVector) -> tuple[i
     if x._brackets is None:
         pd, pos = x.space, x.space.system.positive_roots
         pairs, module_of, n = _cross_pairs(table, pd), pd.module_of, len(pos)
-        den, a, b, _ = _numerators(pd.system.index, x.element)
+        den, a, b, _ = _numerators(x.a, x.b)
         xa, xb = ([p.get(i, 0) for i in range(n)] for p in (a, b))
         cols_a, cols_b = ([[0] * n for _ in range(len(pd.isotropy_decomposition()) + 1)] for _ in "ab")
         for i in a.keys() | b.keys():

@@ -8,9 +8,9 @@ sampling, and brackets from the real-form formulas term by term.  The
 Cartan data is CARTAN below, typed by hand, not derived from the engine's
 diagrams.  What they still read of the engine: a system's Lie type name,
 rank and root tuples; a painting's painted nodes, modules and module_index; the
-constants through table.n; AlgebraElement as the value type;
-equigeodesic_residual, which residual_vanishes_identically samples; and
-the family test, which pair_compatible puts to two roots.
+constants through table.n; AlgebraElement as the value type; a tangent
+vector's A and B sums by root id, which element turns into an AlgebraElement;
+and equigeodesic_residual, which residual_vanishes_identically samples.
 """
 
 from fractions import Fraction
@@ -213,7 +213,8 @@ def residual_vanishes_identically(table, pd, x, points=7):
     """
     from flagroots import MetricVector, equigeodesic_residual
 
-    active = sorted({pd.module_index(r) for r in (*x.element.a, *x.element.b)})
+    elem = element(x)
+    active = sorted({pd.module_index(r) for r in (*elem.a, *elem.b)})
     n_modules = len(pd.isotropy_decomposition())
     base = [Fraction(1)] * n_modules
     if not active:
@@ -242,8 +243,8 @@ def pair_brackets_vanish(table, pd, x):
     """
     from flagroots import AlgebraElement
 
-    parts = {}
-    for kind, store in enumerate((x.element.a, x.element.b)):
+    parts, elem = {}, element(x)
+    for kind, store in enumerate((elem.a, elem.b)):
         for r, c in store.items():
             parts.setdefault(pd.module_index(r), ({}, {}))[kind][r] = c
     elems = [AlgebraElement(pd.system, (0,) * pd.system.rank, *parts[k]) for k in sorted(parts)]
@@ -313,10 +314,19 @@ def reference_bracket(table, x, y):
 
 
 def pair_compatible(pd, alpha, beta):
-    """Whether two R_M+ roots can share a structural family: the engine's family test on the pair."""
-    from flagroots import StructuralFamily, is_structural_family
+    """Whether two R_M+ roots can share a structural family, by structural_by_pairs on the
+    reflection closure."""
+    return structural_by_pairs([alpha, beta], _closure(pd.system), pd.painted)
 
-    return is_structural_family(StructuralFamily.from_roots(pd, [alpha, beta]))
+
+def element(x):
+    """A tangent vector as a root-keyed AlgebraElement: its A and B sums x.a and x.b, keyed by
+    positive-root id, read through system.positive_roots in their order, values and types."""
+    from flagroots import AlgebraElement
+
+    system = x.space.system
+    pos = system.positive_roots
+    return AlgebraElement(system, (0,) * system.rank, *({pos[i]: c for i, c in p.items()} for p in (x.a, x.b)))
 
 
 def combine(*terms):

@@ -50,8 +50,8 @@ def test_pair_compatible_examples(diagrams):
     assert pair_compatible(pd, (0, 1, 1, 0), (0, 0, 1, 1))      # b1^1 vs b3^3
     assert not pair_compatible(pd, (0, 1, 1, 0), (0, 1, 1, 1))  # b1^1 vs b1^3
     assert pair_compatible(pd, (0, 1, 1, 0), (0, 0, 1, 0))      # same module
-    with pytest.raises(NotComplementaryRootError):
-        pair_compatible(pd, (0, 1, 0, 0), (0, 0, 1, 0))
+    with pytest.raises(NotComplementaryRootError):  # a K-root is in no family
+        StructuralFamily.from_roots(pd, [(0, 1, 0, 0), (0, 0, 1, 0)])
 
 
 def test_structural_family_examples(diagrams):
@@ -474,7 +474,7 @@ def test_residual_scaling_invariance(diagrams, tables):
         x = TangentVector.from_coefficients(
             pd, a={r: rng.randint(1, 5) for r in support})
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        xc = TangentVector.from_coefficients(pd, a={r: v * c for r, v in x.element.a.items()})
+        xc = TangentVector.from_coefficients(pd, a={r: v * c for r, v in oracles.element(x).a.items()})
         assert is_equigeodesic_all_metrics(table, pd, x) == is_equigeodesic_all_metrics(
             table, pd, xc)
         lam = MetricVector(tuple(rng.randint(1, 9) for _ in range(6)))
@@ -524,11 +524,12 @@ def test_every_root_handed_out_is_the_stored_plain_tuple(diagrams, tables, sid):
     x = TangentVector.from_coefficients(pd, a={tuple(list(r)): 1 for r in m},
                                         b={neg(r): Fraction(k + 1, 2) for k, r in enumerate(m)})
     y = AlgebraElement(system, (0,) * system.rank, {m[0]: 1}, {m[-1]: -3})
-    twice = oracles.combine((2, x.element))
-    for elem in (x.element, y, bracket(table, x.element, y), bracket(table, x.element, twice)):
+    xe = oracles.element(x)
+    twice = oracles.combine((2, xe))
+    for elem in (xe, y, bracket(table, xe, y), bracket(table, xe, twice)):
         stored(elem.a)
         stored(elem.b)
-    assert set(x.element.a) == set(x.element.b) == set(m)
+    assert set(xe.a) == set(xe.b) == set(m)
     assert y.a.keys() == {m[0]} and y.b.keys() == {m[-1]}
 
 
@@ -548,12 +549,13 @@ def test_from_coefficients_folds_signs_and_keeps_order_and_types(diagrams):
     x = TangentVector.from_coefficients(
         pd, a={r2: 3, r1: Fraction(1, 2), neg(r2): 4, r3: 0},
         b={r1: Fraction(2, 3), neg(r1): Fraction(2, 3), r3: 5, neg(r2): Fraction(3)})
-    assert list(x.element.a.items()) == [(r2, 7), (r1, Fraction(1, 2))]
-    assert list(x.element.b.items()) == [(r3, 5), (r2, Fraction(-3))]
-    for part in (x.element.a, x.element.b):
+    xe = oracles.element(x)
+    assert list(xe.a.items()) == [(r2, 7), (r1, Fraction(1, 2))]
+    assert list(xe.b.items()) == [(r3, 5), (r2, Fraction(-3))]
+    for part in (xe.a, xe.b):
         assert all(type(r) is tuple for r in part)
-    assert [type(c) for c in x.element.a.values()] == [int, Fraction]
-    assert [type(c) for c in x.element.b.values()] == [int, Fraction]
+    assert [type(c) for c in xe.a.values()] == [int, Fraction]
+    assert [type(c) for c in xe.b.values()] == [int, Fraction]
 
 
 def test_criteria_equivalence_random_vectors(diagrams, tables):
@@ -631,7 +633,7 @@ def test_normal_metric_residual_vanishes(diagrams, tables, sid):
     for _ in range(3):
         dense = {r: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for r in pd.r_m_pos}
         x = TangentVector.from_coefficients(pd, a=dense, b={r: rng.randint(1, 5) for r in pd.r_m_pos})
-        assert len(x.element.b) == len(pd.r_m_pos)
+        assert len(oracles.element(x).b) == len(pd.r_m_pos)
         assert equigeodesic_residual(table, pd, x, normal).is_zero()
 
 
@@ -652,10 +654,11 @@ def _oracle_residual(table, pd, x, lam):
     """project_m([X, Lambda X]), Lambda X built term by term and the bracket
     taken by the reference oracle.  A zero parameter (a unit metric) drops
     its module's terms, as an element stores no zero coefficient."""
+    xe = oracles.element(x)
     scaled = [{r: c * lam[pd.module_index(r) - 1] for r, c in part.items() if lam[pd.module_index(r) - 1]}
-              for part in (x.element.a, x.element.b)]
+              for part in (xe.a, xe.b)]
     lx = AlgebraElement(pd.system, (0,) * pd.system.rank, *scaled)
-    return project_m(pd, oracles.reference_bracket(table, x.element, lx))
+    return project_m(pd, oracles.reference_bracket(table, xe, lx))
 
 
 @pytest.mark.parametrize("sid", sorted(CROSS_PAIRS))
@@ -798,16 +801,20 @@ def _counting(monkeypatch, calls, *names):
 
 
 def test_module_brackets_are_computed_once_per_vector(diagrams, monkeypatch):
-    # One numerator pass and one pass over the cross-pair system per vector:
-    # later residuals and the all-metrics test read its one memo slot.
+    # One numerator pass, on the vector's id-keyed sums, and one pass over the
+    # cross-pair system per vector: later residuals and the all-metrics test
+    # read its one memo slot.
     pd = diagrams["E6_36"]
     table, calls = build_constants(pd.system), Counter()
     _counting(monkeypatch, calls, "_numerators", "_cross_pairs")
+    counted, operands = equigeo._numerators, []
+    monkeypatch.setattr(equigeo, "_numerators", lambda *args: operands.append(args) or counted(*args))
     rng = random.Random(103)
     x, metrics = _dense_vector(pd, rng), [MetricVector(_metric(rng, 6)) for _ in range(3)]
     first = equigeodesic_residual(table, pd, x, metrics[0])
     memo = x._brackets
     assert calls == {"_numerators": 1, "_cross_pairs": 1} and type(memo) is tuple and len(memo) == 3
+    assert operands[0][0] is x.a and operands[0][1] is x.b  # the vector's own sums by root id, not a copy
     again = [equigeodesic_residual(table, pd, x, lam) for lam in metrics]
     assert not is_equigeodesic_all_metrics(table, pd, x)
     assert calls == {"_numerators": 1, "_cross_pairs": 1}
@@ -1036,7 +1043,7 @@ def test_from_coefficients_matches_fold(diagrams):
                         cancel = -c if flip == 1 else c
                         part[tuple(-v for v in key)] = cancel if rng.random() < 0.5 else rng.choice(coeffs)
                 parts.append(part)
-            got = TangentVector.from_coefficients(pd, a=parts[0], b=parts[1]).element
+            got = oracles.element(TangentVector.from_coefficients(pd, a=parts[0], b=parts[1]))
             want = _fold_from_coefficients(pd, *parts)
             assert list(got.a.items()) == list(want.a.items())
             assert list(got.b.items()) == list(want.b.items())
@@ -1053,6 +1060,71 @@ def test_from_coefficients_refuses_non_rational_coefficients(diagrams, coeff):
     for part in ("a", "b"):
         with pytest.raises(FlagrootsError, match=re.escape(f"coefficient {coeff!r} of root {root} ")):
             TangentVector.from_coefficients(pd, **{part: {(1, 1, 1, 0): 1, root: coeff}})
+
+
+class _ListRoot(list):
+    """A root spelled as a list, hashable so that it keys a coefficient map beside its tuple spelling."""
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
+def _sums(part, negative_sign):
+    """A coefficient map summed by positive root tuple in order of first appearance, a negative
+    root counted as its positive with the coefficient times negative_sign; a sum that reaches 0 is
+    dropped, and stored last if it comes back."""
+    out = {}
+    for root, c in part.items():
+        r = tuple(root)
+        if sum(r) < 0:
+            r, c = tuple(-v for v in r), negative_sign * c
+        w = out[r] + c if r in out else c
+        if w:
+            out[r] = w
+        else:
+            out.pop(r, None)
+    return out
+
+
+SUM_COEFF = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)), st.none())
+SUM_ROOT = st.one_of(st.integers(0, 3), st.integers(0, 119))  # a few roots often, so that they repeat
+SUM_ENTRIES = st.lists(st.tuples(st.sampled_from("ab"), SUM_ROOT, st.booleans(), st.booleans(), SUM_COEFF),
+                       max_size=30)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(spec=st.sampled_from([*SPACE_IDS, "E8:3,5"]), entries=SUM_ENTRIES)
+@example(spec="F4_34", entries=[("a", 0, False, False, 2), ("a", 0, True, True, None), ("a", 1, False, False, 1),
+                                ("a", 0, True, False, Fraction(3)), ("b", 0, False, False, Fraction(1, 3)),
+                                ("b", 0, True, False, None), ("b", 2, True, True, 0), ("b", 0, False, True, 5)])
+def test_from_coefficients_against_an_accumulation_in_the_test(spec, entries):
+    # Roots of either sign in tuple and list spellings, so a root, its
+    # negative and their repeats key one map; a None coefficient cancels the
+    # running sum of its root (a 0 when there is none), and later entries add
+    # it back.  The vector's sums by root id are A_-x = A_x, B_-x = -B_x summed
+    # in the test, in order, value and type, and its structural verdict is the
+    # pairwise oracle's on the support.
+    pd = space_diagram(spec)
+    pool, parts = pd.r_m_pos, {"a": {}, "b": {}}
+    for part, k, negative, as_list, coeff in entries:
+        root = tuple(-v for v in pool[k % len(pool)]) if negative else pool[k % len(pool)]
+        key = _ListRoot(root) if as_list else root
+        if key in parts[part]:
+            continue
+        if coeff is None:
+            running = _sums(parts[part], 1 if part == "a" else -1).get(tuple(abs(v) for v in root), 0)
+            coeff = running if part == "b" and negative else -running
+        parts[part][key] = coeff
+    x = TangentVector.from_coefficients(pd, **parts)
+    want_a, want_b = _sums(parts["a"], 1), _sums(parts["b"], -1)
+    got = oracles.element(x)
+    for have, want in ((got.a, want_a), (got.b, want_b)):
+        assert list(have.items()) == list(want.items())
+        assert [type(c) for c in have.values()] == [type(c) for c in want.values()]
+    assert all(type(i) is int for i in (*x.a, *x.b))
+    support = list(want_a.keys() | want_b.keys())
+    want = oracles.structural_by_pairs(support, oracles._closure(pd.system), pd.painted)
+    assert equigeo._is_structural(x) is want
 
 
 R_M_POS = {sid: space_diagram(sid).r_m_pos for sid in ("G2_12", "F4_34")}
@@ -1168,7 +1240,8 @@ PARITY_CASES = [
 
 
 def _parts(x):
-    return x.element.a, x.element.b
+    xe = oracles.element(x)
+    return xe.a, xe.b
 
 
 @pytest.mark.parametrize("entry,case,args,want", PARITY_CASES, ids=[f"{e}-{c}" for e, c, _, _ in PARITY_CASES])
