@@ -42,7 +42,6 @@ from .rootsys import (
     FlagrootsError,
     RootSystem,
     SCHEMA_VERSION,
-    _lazy,
     _string_p,
     canonical_key,
 )
@@ -75,9 +74,7 @@ class StructureConstantTable:
     kernel's index as it solves, and reads its own earlier constants from it: _pairs, where entry
     (i, j) over positive-root ids is (s, N(i,j), d, N(i,-j), -sign(i-j) N(i,-j)) with s the id of
     i+j and d that of +-(i-j), or None when neither is a root (an absent one has constant 0 and
-    the spare id n).  n_map, keyed by root pairs, is built from _pairs on first read, and each
-    painting's cross-pair system is cached by equigeo in _compiled under the painted nodes.
-    Bracket evaluation is pure.
+    the spare id n).  This class is the one reader of the entries.  Bracket evaluation is pure.
     """
 
     def __init__(self, system: RootSystem):
@@ -146,39 +143,74 @@ class StructureConstantTable:
 
     # -- queries -----------------------------------------------------
 
-    @_lazy
-    def n_map(self) -> dict[tuple[Coeffs, Coeffs], int]:
-        """N(x,y) keyed by root tuples over every pair with a root sum, from
-        N(-x,-y) = N(x,y) and N(-x,y) = N(x,-y)."""
-        roots, n = self.system.roots, self._n
-        out = {}
+    def n(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """N(x,y), from N(-x,-y) = N(x,y) and N(-x,y) = N(x,-y); zero when x+y or x or y is not a root."""
+        get, n = self.system.index.get, self._n
+        i, j = get(tuple(x)), get(tuple(y))
+        if i is None or j is None or (e := self._pairs[i % n][j % n]) is None:
+            return 0
+        return e[1] if (i < n) == (j < n) else e[3]
+
+    def to_dict(self) -> dict:
+        """Each nonzero constant under its four signed root pairs, in canonical order."""
+        roots, n, pairs = self.system.roots, self._n, []
         for i, row in enumerate(self._pairs):
             for j, e in enumerate(row):
                 if e is not None:
-                    if e[1]:
-                        out[(roots[i], roots[j])] = out[(roots[i + n], roots[j + n])] = e[1]
-                    if e[3]:
-                        out[(roots[i], roots[j + n])] = out[(roots[i + n], roots[j])] = e[3]
-        return out
-
-    def n(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """N(x,y); zero when x+y is not a root."""
-        return self.n_map.get((tuple(x), tuple(y)), 0)
-
-    def to_dict(self) -> dict:
-        pairs = sorted(
-            self.n_map.items(),
-            key=lambda kv: (canonical_key(kv[0][0]), canonical_key(kv[0][1])),
-        )
+                    for x, y, v in ((i, j, e[1]), (i + n, j + n, e[1]), (i, j + n, e[3]), (i + n, j, e[3])):
+                        if v:
+                            pairs.append((roots[x], roots[y], v))
+        pairs.sort(key=lambda p: (canonical_key(p[0]), canonical_key(p[1])))
         return {
             "schema_version": SCHEMA_VERSION,
             "family": self.system.lie_type.name,
-            "pairs": [[list(x), list(y), n] for (x, y), n in pairs],
+            "pairs": [[list(x), list(y), v] for x, y, v in pairs],
         }
 
     def to_json(self) -> str:
         """Canonical JSON dump of the table, for external cross-validation."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+    def cross_pairs(self, pd) -> list[list[tuple[int, ...]]]:
+        """The cross-pair system of pd, cached in _compiled under its painted nodes: for x in R_M+, each y
+        of a later module with x + y or x - y a root, as (y, module of y, s, N(x,y), d, N(x,-y),
+        -sign(x-y) N(x,-y)) from the pair entries; empty for any other id."""
+        if pd.painted not in self._compiled:
+            module_of = pd.module_of
+            self._compiled[pd.painted] = [[(y, module_of[y], *e) for y, e in enumerate(row) if e and module_of[y] > k]
+                                          if k else [] for row, k in zip(self._pairs, module_of)]
+        return self._compiled[pd.painted]
+
+    def module_brackets(self, pd, a: dict[int, Scalar], b: dict[int, Scalar]) -> tuple[int, tuple, tuple]:
+        """All C_k = [X, X_k]_m of X = sum a_x A_x + b_x B_x over R_M+ of pd, keyed by positive-root id, in
+        one integer pass over the cross-pair system: (D^2, A rows, B rows), a row (root, (c_1, .., c_m))
+        for each root, in id order, where some C_k is nonzero, with int numerators over D^2, D the common
+        denominator of X.  A pair x in m_i, y in m_j, i < j, is weighed by l_j - l_i, so its bracket, by
+        the real-form formulas above, is added to C_j and subtracted from C_i."""
+        pos, n, pairs, module_of = self.system.positive_roots, self._n, self.cross_pairs(pd), pd.module_of
+        den, a, b, _ = _numerators(a, b)
+        xa, xb = ([p.get(i, 0) for i in range(n)] for p in (a, b))
+        cols_a, cols_b = ([[0] * n for _ in range(len(pd.isotropy_decomposition()) + 1)] for _ in "ab")
+        for i in a.keys() | b.keys():
+            ai, bi, ca_i, cb_i = xa[i], xb[i], cols_a[module_of[i]], cols_b[module_of[i]]
+            for j, k, s, ns, d, nd, nb in pairs[i]:
+                aj, bj = xa[j], xb[j]
+                if aj or bj:
+                    ca_k, cb_k, p, q, u, v = cols_a[k], cols_b[k], ai * aj, bi * bj, ai * bj, bi * aj
+                    if ns:
+                        t, w = (p - q) * ns, (u + v) * ns
+                        ca_k[s] += t
+                        ca_i[s] -= t
+                        cb_k[s] += w
+                        cb_i[s] -= w
+                    if nd:
+                        t, w = (p + q) * nd, (u - v) * nb
+                        ca_k[d] += t
+                        ca_i[d] -= t
+                        cb_k[d] += w
+                        cb_i[d] -= w
+        rows = (tuple((r, cs) for r, cs in zip(pos, zip(*cols[1:])) if any(cs)) for cols in (cols_a, cols_b))
+        return (den * den, *rows)
 
 
 def build_constants(system: RootSystem) -> StructureConstantTable:

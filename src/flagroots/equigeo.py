@@ -15,8 +15,8 @@ identity, not a tolerance.  Over the module parts X_k of X it is the sum over i 
 (l_j - l_i) [X_i, X_j], as [X_i, X_i] = 0 and the pairs (i, j), (j, i) combine by antisymmetry; each
 such bracket lies in m, as xi_i +- xi_j != 0 for distinct t-roots.  It equals sum_k l_k C_k with
 C_k = [X, X_k]_m.  Only the cross pairs of roots whose sum or difference is a root add to it;
-compiled once per constant table and painting, they give all the C_k of X in one integer pass, kept
-on X.  The residual combines the C_k in ints over D^2 L, each nonzero sum made one reduced Fraction
+the constant table compiles them once per painting and gives all the C_k of X in one integer pass,
+kept on X.  The residual combines the C_k in ints over D^2 L, each nonzero sum one reduced Fraction
 by chevalley._fraction (an int when D^2 L = 1); the all-metrics test asks that every C_k be zero.
 """
 
@@ -29,7 +29,7 @@ from functools import reduce
 from math import lcm
 from operator import mul
 
-from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _fraction, _numerators
+from .chevalley import AlgebraElement, MixedSystemError, Scalar, StructureConstantTable, _fraction
 from .flag import PaintedDiagram
 from .rootsys import Coeffs, FlagrootsError, SCHEMA_VERSION
 
@@ -322,7 +322,8 @@ def enumerate_maximal_families(
     module = [k for k, _ in graph.vertices]
     # W_K's generators keep modules (they fix painted coefficients) and compatibility (linear, they permute R).
     vertex = {pd.system.index[r]: v for v, (_, r) in enumerate(graph.vertices)}
-    generators = [[vertex[s[i]] for i in vertex] for j, s in enumerate(pd.system.reflections) if j not in pd._painted0]
+    generators = [[vertex[s[i]] for i in vertex]
+                  for j, s in enumerate(pd.system.reflections) if j + 1 not in pd.painted]
     # Vertices are in sorted_members order, and bytes compare as tuples of
     # their indices do, so sorting the cliques sorts the families canonically.
     cliques = _maximal_cliques(graph.adjacency, module, min_modules, generators)
@@ -333,50 +334,10 @@ def enumerate_maximal_families(
     return EnumerationResult(graph, tuple(cliques), truncated, total)
 
 
-def _cross_pairs(table: StructureConstantTable, pd: PaintedDiagram) -> list[list[tuple[int, ...]]]:
-    """The cross-pair system of pd, cached on the table by painted nodes: for x in R_M+, each y of
-    a later module with x + y or x - y a root, as (y, module of y, s, N(x,y), d, N(x,-y),
-    -sign(x-y) N(x,-y)) from the table's pair entries; empty for any other id."""
-    if pd.painted not in table._compiled:
-        module_of = pd.module_of
-        table._compiled[pd.painted] = [[(y, module_of[y], *e) for y, e in enumerate(row) if e and module_of[y] > k]
-                                       if k else [] for row, k in zip(table._pairs, module_of)]
-    return table._compiled[pd.painted]
-
-
 def _module_brackets(table: StructureConstantTable, x: TangentVector) -> tuple[int, tuple, tuple]:
-    """All C_k = [X, X_k]_m in one integer pass over the cross-pair system, memoised on X:
-    (D^2, A rows, B rows), a row (root, (c_1, .., c_m)) for each root, in id order, where some C_k
-    is nonzero, with int numerators over D^2, D the common denominator of X.  A pair x in m_i,
-    y in m_j, i < j, is weighed by l_j - l_i, so its term is added to C_j and subtracted from C_i:
-    (a_x a_y -+ b_x b_y) N(x,+-y) on A_{x+-y}, and (a_x b_y +- b_x a_y) on B_{x+y} and B_{+-(x-y)},
-    times N(x,y) and -sign(x-y) N(x,-y), by the real-form formulas."""
+    """The table's module_brackets of X, all C_k = [X, X_k]_m in one integer pass, memoised on X."""
     if x._brackets is None:
-        pd, pos = x.space, x.space.system.positive_roots
-        pairs, module_of, n = _cross_pairs(table, pd), pd.module_of, len(pos)
-        den, a, b, _ = _numerators(x.a, x.b)
-        xa, xb = ([p.get(i, 0) for i in range(n)] for p in (a, b))
-        cols_a, cols_b = ([[0] * n for _ in range(len(pd.isotropy_decomposition()) + 1)] for _ in "ab")
-        for i in a.keys() | b.keys():
-            ai, bi, ca_i, cb_i = xa[i], xb[i], cols_a[module_of[i]], cols_b[module_of[i]]
-            for j, k, s, ns, d, nd, nb in pairs[i]:
-                aj, bj = xa[j], xb[j]
-                if aj or bj:
-                    ca_k, cb_k, p, q, u, v = cols_a[k], cols_b[k], ai * aj, bi * bj, ai * bj, bi * aj
-                    if ns:
-                        t, w = (p - q) * ns, (u + v) * ns
-                        ca_k[s] += t
-                        ca_i[s] -= t
-                        cb_k[s] += w
-                        cb_i[s] -= w
-                    if nd:
-                        t, w = (p + q) * nd, (u - v) * nb
-                        ca_k[d] += t
-                        ca_i[d] -= t
-                        cb_k[d] += w
-                        cb_i[d] -= w
-        rows = (tuple((r, cs) for r, cs in zip(pos, zip(*cols[1:])) if any(cs)) for cols in (cols_a, cols_b))
-        x._brackets = (den * den, *rows)
+        x._brackets = table.module_brackets(x.space, x.a, x.b)
     return x._brackets
 
 

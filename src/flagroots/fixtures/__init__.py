@@ -62,7 +62,7 @@ def parse_space(spec: str) -> tuple[LieType, tuple[int, ...]]:
         if not nodes:
             raise FixtureError(f"bad space spec {spec!r}: no painted nodes")
         lie_type = LieType[fam]
-        if any(len(x) > 1 or int(x) > lie_type.rank for x in painted):  # every rank is one digit
+        if any(len(x) > len(str(lie_type.rank)) or int(x) > lie_type.rank for x in painted):
             raise FixtureError(f"bad space spec {spec!r}: painted nodes out of range 1..{lie_type.rank}")
         return lie_type, tuple(map(int, painted))
     raise FixtureError(

@@ -107,11 +107,11 @@ class PaintedDiagram:
         self.painted = nodes
         # Display name such as "E8(1,2)", shared by every serialised family.
         self.name = f"{system.lie_type.name}({','.join(map(str, nodes))})"
-        self._painted0 = tuple(i - 1 for i in nodes)
+        painted0 = tuple(i - 1 for i in nodes)
         # Positive root ids by t-root, in canonical order; R_K under t = 0.
         fibers: dict[Coeffs, list[int]] = {}
         for i, r in enumerate(system.positive_roots):
-            fibers.setdefault(tuple(r[j] for j in self._painted0), []).append(i)
+            fibers.setdefault(tuple(r[j] for j in painted0), []).append(i)
         r_k = fibers.pop((0,) * len(nodes), [])
         # G2-type paintings use the fixed six-label order, anything else the
         # canonical t-root order.

@@ -93,7 +93,7 @@ def test_criterion_4_structure_constants(systems, tables):
     for t in LieType:
         s = systems[t]
         tab = tables[t]
-        for (x, y), v in tab.n_map.items():
+        for x, y, v in tab.to_dict()["pairs"]:
             assert v != 0
             assert tab.n(y, x) == -v
             assert tab.n(tuple(-c for c in x), tuple(-c for c in y)) == v

@@ -17,17 +17,12 @@ from flagroots import (
     AlgebraElement,
     FlagrootsError,
     LieType,
-    MetricVector,
     MixedSystemError,
     RootSystem,
     StructureConstantTable,
-    TangentVector,
     bracket,
     build_constants,
     chevalley,
-    equigeodesic_residual,
-    is_equigeodesic_all_metrics,
-    paint,
     project_m,
     root_system,
 )
@@ -121,8 +116,9 @@ def test_table_relations(systems, tables, lie_type):
     # antisymmetry, sign symmetry under negation, magnitude p+1
     s = systems[lie_type]
     t = tables[lie_type]
-    assert t.n_map, "table must not be empty"
-    for (x, y), v in t.n_map.items():
+    pairs = t.to_dict()["pairs"]
+    assert pairs, "table must not be empty"
+    for x, y, v in pairs:
         assert v != 0
         assert t.n(y, x) == -v
         assert t.n(tuple(-c for c in x), tuple(-c for c in y)) == v
@@ -319,7 +315,7 @@ def test_table_json_dump_stable(systems, tables):
     t = tables[LieType.G2]
     doc = json.loads(t.to_json())
     assert doc["schema_version"] == 1
-    assert len(doc["pairs"]) == len(t.n_map)
+    assert len(doc["pairs"]) == ROOT_SUM_PAIRS[LieType.G2]
     # build_constants returns this very table, so solve the system again.
     again = StructureConstantTable(systems[LieType.G2])
     assert again is not t and again.to_json() == t.to_json()
@@ -370,7 +366,7 @@ def test_magnitude_and_three_root_identity_exhaustive(systems, tables, lie_type)
     roots = oracles.weyl_closure_roots(s)
     norm = {r: oracles.normsq(s, r) for r in roots}
     pairs = [(x, y) for x in roots for y in roots if tuple(a + b for a, b in zip(x, y)) in roots]
-    assert len(pairs) == len(t.n_map) == ROOT_SUM_PAIRS[lie_type]
+    assert len(pairs) == len(t.to_dict()["pairs"]) == ROOT_SUM_PAIRS[lie_type]
     for x, y in pairs:
         z = _neg(tuple(a + b for a, b in zip(x, y)))
         p, _ = oracles.string_by_scan(s, x, y)
@@ -414,23 +410,20 @@ def test_four_root_identity_exhaustive(systems, tables, lie_type):
     assert count == FOUR_ROOT_INSTANCES[lie_type]
 
 
-def test_n_map_built_only_when_read():
-    # The bracket, and the residual and the all-metrics test with the cross-pair
-    # system they compile, read the table's pair entries, never n_map.  A fresh
-    # system: the shared one's table is the one other tests read.
-    pd = paint(RootSystem(LieType.F4), (3, 4))
-    table = build_constants(pd.system)
-    zero = (0,) * pd.system.rank
-    bracket(table, AlgebraElement(pd.system, zero, {(0, 1, 1, 0): 1}),
-            AlgebraElement(pd.system, zero, {}, {(0, 0, 1, 1): 1}))
-    dense = TangentVector.from_coefficients(pd, a={r: 1 for r in pd.r_m_pos},
-                                            b={r: Fraction(1, 3) for r in pd.r_m_pos})
-    assert not equigeodesic_residual(table, pd, dense, MetricVector((1, 2, 3, 4, 5, 6))).is_zero()
-    assert not is_equigeodesic_all_metrics(table, pd, dense)
-    assert list(table._compiled) == [pd.painted]
-    assert "n_map" not in table.__dict__
-    assert len(table.n_map) == ROOT_SUM_PAIRS[LieType.F4]
-    assert "n_map" in table.__dict__
+@pytest.mark.parametrize("lie_type", list(LieType))
+def test_n_reads_the_listed_constant_or_zero(systems, tables, lie_type):
+    # n(x, y) over every pair of the 2n roots is the constant to_dict lists
+    # for that pair, or 0 where it lists none; a zero vector and a tuple of
+    # the wrong length are no roots and give 0 too.
+    s, t = systems[lie_type], tables[lie_type]
+    listed = {(tuple(x), tuple(y)): v for x, y, v in t.to_dict()["pairs"]}
+    assert len(listed) == ROOT_SUM_PAIRS[lie_type]
+    for x in s.roots:
+        for y in s.roots:
+            assert t.n(x, y) == listed.get((x, y), 0), (x, y)
+    zero, short, root = (0,) * s.rank, s.roots[0][:-1], s.roots[0]
+    for x, y in ((zero, root), (root, zero), (zero, zero), (short, root), (root, short), (root + (0,), root)):
+        assert t.n(x, y) == 0, (x, y)
 
 
 # sha256 of repr(table._pairs), pinned while the entries were still built in
@@ -448,14 +441,12 @@ EAGER_PAIR_ENTRIES = {
 def test_pair_entries_equal_the_pinned_ones(systems, lie_type):
     table = build_constants(systems[lie_type])
     assert hashlib.sha256(repr(table._pairs).encode()).hexdigest() == EAGER_PAIR_ENTRIES[lie_type]
-    # Field 4 is -sign(i-j) times the stored N(i,-j) of field 3, and both
-    # constants agree with n_map.
+    # Field 4 is -sign(i-j) times the stored N(i,-j) of field 3.
     s = systems[lie_type]
     roots, n = s.roots, len(s.positive_roots)
     for i, row in enumerate(table._pairs):
         for j, e in enumerate(row):
             if e is not None:
-                assert e[1] == table.n(roots[i], roots[j]) and e[3] == table.n(roots[i], roots[j + n])
                 d = s.index.get(tuple(a - b for a, b in zip(roots[i], roots[j])))
                 assert e[4] == -(0 if d is None else 1 if d < n else -1) * e[3], (i, j)
 

@@ -38,7 +38,7 @@ from flagroots import (
     RootSystem,
     space_diagram,
 )
-from flagroots import cli, equigeo, fixtures
+from flagroots import chevalley, cli, equigeo, fixtures
 from flagroots.fixtures import SPACE_IDS
 
 # F4 display labels used below (frozen from the fixture label map):
@@ -734,7 +734,7 @@ def test_cross_pair_system_holds_the_bracketing_pairs(diagrams, tables, sid):
     # [X, X_k]_m, which weighs the pairs (k, j) by -1 and (i, k) by +1.
     pd, table = diagrams[sid], tables[diagrams[sid].system.lie_type]
     system, n = pd.system, len(pd.system.positive_roots)
-    stored = [(system.roots[x], entry) for x, row in enumerate(equigeo._cross_pairs(table, pd)) for entry in row]
+    stored = [(system.roots[x], entry) for x, row in enumerate(table.cross_pairs(pd)) for entry in row]
     pairs = [(x, system.roots[entry[0]]) for x, entry in stored]
     assert len(pairs) == len(set(pairs)) == BRACKETING_PAIRS[sid]
     assert set(pairs) == _bracketing_pairs(pd)
@@ -789,40 +789,41 @@ def test_cross_pair_system_is_compiled_once():
     assert list(table._compiled) == [pd.painted] and table._compiled[pd.painted] is system
 
 
-def _counting(monkeypatch, calls, *names):
-    """Count the calls equigeo makes to each named function of its namespace."""
+def _counting(monkeypatch, calls, owner, *names):
+    """Count the calls made to each named function of a module, or method of a class."""
     for name in names:
-        real = getattr(equigeo, name)
+        real = getattr(owner, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(equigeo, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
 
 def test_module_brackets_are_computed_once_per_vector(diagrams, monkeypatch):
     # One numerator pass, on the vector's id-keyed sums, and one pass over the
-    # cross-pair system per vector: later residuals and the all-metrics test
-    # read its one memo slot.
+    # cross-pair system per vector, both in the table's module_brackets: later
+    # residuals and the all-metrics test read the vector's one memo slot.
     pd = diagrams["E6_36"]
     table, calls = build_constants(pd.system), Counter()
-    _counting(monkeypatch, calls, "_numerators", "_cross_pairs")
-    counted, operands = equigeo._numerators, []
-    monkeypatch.setattr(equigeo, "_numerators", lambda *args: operands.append(args) or counted(*args))
+    _counting(monkeypatch, calls, chevalley, "_numerators")
+    _counting(monkeypatch, calls, StructureConstantTable, "cross_pairs")
+    counted, operands = chevalley._numerators, []
+    monkeypatch.setattr(chevalley, "_numerators", lambda *args: operands.append(args) or counted(*args))
     rng = random.Random(103)
     x, metrics = _dense_vector(pd, rng), [MetricVector(_metric(rng, 6)) for _ in range(3)]
     first = equigeodesic_residual(table, pd, x, metrics[0])
     memo = x._brackets
-    assert calls == {"_numerators": 1, "_cross_pairs": 1} and type(memo) is tuple and len(memo) == 3
+    assert calls == {"_numerators": 1, "cross_pairs": 1} and type(memo) is tuple and len(memo) == 3
     assert operands[0][0] is x.a and operands[0][1] is x.b  # the vector's own sums by root id, not a copy
     again = [equigeodesic_residual(table, pd, x, lam) for lam in metrics]
     assert not is_equigeodesic_all_metrics(table, pd, x)
-    assert calls == {"_numerators": 1, "_cross_pairs": 1}
+    assert calls == {"_numerators": 1, "cross_pairs": 1}
     assert again[0] == first == _oracle_residual(table, pd, x, metrics[0].lambdas)
     assert x._brackets is memo
     y = _dense_vector(pd, rng)
     assert not is_equigeodesic_all_metrics(table, pd, y)
-    assert calls == {"_numerators": 2, "_cross_pairs": 2}
+    assert calls == {"_numerators": 2, "cross_pairs": 2}
 
 
 def test_structural_verdict_is_found_once_per_vector(diagrams, monkeypatch):
@@ -830,7 +831,7 @@ def test_structural_verdict_is_found_once_per_vector(diagrams, monkeypatch):
     # pairs once, for a structural support (no C_k) and a dense one alike.
     pd, fx = diagrams["F4_34"], load_fixture("F4_34")
     table, rng, calls = build_constants(pd.system), random.Random(127), Counter()
-    _counting(monkeypatch, calls, "_all_compatible")
+    _counting(monkeypatch, calls, equigeo, "_all_compatible")
     family = TangentVector.from_coefficients(pd, a={r: 1 for r in fx.family_roots(fx.families[0])})
     for x, structural in ((family, True), (_dense_vector(pd, rng), False)):
         calls.clear()

@@ -44,7 +44,6 @@ ALLOWED = {
     "chevalley.py:project_m": TRACER,
     "equigeo.py:StructuralFamily.to_dict": TRACER,
     "equigeo.py:_Families.__len__": TRACER,
-    "chevalley.py:StructureConstantTable.n_map": CONSTANTS,
     "chevalley.py:StructureConstantTable.n": CONSTANTS,
     "chevalley.py:StructureConstantTable.to_dict": CONSTANTS,
     "chevalley.py:StructureConstantTable.to_json": CONSTANTS,
